@@ -16,8 +16,7 @@ from .golden import (ExponentialFit, GoldenRuleRates, PerturbativePrediction,
 from .langevin import (LangevinCoefficients, coefficients_from_survival,
                        langevin_coefficients, langevin_residual, langevin_series,
                        noise_covariance, noise_covariance_grid)
-from .linalg import (JACOBI_BACKEND, JacobiConvergenceError, SingularMatrixError,
-                     SpectralDecomposition, adjoint, eigendecompose, invert, matmul)
+from .linalg import SpectralDecomposition, eigendecompose
 from .master import (MasterCoefficients, PopulationTrajectory,
                      SingularTransitionMatrixError, TransitionProbabilities,
                      evolve_populations, master_coefficients,

@@ -5,11 +5,14 @@ Outputs are deterministic: fixed column order, 17-significant-digit floats,
 Unix line endings, singular time points written as nan plus a sidecar
 ``singular_points.txt``.
 
-Exit codes: 0 success, 1 validation failure, 2 config error, 3 numerical
-failure (eigensolver non-convergence).
+Exit codes: 0 success, 1 validation failure, 2 config or I/O error
+(including a time grid or fit window that is not usable), 3 numerical
+failure (LAPACK eigensolver non-convergence).  Errors print one line on
+stderr.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import amplitudes, golden, langevin, master, model, validation
 from .config import ConfigError, load_config
-from .linalg import JacobiConvergenceError, eigendecompose
+from .linalg import eigendecompose
 
 MAX_COV_POINTS = 101  # per axis in noise_cov.csv
 
@@ -48,12 +51,11 @@ def _write_singular_report(out_dir, singular_times):
 
 def _prepare(args):
     cfg = load_config(args.config)
+    overrides = {}
     if args.t_max is not None:
-        cfg.t_max = args.t_max
+        overrides["t_max"] = args.t_max
     if args.dt is not None:
-        cfg.dt = args.dt
-    if not cfg.dt > 0 or cfg.t_max < cfg.dt:
-        raise ConfigError(f"bad time grid: t_max = {cfg.t_max}, dt = {cfg.dt}")
+        overrides["dt"] = args.dt
     if args.window is not None:
         try:
             t1, t2 = (float(x) for x in args.window.split(","))
@@ -61,7 +63,9 @@ def _prepare(args):
             raise ConfigError(f"bad --window '{args.window}': expected t1,t2") from exc
         if not t1 < t2:
             raise ConfigError(f"bad --window: need t1 < t2, got {t1},{t2}")
-        cfg.fit_window = (t1, t2)
+        overrides["fit_window"] = (t1, t2)
+    # replace() re-runs RunConfig's time-grid checks on the overridden values
+    cfg = dataclasses.replace(cfg, **overrides)
     os.makedirs(args.out, exist_ok=True)
     sd = eigendecompose(model.build_hamiltonian(cfg.spec))
     return cfg, sd
@@ -177,13 +181,17 @@ def cmd_golden(args):
     times = cfg.time_grid()
     window = cfg.fit_window or default_fit_window(cfg)
 
+    mask = (times >= window[0]) & (times <= window[1])
+    if mask.sum() < 2:
+        raise ConfigError(f"fit window [{window[0]:g}, {window[1]:g}] holds fewer than "
+                          f"2 points of the time grid [0, {times[-1]:g}]")
+
     pred = golden.perturbative_prediction(cfg.spec)
     a00, _, _ = amplitudes.survival_series(sd, times)
     fit = golden.fit_exponential(times, a00, window)
 
-    mask = (times >= window[0]) & (times <= window[1])
     wtimes = times[mask]
-    stride = max(1, (len(wtimes) - 1) // 200) if len(wtimes) > 1 else 1
+    stride = max(1, (len(wtimes) - 1) // 200)
     wtimes = wtimes[::stride]
     cap = cfg.tolerances["condition_cap"]
     w_series = [master.master_coefficients_flagged(
@@ -251,7 +259,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except JacobiConvergenceError as exc:
+    except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

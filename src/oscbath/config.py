@@ -23,10 +23,12 @@ list.  Optional top-level keys: "tolerances" (name -> float overrides) and
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .master import DEFAULT_CONDITION_CAP
 from .model import ModelSpec, explicit_populations, preset_linear_bath, thermal_populations
 
 
@@ -40,7 +42,7 @@ DEFAULT_TOLERANCES = {
     "conservation": 1e-10,
     "master_residual": 1e-8,
     "langevin_residual": 1e-6,
-    "condition_cap": 1e10,
+    "condition_cap": DEFAULT_CONDITION_CAP,
 }
 
 
@@ -55,10 +57,10 @@ class RunConfig:
     raw: dict | None = None
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ConfigError(f"time.dt must be positive, got {self.dt}")
-        if self.t_max < self.dt:
-            raise ConfigError(f"time.t_max must be >= dt, got {self.t_max}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError(f"time.dt must be finite and positive, got {self.dt}")
+        if not (math.isfinite(self.t_max) and self.t_max >= self.dt):
+            raise ConfigError(f"time.t_max must be finite and >= dt, got {self.t_max}")
 
     def time_grid(self):
         n_steps = int(round(self.t_max / self.dt))

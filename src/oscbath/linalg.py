@@ -1,61 +1,18 @@
-"""Dense Hermitian eigendecomposition and pivoted inversion.
+"""Dense Hermitian eigendecomposition and the LU condition estimate.
 
-The eigensolver is a cyclic Jacobi iteration with a fixed sweep order and a
-fixed eigenvector phase convention, so identical input bytes always produce
-identical output bytes.  The sweep kernel is compiled (Cython) when
-available; set ``OSCBATH_PURE_PYTHON=1`` to force the numpy fallback.
+The eigensolver is LAPACK's divide-and-conquer ``eigh``, run in real
+arithmetic whenever the matrix has no imaginary part, and a single
+closed-form Jacobi rotation for matrices of dimension 2 or less.
+Eigenvalues come out ascending and every eigenvector carries a fixed phase
+convention, so identical input bytes give identical output bytes at a
+fixed BLAS thread count.  LAPACK non-convergence raises
+``numpy.linalg.LinAlgError``.
 """
 
-import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-
-from . import _jacobi_py
-
-if os.environ.get("OSCBATH_PURE_PYTHON", "") == "1":
-    _kernel = _jacobi_py
-    JACOBI_BACKEND = "python"
-else:
-    try:
-        from . import _jacobi_cy as _kernel
-
-        JACOBI_BACKEND = "cython"
-    except ImportError:
-        _kernel = _jacobi_py
-        JACOBI_BACKEND = "python"
-
-# convergence: stop when off(a) <= OFF_TOL_FACTOR * ||h||_F
-OFF_TOL_FACTOR = 1e-14
-MAX_SWEEPS = 100
-DEFAULT_CONDITION_CAP = 1e12
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Jacobi iteration failed to reach the off-diagonal threshold."""
-
-    def __init__(self, off_norm, threshold, sweeps):
-        self.off_norm = off_norm
-        self.threshold = threshold
-        self.sweeps = sweeps
-        super().__init__(
-            f"no convergence after {sweeps} sweeps: "
-            f"off-diagonal norm {off_norm:.3e} > threshold {threshold:.3e}"
-        )
-
-
-class SingularMatrixError(RuntimeError):
-    """Matrix is singular to tolerance; carries the condition estimate."""
-
-    def __init__(self, condition, cap):
-        self.condition = condition
-        self.cap = cap
-        super().__init__(
-            f"matrix singular to tolerance: condition estimate "
-            f"{condition:.3e} exceeds cap {cap:.3e}"
-        )
 
 
 @dataclass(frozen=True)
@@ -78,14 +35,6 @@ class SpectralDecomposition:
         return (self.vectors * self.eigenvalues) @ self.vectors.conj().T
 
 
-def adjoint(a):
-    return np.asarray(a).conj().T
-
-
-def matmul(a, b):
-    return np.asarray(a) @ np.asarray(b)
-
-
 def check_hermitian(h):
     h = np.ascontiguousarray(h, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
@@ -98,44 +47,74 @@ def check_hermitian(h):
     return h
 
 
-def _off_norm(a):
-    off = a - np.diag(np.diag(a))
-    return np.linalg.norm(off)
+def _rotate_small(h):
+    """Closed-form eigenpairs of a Hermitian matrix of dim 1 or 2.
+
+    One complex Jacobi rotation zeroes the off-diagonal of a 2x2 matrix.
+    The array operations are kept as a general sweep performs them: the
+    two-oscillator golden outputs depend on their exact rounding, which
+    differs from LAPACK's in the last bits (1 ulp on the two-oscillator
+    eigenvalues).
+    """
+    a = h.copy()
+    v = np.eye(a.shape[0], dtype=np.complex128)
+    if a.shape[0] == 2 and a[0, 1] != 0.0:
+        apq = a[0, 1]
+        mag = abs(apq)
+        ph = apq / mag
+        phc = ph.conjugate()
+        theta = (a[1, 1].real - a[0, 0].real) / (2.0 * mag)
+        if theta >= 0.0:
+            t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
+        else:
+            t = 1.0 / (theta - np.sqrt(theta * theta + 1.0))
+        c = 1.0 / np.sqrt(t * t + 1.0)
+        s = t * c
+
+        colp = a[:, 0].copy()
+        colq = a[:, 1].copy()
+        a[:, 0] = c * colp - (s * phc) * colq
+        a[:, 1] = s * colp + (c * phc) * colq
+        rowp = a[0, :].copy()
+        rowq = a[1, :].copy()
+        a[0, :] = c * rowp - (s * ph) * rowq
+        a[1, :] = s * rowp + (c * ph) * rowq
+
+        colp = v[:, 0].copy()
+        colq = v[:, 1].copy()
+        v[:, 0] = c * colp - (s * phc) * colq
+        v[:, 1] = s * colp + (c * phc) * colq
+    return np.diag(a).real.copy(), v
 
 
-def eigendecompose(h, max_sweeps=MAX_SWEEPS, tol_factor=OFF_TOL_FACTOR):
-    """Cyclic Jacobi eigendecomposition of a Hermitian matrix.
+def eigendecompose(h):
+    """Eigendecomposition of a Hermitian matrix.
 
-    Deterministic: fixed sweep order, eigenvalues sorted ascending, each
-    eigenvector rephased so its largest-magnitude component is real and
-    positive.
+    Deterministic: eigenvalues sorted ascending, each eigenvector rephased
+    so its largest-magnitude component is real and positive.
 
     Raises
     ------
-    JacobiConvergenceError
-        if the off-diagonal norm is still above threshold after
-        ``max_sweeps`` sweeps.
+    ValueError
+        if ``h`` is not a finite, exactly Hermitian square matrix.
+    numpy.linalg.LinAlgError
+        if LAPACK fails to converge.
     """
     h = check_hermitian(h)
     n = h.shape[0]
-    a = h.copy()
-    v = np.eye(n, dtype=np.complex128)
-    scale = np.linalg.norm(h)
-    threshold = tol_factor * scale
+    if n <= 2:
+        eigenvalues, vectors = _rotate_small(h)
+    elif np.any(h.imag):
+        eigenvalues, vectors = scipy.linalg.eigh(h, driver="evd")
+    else:
+        # real arithmetic on a real matrix: the complex solver is measurably
+        # less accurate on it
+        eigenvalues, vectors = scipy.linalg.eigh(h.real, driver="evd")
+        vectors = vectors.astype(np.complex128)
 
-    off = _off_norm(a)
-    sweeps = 0
-    while off > threshold:
-        if sweeps >= max_sweeps:
-            raise JacobiConvergenceError(off, threshold, sweeps)
-        _kernel.sweep(a, v)
-        sweeps += 1
-        off = _off_norm(a)
-
-    eigenvalues = np.diag(a).real.copy()
     order = np.argsort(eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
-    vectors = v[:, order]
+    vectors = vectors[:, order]
 
     # phase convention: largest-magnitude component real positive
     for k in range(n):
@@ -154,23 +133,3 @@ def lu_condition(lu):
     if pmin == 0.0:
         return np.inf
     return pivots.max() / pmin
-
-
-def invert(p, condition_cap=DEFAULT_CONDITION_CAP):
-    """Inverse of a real square matrix by pivoted LU elimination.
-
-    Returns ``(inverse, condition_estimate)``; raises SingularMatrixError
-    when the pivot-ratio estimate exceeds ``condition_cap``.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {p.shape}")
-    with warnings.catch_warnings():
-        # exactly singular input raises via the condition cap just below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(p, check_finite=True)
-    cond = lu_condition(lu)
-    if cond > condition_cap:
-        raise SingularMatrixError(cond, condition_cap)
-    inv = scipy.linalg.lu_solve((lu, piv), np.eye(p.shape[0]))
-    return inv, cond

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oscbath.cli import main
 
@@ -159,6 +160,34 @@ class TestErrorPaths:
         cfg = write_bare_config(tmp_path)
         assert main(["golden", "--config", cfg, "--out", str(tmp_path),
                      "--window", "5,1"]) == 2
+
+    def test_window_outside_grid(self, tmp_path, capsys):
+        assert main(["golden", "--config", TWO_OSC, "--out", str(tmp_path),
+                     "--window", "1000,2000"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "fit window" in err
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_nan_t_max(self, tmp_path, capsys, where):
+        doc = json.loads(open(TWO_OSC).read())
+        argv = ["master", "--out", str(tmp_path)]
+        if where == "flag":
+            argv += ["--t-max", "nan"]
+        else:
+            doc["time"]["t_max"] = float("nan")  # json writes and reads NaN
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(argv + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "t_max" in err
+
+    def test_eigensolver_failure(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalue iteration did not converge")
+        monkeypatch.setattr(scipy.linalg, "eigh", no_convergence)
+        assert main(["master", "--config", N51, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "numerical failure" in err
 
 
 class TestGoldenFiles:
