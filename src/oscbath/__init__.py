@@ -7,20 +7,15 @@ with P = |A|^2, and the system oscillator obeys a local second-order
 equation whose damping and frequency follow from the survival amplitude.
 """
 
-from .amplitudes import (AmplitudeSet, amplitudes_at, survival_amplitude,
-                         survival_series, system_row_series)
+from .amplitudes import amplitudes_at, survival_series, system_row_series
 from .config import ConfigError, RunConfig, load_config, parse_config, serialize_spec
 from .golden import (ExponentialFit, GoldenRuleRates, PerturbativePrediction,
                      compare_exact_vs_golden, delta_t, fit_exponential,
-                     golden_rule_rates, perturbative_prediction)
+                     golden_rule_rate_00, golden_rule_rates, perturbative_prediction)
 from .langevin import (LangevinCoefficients, coefficients_from_survival,
-                       langevin_coefficients, langevin_residual, langevin_series,
-                       noise_covariance, noise_covariance_grid)
-from .linalg import SpectralDecomposition, eigendecompose
-from .master import (MasterCoefficients, PopulationTrajectory,
-                     SingularTransitionMatrixError, TransitionProbabilities,
-                     evolve_populations, master_coefficients,
-                     master_coefficients_flagged, master_residual,
+                       langevin_residual, langevin_series, noise_covariance_grid)
+from .linalg import NumericalError, SpectralDecomposition, eigendecompose
+from .master import (TimeBlock, master_coefficients, master_residual, time_blocks,
                      transition_probabilities)
 from .model import (ModelSpec, build_hamiltonian, explicit_populations,
                     preset_linear_bath, thermal_populations)

@@ -5,55 +5,33 @@ propagator matrix elements are
 
     A[n, m](t) = sum_k exp(-i alpha_k t) conj(U[n, k]) U[m, k]
 
-(the amplitude to reach state m at time t starting from state n), and the
-first and second time derivatives carry extra factors (-i alpha_k).
-Everything is closed-form in t; derivatives are never computed by
-differencing.
+(the amplitude to reach state m at time t starting from state n), and each
+time derivative carries an extra factor (-i alpha_k).  The dense path gives
+A and dA/dt; the survival entry A[0, 0] and its first two derivatives come
+from the scalar sums of ``survival_series``.  Everything is closed-form in
+t; derivatives are never computed by differencing.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class AmplitudeSet:
-    """A(t) and its first two time derivatives at a single time."""
+def amplitudes_at(sd, times):
+    """Dense A and dA/dt at a time or a 1-D array of times.
 
-    t: float
-    a: np.ndarray       # (dim, dim) complex, unitary
-    adot: np.ndarray
-    addot: np.ndarray
-
-    @property
-    def dim(self):
-        return self.a.shape[0]
-
-    def unitarity_defect(self):
-        """max |A A^H - I|."""
-        g = self.a @ self.a.conj().T
-        np.fill_diagonal(g, np.diag(g) - 1.0)
-        return np.abs(g).max()
-
-
-def amplitudes_at(sd, t):
-    """Full amplitude matrices A, dA/dt, d2A/dt2 at time t."""
-    if not np.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
+    Returns ``(a, adot)``, complex arrays of shape ``times.shape + (dim,
+    dim)``: one matrix per time, stacked along the leading axis.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    bad = times[~np.isfinite(times)]
+    if bad.size:
+        raise ValueError(f"time must be finite, got {bad[0]}")
     alpha = sd.eigenvalues
     u = sd.vectors
-    phases = np.exp(-1j * alpha * t)
+    phases = np.exp(-1j * np.multiply.outer(times, alpha))[..., None, :]
     uc = u.conj()
-    a = uc @ (u * phases).T
-    adot = uc @ (u * (-1j * alpha * phases)).T
-    addot = uc @ (u * (-(alpha ** 2) * phases)).T
-    return AmplitudeSet(t=float(t), a=a, adot=adot, addot=addot)
-
-
-def survival_amplitude(sd, t):
-    """A[0, 0](t): amplitude for the system quantum to remain in place."""
-    weights = np.abs(sd.vectors[0, :]) ** 2
-    return complex(np.exp(-1j * sd.eigenvalues * t) @ weights)
+    a = uc @ (u * phases).swapaxes(-1, -2)
+    adot = uc @ (u * (-1j * alpha * phases)).swapaxes(-1, -2)
+    return a, adot
 
 
 def survival_series(sd, times):

@@ -7,12 +7,13 @@ Unix line endings, singular time points written as nan plus a sidecar
 
 Exit codes: 0 success, 1 validation failure, 2 config or I/O error
 (including a time grid or fit window that is not usable), 3 numerical
-failure (LAPACK eigensolver non-convergence).  Errors print one line on
-stderr.
+failure (LAPACK eigensolver non-convergence, a survival amplitude too small
+to fit, non-real Langevin coefficients).  Errors print one line on stderr.
 """
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import amplitudes, golden, langevin, master, model, validation
 from .config import ConfigError, load_config
-from .linalg import eigendecompose
+from .linalg import NumericalError, eigendecompose
 
 MAX_COV_POINTS = 101  # per axis in noise_cov.csv
 
@@ -71,18 +72,26 @@ def _prepare(args):
     return cfg, sd
 
 
+def _grid_rows(times, values):
+    """CSV rows (t, index..., value) of an array whose leading axis runs
+    over ``times``, in C order; a complex value fills two columns, re, im."""
+    cells = list(itertools.product(*(map(str, range(n)) for n in values.shape[1:])))
+    index = itertools.product([fmt(t) for t in times], cells)
+    if np.iscomplexobj(values):
+        for (t, idx), z in zip(index, values.ravel().tolist()):
+            yield (t, *idx, fmt(z.real), fmt(z.imag))
+    else:
+        for (t, idx), x in zip(index, values.ravel().tolist()):
+            yield (t, *idx, fmt(x))
+
+
 def cmd_amplitudes(args):
     cfg, sd = _prepare(args)
     times = cfg.time_grid()
-    dim = cfg.spec.dim
 
-    rows = []
-    for t in times:
-        a = amplitudes.amplitudes_at(sd, t).a
-        for n in range(dim):
-            for m in range(dim):
-                rows.append((fmt(t), str(n), str(m),
-                             fmt(a[n, m].real), fmt(a[n, m].imag)))
+    # rows are formatted block by block while the file is written
+    rows = (row for blk in master.time_blocks(sd, times)
+            for row in _grid_rows(blk.times, blk.a))
     _write_csv(os.path.join(args.out, "amplitudes.csv"),
                ["t", "n", "m", "re", "im"], rows)
 
@@ -97,37 +106,28 @@ def cmd_amplitudes(args):
 def cmd_master(args):
     cfg, sd = _prepare(args)
     times = cfg.time_grid()
-    dim = cfg.spec.dim
-    cap = cfg.tolerances["condition_cap"]
 
-    tps = []
-    mcs = []
-    for t in times:
-        tp = master.transition_probabilities(amplitudes.amplitudes_at(sd, t))
-        tps.append(tp)
-        mcs.append(master.master_coefficients_flagged(tp, condition_cap=cap))
+    occ, w, res_matrix, res_balance, singular = [], [], [], [], []
+    for blk in master.time_blocks(sd, times):
+        w_blk, _, sing = master.master_coefficients(blk.p, blk.pdot,
+                                                    cfg.tolerances["condition_cap"])
+        res, bal = master.master_residual(blk, w_blk, cfg.initial)
+        occ.append(blk.p @ cfg.initial)
+        w.append(w_blk)
+        res_matrix.append(res)
+        res_balance.append(bal)
+        singular.append(sing)
 
-    traj = master.evolve_populations(tps, cfg.initial)
-    rows = [(fmt(t), str(n), fmt(traj.occupations[i, n]))
-            for i, t in enumerate(times) for n in range(dim)]
     _write_csv(os.path.join(args.out, "populations.csv"),
-               ["t", "n", "population"], rows)
-
-    rows = []
-    for mc in mcs:
-        for n in range(dim):
-            for k in range(dim):
-                rows.append((fmt(mc.t), str(n), str(k), fmt(mc.w[n, k])))
+               ["t", "n", "population"], _grid_rows(times, np.concatenate(occ)))
     _write_csv(os.path.join(args.out, "w_coeffs.csv"),
-               ["t", "n", "k", "W"], rows)
-
-    res_matrix, res_balance = master.master_residual(tps, mcs, cfg.initial)
-    rows = [(fmt(t), fmt(res_matrix[i]), fmt(res_balance[i]))
-            for i, t in enumerate(times)]
+               ["t", "n", "k", "W"], _grid_rows(times, np.concatenate(w)))
+    rows = [(fmt(t), fmt(r), fmt(b)) for t, r, b in
+            zip(times, np.concatenate(res_matrix), np.concatenate(res_balance))]
     _write_csv(os.path.join(args.out, "master_residual.csv"),
                ["t", "residual", "residual_balance"], rows)
 
-    _write_singular_report(args.out, [mc.t for mc in mcs if mc.singular])
+    _write_singular_report(args.out, list(times[np.concatenate(singular)]))
     return 0
 
 
@@ -186,18 +186,20 @@ def cmd_golden(args):
         raise ConfigError(f"fit window [{window[0]:g}, {window[1]:g}] holds fewer than "
                           f"2 points of the time grid [0, {times[-1]:g}]")
 
-    pred = golden.perturbative_prediction(cfg.spec)
     a00, _, _ = amplitudes.survival_series(sd, times)
     fit = golden.fit_exponential(times, a00, window)
+    pred = golden.perturbative_prediction(cfg.spec)
 
     wtimes = times[mask]
     stride = max(1, (len(wtimes) - 1) // 200)
     wtimes = wtimes[::stride]
-    cap = cfg.tolerances["condition_cap"]
-    w_series = [master.master_coefficients_flagged(
-        master.transition_probabilities(amplitudes.amplitudes_at(sd, t)),
-        condition_cap=cap) for t in wtimes]
-    w_dev = golden.compare_exact_vs_golden(wtimes, w_series, cfg.spec)
+    w00 = []
+    for blk in master.time_blocks(sd, wtimes):
+        w, _, _ = master.master_coefficients(blk.p, blk.pdot, cfg.tolerances["condition_cap"])
+        # copied, since a view of W[:, 0, 0] would keep the block's whole W alive
+        w00.append(w[:, 0, 0].copy())
+    w00 = np.concatenate(w00)
+    w_dev = golden.compare_exact_vs_golden(wtimes, w00, cfg.spec)
 
     report = {
         "gamma_pred": pred.gamma,
@@ -215,8 +217,8 @@ def cmd_golden(args):
 
 
 def cmd_validate(args):
-    cfg, _ = _prepare(args)
-    results = validation.run_suite(cfg)
+    cfg, sd = _prepare(args)
+    results = validation.run_suite(cfg, sd)
     width = max(len(name) for name, _, _, _ in results)
     failed = 0
     for name, value, tolerance, ok in results:
@@ -259,7 +261,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, NumericalError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

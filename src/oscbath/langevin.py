@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import survival_series, system_row_series
+from .linalg import NumericalError
 
 # D is declared singular when |Im(conj(A) Adot)| <= WRONSKIAN_TOL * |A| |Adot|
 WRONSKIAN_TOL = 1e-12
@@ -54,18 +55,12 @@ def coefficients_from_survival(t, a00, adot00, addot00):
     rscale = max(abs(omega_sq), abs(gamma), 1.0)
     imag_residue = max(abs(omega_sq.imag), abs(gamma.imag)) / rscale
     if imag_residue > REALNESS_TOL:
-        raise AssertionError(
+        raise NumericalError(
             f"Langevin coefficients not real at t = {t:.6g}: "
             f"relative imaginary residue {imag_residue:.3e}")
     return LangevinCoefficients(t=float(t), a=a00.real, b=a00.imag,
                                 omega_sq=omega_sq.real, gamma=gamma.real,
                                 wronskian=abs(d), singular=False)
-
-
-def langevin_coefficients(amps):
-    """Langevin coefficients from a full AmplitudeSet (uses entry (0, 0))."""
-    return coefficients_from_survival(
-        amps.t, amps.a[0, 0], amps.adot[0, 0], amps.addot[0, 0])
 
 
 def langevin_series(sd, times):
@@ -96,8 +91,9 @@ def langevin_residual(sd, times):
     return out
 
 
-def noise_covariance(amps_t, amps_tprime, initial, spec):
-    """Symmetrized second moment of the inhomogeneous drive f.
+def noise_covariance_grid(sd, times, initial, spec):
+    """Symmetrized second moment of the inhomogeneous drive f over a grid:
+    C_ff(t_i, t_j) as a symmetric (K, K) array.
 
     f(t) = (2 M Omega)^{-1/2} sum_{m>=1} [A[0, m](t) b_m^dag(0) + h.c.],
     and with uncorrelated diagonal initial occupations N_m(0) the
@@ -106,16 +102,6 @@ def noise_covariance(amps_t, amps_tprime, initial, spec):
         (2 M Omega)^{-1} sum_{m>=1} Re[A[0, m](t) conj(A[0, m](t'))]
                                      * (2 N_m(0) + 1)
     """
-    occ = np.asarray(initial, dtype=np.float64)
-    row_t = amps_t.a[0, 1:]
-    row_tp = amps_tprime.a[0, 1:]
-    weights = 2.0 * occ[1:] + 1.0
-    total = ((row_t * row_tp.conj()).real @ weights)
-    return total / (2.0 * spec.mass * spec.omega)
-
-
-def noise_covariance_grid(sd, times, initial, spec):
-    """C_ff(t_i, t_j) over a full grid: symmetric (K, K) array."""
     occ = np.asarray(initial, dtype=np.float64)
     rows = system_row_series(sd, times)[:, 1:]
     weights = 2.0 * occ[1:] + 1.0

@@ -1,4 +1,5 @@
-"""Dense Hermitian eigendecomposition and the LU condition estimate.
+"""Dense Hermitian eigendecomposition, the LU condition estimate and the
+numerical-failure exception.
 
 The eigensolver is LAPACK's divide-and-conquer ``eigh``, run in real
 arithmetic whenever the matrix has no imaginary part, and a single
@@ -13,6 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+
+
+class NumericalError(ArithmeticError):
+    """A computed quantity fails a numerical sanity check (log underflow,
+    non-real Langevin coefficients); the CLI maps it to exit code 3."""
 
 
 @dataclass(frozen=True)
@@ -127,9 +133,9 @@ def eigendecompose(h):
 
 
 def lu_condition(lu):
-    """Pivot-ratio condition estimate from an LU factor: max|u_ii|/min|u_ii|."""
-    pivots = np.abs(np.diag(lu))
-    pmin = pivots.min()
-    if pmin == 0.0:
-        return np.inf
-    return pivots.max() / pmin
+    """Pivot-ratio condition estimate max|u_ii|/min|u_ii| of each LU factor
+    in a stack of shape (..., dim, dim); a zero pivot gives inf."""
+    pivots = np.abs(np.diagonal(lu, axis1=-2, axis2=-1))
+    pmin = pivots.min(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(pmin == 0.0, np.inf, pivots.max(axis=-1) / pmin)

@@ -5,6 +5,10 @@ occupations evolve as N(t) = P(t) N(0), and differentiating and eliminating
 N(0) gives the time-local equation dN/dt = W(t) N(t) with
 W(t) = Pdot(t) P(t)^{-1}.  W exists only where P is invertible; singular
 times are flagged, never regularized.
+
+Everything dense is computed by one engine, ``time_blocks``, which walks a
+time grid in blocks of consecutive times and stacks each block's matrices
+along a leading time axis.
 """
 
 import warnings
@@ -13,105 +17,74 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .amplitudes import amplitudes_at
 from .linalg import lu_condition
 
 DEFAULT_CONDITION_CAP = 1e10
 
-
-class SingularTransitionMatrixError(RuntimeError):
-    """P(t) is singular to tolerance; W(t) does not exist there."""
-
-    def __init__(self, t, condition, cap):
-        self.t = t
-        self.condition = condition
-        self.cap = cap
-        super().__init__(
-            f"transition matrix singular at t = {t:.6g}: condition estimate "
-            f"{condition:.3e} exceeds cap {cap:.3e}"
-        )
+# Complex entries of one (times, dim, dim) array in a block: 2**15 entries
+# are 0.5 MiB, so a block's arrays stay a few MiB whatever the grid length.
+BLOCK_ENTRIES = 2 ** 15
 
 
 @dataclass(frozen=True)
-class TransitionProbabilities:
-    t: float
-    p: np.ndarray       # (dim, dim) real, doubly stochastic
-    pdot: np.ndarray    # elementwise d|A|^2/dt = 2 Re(conj(A) Adot)
+class TimeBlock:
+    """Consecutive grid times and the dense quantities at each of them;
+    every array's leading axis indexes ``times``."""
 
-    def row_sum_defect(self):
-        return np.abs(self.p.sum(axis=1) - 1.0).max()
-
-    def col_sum_defect(self):
-        return np.abs(self.p.sum(axis=0) - 1.0).max()
+    times: np.ndarray       # (K,)
+    a: np.ndarray           # (K, dim, dim) complex, unitary
+    p: np.ndarray           # (K, dim, dim) real, doubly stochastic
+    pdot: np.ndarray        # elementwise d|A|^2/dt = 2 Re(conj(A) Adot)
 
 
-@dataclass(frozen=True)
-class MasterCoefficients:
-    t: float
-    w: np.ndarray       # (dim, dim) real; nan-filled when singular
-    condition: float    # pivot-ratio condition estimate of P
-    singular: bool = False
+def transition_probabilities(a, adot):
+    """P = |A|^2 and Pdot = 2 Re(conj(A) Adot), elementwise on (stacks of)
+    amplitude matrices."""
+    return np.abs(a) ** 2, 2.0 * (a.conj() * adot).real
 
 
-def transition_probabilities(amps):
-    p = np.abs(amps.a) ** 2
-    pdot = 2.0 * (amps.a.conj() * amps.adot).real
-    return TransitionProbabilities(t=amps.t, p=p, pdot=pdot)
+def master_coefficients(p, pdot, condition_cap=DEFAULT_CONDITION_CAP):
+    """W = Pdot P^{-1} for a stack of P of shape (K, dim, dim), via pivoted LU.
 
-
-def master_coefficients(tp, condition_cap=DEFAULT_CONDITION_CAP):
-    """W(t) = Pdot P^{-1}, via pivoted LU of P.
-
-    Raises SingularTransitionMatrixError (carrying t and the condition
-    estimate) when P is singular to tolerance.
+    Returns ``(w, condition, singular)``.  Where the pivot-ratio condition
+    estimate exceeds ``condition_cap``, P counts as singular and that W is
+    nan-filled.
     """
+    w = np.full(p.shape, np.nan)
+    condition = np.empty(len(p))
     with warnings.catch_warnings():
-        # an exactly singular P raises via the condition cap just below
+        # an exactly singular P is flagged via the condition cap just below
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(tp.p)
-    cond = lu_condition(lu)
-    if cond > condition_cap:
-        raise SingularTransitionMatrixError(tp.t, cond, condition_cap)
-    # solve P^T X^T = Pdot^T  =>  X = Pdot P^{-1}
-    w = scipy.linalg.lu_solve((lu, piv), tp.pdot.T, trans=1).T
-    return MasterCoefficients(t=tp.t, w=w, condition=cond)
+        # one factorization per time: older SciPy releases take no stacks
+        for k, (pk, pdotk) in enumerate(zip(p, pdot)):
+            lu, piv = scipy.linalg.lu_factor(pk)
+            condition[k] = lu_condition(lu)
+            if not condition[k] > condition_cap:
+                # solve P^T X^T = Pdot^T  =>  X = Pdot P^{-1}
+                w[k] = scipy.linalg.lu_solve((lu, piv), pdotk.T, trans=1).T
+    return w, condition, condition > condition_cap
 
 
-def master_coefficients_flagged(tp, condition_cap=DEFAULT_CONDITION_CAP):
-    """Like master_coefficients but returns a nan-filled, flagged result
-    instead of raising at singular times."""
-    try:
-        return master_coefficients(tp, condition_cap)
-    except SingularTransitionMatrixError as exc:
-        dim = tp.p.shape[0]
-        return MasterCoefficients(t=tp.t, w=np.full((dim, dim), np.nan),
-                                  condition=exc.condition, singular=True)
+def time_blocks(sd, times):
+    """Yield a TimeBlock for each run of consecutive ``times``.
+
+    The block length is ``BLOCK_ENTRIES // dim**2`` (at least one time), so
+    memory stays bounded however long the grid is.  No W is solved here:
+    the consumers that need it call ``master_coefficients`` on a block.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    step = max(1, BLOCK_ENTRIES // sd.dim ** 2)
+    for start in range(0, len(times), step):
+        t = times[start:start + step]
+        a, adot = amplitudes_at(sd, t)
+        p, pdot = transition_probabilities(a, adot)
+        yield TimeBlock(times=t, a=a, p=p, pdot=pdot)
 
 
-@dataclass(frozen=True)
-class PopulationTrajectory:
-    times: np.ndarray        # (K,)
-    occupations: np.ndarray  # (K, dim)
-
-    @property
-    def totals(self):
-        return self.occupations.sum(axis=1)
-
-    def conservation_defect(self):
-        """Max relative drift of the total quantum number."""
-        totals = self.totals
-        return np.abs(totals - totals[0]).max() / abs(totals[0])
-
-
-def evolve_populations(tps, initial):
-    """N(t) = P(t) N(0) on the grid carried by the TransitionProbabilities."""
-    initial = np.asarray(initial, dtype=np.float64)
-    times = np.array([tp.t for tp in tps])
-    occ = np.array([tp.p @ initial for tp in tps])
-    return PopulationTrajectory(times=times, occupations=occ)
-
-
-def master_residual(tps, mcs, initial):
-    """Residuals of the master equation, per grid point.
+def master_residual(block, w, initial):
+    """Residuals of the master equation at each time of a block, given the
+    block's W from ``master_coefficients``.
 
     Returns ``(gain_loss, balance)``: max_n |dN_n/dt - sum_k W_nk N_k| for
     the matrix form, and the same for the explicit gain-minus-loss form
@@ -119,18 +92,13 @@ def master_residual(tps, mcs, initial):
     never from differencing the trajectory.  Singular points give nan.
     """
     initial = np.asarray(initial, dtype=np.float64)
-    res_matrix = np.empty(len(tps))
-    res_balance = np.empty(len(tps))
-    for i, (tp, mc) in enumerate(zip(tps, mcs)):
-        if mc.singular:
-            res_matrix[i] = np.nan
-            res_balance[i] = np.nan
-            continue
-        occ = tp.p @ initial
-        dndt = tp.pdot @ initial
-        res_matrix[i] = np.abs(dndt - mc.w @ occ).max()
-        w_off = mc.w - np.diag(np.diag(mc.w))
-        gain = w_off @ occ
-        loss = w_off.sum(axis=0) * occ
-        res_balance[i] = np.abs(dndt - (gain - loss)).max()
+    occ = block.p @ initial
+    dndt = block.pdot @ initial
+    res_matrix = np.abs(dndt - (w @ occ[..., None])[..., 0]).max(axis=-1)
+    w_off = w.copy()
+    idx = np.arange(w_off.shape[-1])
+    w_off[..., idx, idx] = 0.0
+    gain = (w_off @ occ[..., None])[..., 0]
+    loss = w_off.sum(axis=-2) * occ
+    res_balance = np.abs(dndt - (gain - loss)).max(axis=-1)
     return res_matrix, res_balance

@@ -7,7 +7,7 @@ always exercises the analytic reference case.
 
 import numpy as np
 
-from . import amplitudes, langevin, master, model
+from . import langevin, master, model
 from .linalg import eigendecompose
 
 
@@ -21,9 +21,52 @@ def _spectral_checks(h, sd):
     return rec_res, uni
 
 
-def run_suite(cfg):
-    """Run every invariant on the configured model; returns a list of
-    (name, value, tolerance, passed) rows."""
+def grid_invariants(sd, times, initial, condition_cap=None):
+    """Worst invariant defects of the dense path over a time grid, reduced
+    block by block as ``master.time_blocks`` yields them.
+
+    Returns a dict: ``unitarity`` max |A A^H - I|, ``rows`` and ``cols``
+    the double-stochasticity defects of P, ``positivity`` the most negative
+    occupation (0 if none) and ``conservation`` the relative drift of the
+    total quantum number.  Given a ``condition_cap``, it also solves W on
+    each block and adds ``master_residual``, the largest finite
+    master-equation residual (0 if every point is singular); without one, no
+    W is solved.  A nan defect stays nan.
+    """
+    initial = np.asarray(initial, dtype=np.float64)
+    keys = ("unitarity", "rows", "cols", "positivity", "drift")
+    if condition_cap is not None:
+        keys += ("master_residual",)
+    worst = dict.fromkeys(keys, 0.0)
+    total0 = None
+    eye = np.eye(sd.dim)
+    for blk in master.time_blocks(sd, times):
+        gram = blk.a @ blk.a.conj().swapaxes(-1, -2)
+        occ = blk.p @ initial
+        totals = occ.sum(axis=-1)
+        if total0 is None:
+            total0 = totals[0]
+        block_worst = {
+            "unitarity": np.abs(gram - eye).max(),
+            "rows": np.abs(blk.p.sum(axis=-1) - 1.0).max(),
+            "cols": np.abs(blk.p.sum(axis=-2) - 1.0).max(),
+            "positivity": 0.0 - occ.min(initial=0.0),  # never -0.0
+            "drift": np.abs(totals - total0).max(),
+        }
+        if condition_cap is not None:
+            w, _, _ = master.master_coefficients(blk.p, blk.pdot, condition_cap)
+            res, _ = master.master_residual(blk, w, initial)
+            block_worst["master_residual"] = res[np.isfinite(res)].max(initial=0.0)
+        for key, value in block_worst.items():
+            worst[key] = float(np.maximum(worst[key], value))
+    worst["conservation"] = worst.pop("drift") / abs(total0)
+    return worst
+
+
+def run_suite(cfg, sd):
+    """Run every invariant on the configured model, given its spectral
+    decomposition ``sd``; returns a list of (name, value, tolerance, passed)
+    rows."""
     tol = cfg.tolerances
     results = []
 
@@ -31,41 +74,18 @@ def run_suite(cfg):
         ok = bool(np.isfinite(value) and value <= tolerance)
         results.append((name, float(value), float(tolerance), ok))
 
-    h = model.build_hamiltonian(cfg.spec)
-    sd = eigendecompose(h)
-    rec_res, uni = _spectral_checks(h, sd)
+    rec_res, uni = _spectral_checks(model.build_hamiltonian(cfg.spec), sd)
     record("spectral reconstruction", rec_res, 1e-12)
     record("eigenvector unitarity", uni, 1e-12)
 
     times = cfg.time_grid()
-    worst_unitarity = 0.0
-    worst_row = 0.0
-    worst_col = 0.0
-    worst_master = 0.0
-    tps = []
-    mcs = []
-    for t in times:
-        amps = amplitudes.amplitudes_at(sd, t)
-        worst_unitarity = max(worst_unitarity, amps.unitarity_defect())
-        tp = master.transition_probabilities(amps)
-        worst_row = max(worst_row, tp.row_sum_defect())
-        worst_col = max(worst_col, tp.col_sum_defect())
-        tps.append(tp)
-        mcs.append(master.master_coefficients_flagged(
-            tp, condition_cap=tol["condition_cap"]))
-    record("amplitude unitarity", worst_unitarity, tol["unitarity"])
-    record("double stochasticity (rows)", worst_row, tol["stochasticity"])
-    record("double stochasticity (cols)", worst_col, tol["stochasticity"])
-
-    traj = master.evolve_populations(tps, cfg.initial)
-    record("occupation positivity", max(0.0, -traj.occupations.min()), 1e-12)
-    record("total quanta conservation", traj.conservation_defect(),
-           tol["conservation"])
-
-    res_matrix, _ = master.master_residual(tps, mcs, cfg.initial)
-    finite = res_matrix[np.isfinite(res_matrix)]
-    worst_master = finite.max() if finite.size else 0.0
-    record("master-equation residual", worst_master, tol["master_residual"])
+    worst = grid_invariants(sd, times, cfg.initial, tol["condition_cap"])
+    record("amplitude unitarity", worst["unitarity"], tol["unitarity"])
+    record("double stochasticity (rows)", worst["rows"], tol["stochasticity"])
+    record("double stochasticity (cols)", worst["cols"], tol["stochasticity"])
+    record("occupation positivity", worst["positivity"], 1e-12)
+    record("total quanta conservation", worst["conservation"], tol["conservation"])
+    record("master-equation residual", worst["master_residual"], tol["master_residual"])
 
     lres = langevin.langevin_residual(sd, times)
     finite = lres[np.isfinite(lres)]
@@ -87,20 +107,21 @@ def two_mode_oracle():
                            couplings=np.array([g]))
     sd = eigendecompose(model.build_hamiltonian(spec))
     times = np.linspace(0.05, 0.9 * np.pi / (4 * g), 40)
-    worst_a = 0.0
-    worst_w = 0.0
-    worst_lang = 0.0
-    for t in times:
-        amps = amplitudes.amplitudes_at(sd, t)
-        exact = np.exp(-1j * t) * np.cos(g * t)
-        worst_a = max(worst_a, abs(amps.a[0, 0] - exact))
-        mc = master.master_coefficients(master.transition_probabilities(amps))
-        w_exact = g * np.tan(2 * g * t) * np.array([[-1.0, 1.0], [1.0, -1.0]])
-        worst_w = max(worst_w, np.abs(mc.w - w_exact).max())
-        lc = langevin.langevin_coefficients(amps)
-        worst_lang = max(worst_lang,
-                         abs(lc.gamma - 2 * g * np.tan(g * t)),
-                         abs(lc.omega_sq - (1.0 + g ** 2 + 2 * g ** 2 * np.tan(g * t) ** 2)))
+    a00, w = [], []
+    for blk in master.time_blocks(sd, times):
+        a00.append(blk.a[:, 0, 0])
+        w.append(master.master_coefficients(blk.p, blk.pdot)[0])
+    a00, w = np.concatenate(a00), np.concatenate(w)
+    worst_a = np.abs(a00 - np.exp(-1j * times) * np.cos(g * times)).max()
+    w_exact = (g * np.tan(2 * g * times))[:, None, None] * np.array([[-1.0, 1.0],
+                                                                     [1.0, -1.0]])
+    worst_w = np.abs(w - w_exact).max()
+    coeffs = langevin.langevin_series(sd, times)
+    gamma = np.array([lc.gamma for lc in coeffs])
+    omega_sq = np.array([lc.omega_sq for lc in coeffs])
+    tan = np.tan(g * times)
+    worst_lang = np.abs(np.concatenate([
+        gamma - 2 * g * tan, omega_sq - (1.0 + g ** 2 + 2 * g ** 2 * tan ** 2)])).max()
     return [
         ("two-mode survival closed form", worst_a, 1e-12,
          worst_a <= 1e-12),

@@ -12,6 +12,8 @@ import pytest
 
 import oscbath as ob
 from oscbath.cli import main
+from oscbath.master import DEFAULT_CONDITION_CAP
+from oscbath.validation import grid_invariants
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -27,31 +29,16 @@ def report(criterion, ok, detail):
 @pytest.fixture(scope="module")
 def big_sweep(bath201_sd):
     """One pass over t in [0, 200], dt = 0.1 for the N = 201 preset,
-    collecting worst-case invariant defects and the population totals."""
+    collecting worst-case invariant defects with the validate suite's
+    block-by-block reduction."""
     times = np.arange(0, 200.0001, 0.1)
     init = np.zeros(202)
     init[0] = 1.0
-    worst_unitarity = 0.0
-    worst_row = 0.0
-    worst_col = 0.0
-    totals = np.empty(len(times))
-    for i, t in enumerate(times):
-        amps = ob.amplitudes_at(bath201_sd, t)
-        worst_unitarity = max(worst_unitarity, amps.unitarity_defect())
-        tp = ob.transition_probabilities(amps)
-        worst_row = max(worst_row, tp.row_sum_defect())
-        worst_col = max(worst_col, tp.col_sum_defect())
-        totals[i] = (tp.p @ init).sum()
-    return {
-        "unitarity": worst_unitarity,
-        "row": worst_row,
-        "col": worst_col,
-        "conservation": np.abs(totals - totals[0]).max() / totals[0],
-    }
+    return grid_invariants(bath201_sd, times, init)
 
 
 def test_criterion_1_unitarity_and_stochasticity(big_sweep):
-    worst = max(big_sweep["unitarity"], big_sweep["row"], big_sweep["col"])
+    worst = max(big_sweep["unitarity"], big_sweep["rows"], big_sweep["cols"])
     report("1 (unitarity / double stochasticity, N=201, t<=200)",
            worst <= 1e-10,
            f"max defect {worst:.3e} (tol 1e-10)")
@@ -61,38 +48,35 @@ def test_criterion_2_exact_master_equation(two_osc_sd, bath51_sd, bath51_spec):
     # (a) two-oscillator residual and closed-form W
     t_sing = np.pi / (4 * G)
     times = np.linspace(0.05, 0.9 * t_sing, 40)
-    tps = [ob.transition_probabilities(ob.amplitudes_at(two_osc_sd, t)) for t in times]
-    mcs = [ob.master_coefficients(tp) for tp in tps]
-    res, _ = ob.master_residual(tps, mcs, [1.0, 0.0])
-    worst_closed = max(
-        np.abs(mc.w - G * np.tan(2 * G * t) * np.array([[-1.0, 1.0], [1.0, -1.0]])).max()
-        for t, mc in zip(times, mcs))
+    (blk,) = ob.time_blocks(two_osc_sd, times)
+    w, _, _ = ob.master_coefficients(blk.p, blk.pdot)
+    res, _ = ob.master_residual(blk, w, [1.0, 0.0])
+    w_exact = (G * np.tan(2 * G * times))[:, None, None] * np.array([[-1.0, 1.0],
+                                                                     [1.0, -1.0]])
+    worst_closed = np.abs(w - w_exact).max()
 
     # (b) weak-coupling bath residual
     times51 = np.linspace(0, 50, 101)
     init = ob.thermal_populations(bath51_spec, beta=1.0)
-    tps51 = [ob.transition_probabilities(ob.amplitudes_at(bath51_sd, t)) for t in times51]
-    mcs51 = [ob.master_coefficients_flagged(tp) for tp in tps51]
-    res51, _ = ob.master_residual(tps51, mcs51, init)
-    worst51 = np.nanmax(res51)
+    worst51 = grid_invariants(bath51_sd, times51, init,
+                              DEFAULT_CONDITION_CAP)["master_residual"]
 
     # the singularity is flagged, not silently crossed
-    sing = ob.master_coefficients_flagged(
-        ob.transition_probabilities(ob.amplitudes_at(two_osc_sd, t_sing)))
+    (at_sing,) = ob.time_blocks(two_osc_sd, [t_sing])
+    sing = bool(ob.master_coefficients(at_sing.p, at_sing.pdot)[2][0])
 
     ok = (res.max() <= 1e-8 and worst_closed <= 1e-8
-          and worst51 <= 1e-8 and sing.singular)
+          and worst51 <= 1e-8 and sing)
     report("2 (exact master equation)", ok,
            f"two-osc residual {res.max():.3e}, closed-form W defect "
            f"{worst_closed:.3e}, N=51 residual {worst51:.3e}, "
-           f"singular flagged at t=pi/(4g): {sing.singular}")
+           f"singular flagged at t=pi/(4g): {sing}")
 
 
 def test_criterion_3_exact_langevin_coefficients(two_osc_sd, bath51_sd):
     times = np.linspace(0.05, 0.9 * np.pi / (2 * G), 40)
     worst_closed = 0.0
-    for t in times:
-        lc = ob.langevin_coefficients(ob.amplitudes_at(two_osc_sd, t))
+    for t, lc in zip(times, ob.langevin_series(two_osc_sd, times)):
         worst_closed = max(
             worst_closed,
             abs(lc.gamma - 2 * G * np.tan(G * t)),

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import oscbath as ob
-from oscbath.amplitudes import (amplitudes_at, survival_amplitude,
-                                survival_series, system_row_series)
+from oscbath.amplitudes import amplitudes_at, survival_series, system_row_series
 
 G = 0.1
 
@@ -11,49 +10,53 @@ G = 0.1
 class TestAmplitudesAt:
     def test_t_zero_series(self, two_osc_sd, two_osc_spec):
         h = ob.build_hamiltonian(two_osc_spec)
-        amps = amplitudes_at(two_osc_sd, 0.0)
-        assert np.abs(amps.a - np.eye(2)).max() <= 1e-15
-        assert np.abs(amps.adot - (-1j) * h).max() <= 1e-15
-        assert np.abs(amps.addot - (-(h @ h))).max() <= 1e-14
+        a, adot = amplitudes_at(two_osc_sd, 0.0)
+        assert np.abs(a - np.eye(2)).max() <= 1e-15
+        assert np.abs(adot - (-1j) * h).max() <= 1e-15
+        addot00 = survival_series(two_osc_sd, [0.0])[2][0]
+        assert abs(addot00 - (-(h @ h))[0, 0]) <= 1e-14
 
     def test_uncoupled_is_diagonal_phases(self):
         spec = ob.ModelSpec(omega=1.0, bath_frequencies=np.array([0.5, 1.5]),
                             couplings=np.zeros(2))
         sd = ob.eigendecompose(ob.build_hamiltonian(spec))
         t = 2.7
-        amps = amplitudes_at(sd, t)
+        a, _ = amplitudes_at(sd, t)
         expected = np.diag(np.exp(-1j * np.array([1.0, 0.5, 1.5]) * t))
-        assert np.abs(amps.a - expected).max() <= 1e-14
+        assert np.abs(a - expected).max() <= 1e-14
 
     def test_resonant_closed_form(self, two_osc_sd):
-        for t in (0.3, 1.7, 4.0):
-            amps = amplitudes_at(two_osc_sd, t)
-            phase = np.exp(-1j * t)
-            assert abs(amps.a[0, 0] - phase * np.cos(G * t)) <= 1e-12
-            assert abs(amps.a[0, 1] - (-1j) * phase * np.sin(G * t)) <= 1e-12
+        times = np.array([0.3, 1.7, 4.0])
+        a, _ = amplitudes_at(two_osc_sd, times)
+        phase = np.exp(-1j * times)
+        assert np.abs(a[:, 0, 0] - phase * np.cos(G * times)).max() <= 1e-12
+        assert np.abs(a[:, 0, 1] - (-1j) * phase * np.sin(G * times)).max() <= 1e-12
 
     def test_unitarity_and_bound(self, bath51_sd):
-        for t in (0.0, 1.0, 10.0, 50.0):
-            amps = amplitudes_at(bath51_sd, t)
-            assert amps.unitarity_defect() <= 1e-10
-            assert np.abs(amps.a).max() <= 1 + 1e-12
+        a, _ = amplitudes_at(bath51_sd, [0.0, 1.0, 10.0, 50.0])
+        gram = a @ a.conj().swapaxes(-1, -2)
+        assert np.abs(gram - np.eye(bath51_sd.dim)).max() <= 1e-10
+        assert np.abs(a).max() <= 1 + 1e-12
 
     def test_derivative_finite_difference(self, bath51_sd):
         t, step = 3.0, 1e-5
-        amps = amplitudes_at(bath51_sd, t)
-        fd = (amplitudes_at(bath51_sd, t + step).a
-              - amplitudes_at(bath51_sd, t - step).a) / (2 * step)
-        assert np.abs(amps.adot - fd).max() <= 1e-6
-        fd2 = (amplitudes_at(bath51_sd, t + step).adot
-               - amplitudes_at(bath51_sd, t - step).adot) / (2 * step)
-        assert np.abs(amps.addot - fd2).max() <= 1e-6
+        (a_minus, _), (_, adot), (a_plus, _) = (
+            amplitudes_at(bath51_sd, t + d) for d in (-step, 0.0, step))
+        assert np.abs(adot - (a_plus - a_minus) / (2 * step)).max() <= 1e-6
+
+    def test_stacked_equals_single_times(self, bath51_sd):
+        # the block path must give the bytes of one call per time
+        times = np.linspace(0, 40, 7)
+        a, adot = amplitudes_at(bath51_sd, times)
+        assert a.shape == adot.shape == (7, 52, 52)
+        for i, t in enumerate(times):
+            a_t, adot_t = amplitudes_at(bath51_sd, t)
+            assert np.array_equal(a[i], a_t) and np.array_equal(adot[i], adot_t)
 
     def test_group_property(self, bath51_sd):
         rng = np.random.default_rng(11)
         for t1, t2 in rng.uniform(0, 10, size=(4, 2)):
-            a1 = amplitudes_at(bath51_sd, t1).a
-            a2 = amplitudes_at(bath51_sd, t2).a
-            a12 = amplitudes_at(bath51_sd, t1 + t2).a
+            a1, a2, a12 = amplitudes_at(bath51_sd, [t1, t2, t1 + t2])[0]
             # A[n, m](t) = <m|e^{-iht}|n>  =>  matrices compose transposed
             assert np.abs(a12 - (a2.T @ a1.T).T).max() <= 1e-9
 
@@ -64,34 +67,37 @@ class TestAmplitudesAt:
 
 class TestSurvival:
     def test_t_zero(self, two_osc_sd):
-        assert survival_amplitude(two_osc_sd, 0.0) == pytest.approx(1.0)
+        assert survival_series(two_osc_sd, [0.0])[0][0] == pytest.approx(1.0)
 
     def test_uncoupled_phase(self):
         spec = ob.ModelSpec(omega=1.3, bath_frequencies=np.zeros(0),
                             couplings=np.zeros(0))
         sd = ob.eigendecompose(ob.build_hamiltonian(spec))
         t = 5.0
-        assert abs(survival_amplitude(sd, t) - np.exp(-1.3j * t)) <= 1e-14
+        assert abs(survival_series(sd, [t])[0][0] - np.exp(-1.3j * t)) <= 1e-14
 
     def test_matches_matrix_entry(self, bath51_sd):
         t = 7.3
-        assert abs(survival_amplitude(bath51_sd, t)
-                   - amplitudes_at(bath51_sd, t).a[0, 0]) <= 1e-13
-        assert abs(survival_amplitude(bath51_sd, t)) <= 1 + 1e-12
+        a00 = survival_series(bath51_sd, [t])[0][0]
+        assert abs(a00 - amplitudes_at(bath51_sd, t)[0][0, 0]) <= 1e-13
+        assert abs(a00) <= 1 + 1e-12
 
     def test_series_matches_pointwise(self, bath51_sd):
         times = np.linspace(0, 20, 9)
         a00, adot00, addot00 = survival_series(bath51_sd, times)
-        for i, t in enumerate(times):
-            amps = amplitudes_at(bath51_sd, t)
-            assert abs(a00[i] - amps.a[0, 0]) <= 1e-13
-            assert abs(adot00[i] - amps.adot[0, 0]) <= 1e-12
-            assert abs(addot00[i] - amps.addot[0, 0]) <= 1e-11
+        a, adot = amplitudes_at(bath51_sd, times)
+        assert np.abs(a00 - a[:, 0, 0]).max() <= 1e-13
+        assert np.abs(adot00 - adot[:, 0, 0]).max() <= 1e-12
+        # the second derivative has no dense counterpart: difference Adot00
+        step = 1e-5
+        fd2 = (survival_series(bath51_sd, times + step)[1]
+               - survival_series(bath51_sd, times - step)[1]) / (2 * step)
+        assert np.abs(addot00 - fd2).max() <= 1e-6
 
     def test_system_row_series(self, bath51_sd):
         times = np.array([0.0, 4.2])
         rows = system_row_series(bath51_sd, times)
-        full = amplitudes_at(bath51_sd, 4.2).a[0, :]
+        full = amplitudes_at(bath51_sd, 4.2)[0][0, :]
         assert np.abs(rows[1] - full).max() <= 1e-13
 
 

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oscbath.cli
+import oscbath.langevin
+import oscbath.validation
 from oscbath.cli import main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -143,6 +146,18 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_one_eigensolve_per_model(self, tmp_path, monkeypatch):
+        # the configured model is decomposed once and the suite reuses it;
+        # the second call is the two-mode oracle's own model
+        dims = []
+        for module in (oscbath.cli, oscbath.validation):
+            def counted(h, solve=module.eigendecompose):
+                dims.append(len(h))
+                return solve(h)
+            monkeypatch.setattr(module, "eigendecompose", counted)
+        assert main(["validate", "--config", N51, "--out", str(tmp_path)]) == 0
+        assert dims == [52, 2]
+
 
 class TestErrorPaths:
     def test_missing_config(self, tmp_path, capsys):
@@ -188,6 +203,23 @@ class TestErrorPaths:
         assert main(["master", "--config", N51, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "numerical failure" in err
+
+
+    def test_survival_underflow_in_fit_window(self, tmp_path, capsys, recwarn):
+        # |A00| = |cos(0.1 t)| is zero to rounding at t = 5 pi, a grid point
+        assert main(["golden", "--config", TWO_OSC, "--out", str(tmp_path),
+                     "--dt", repr(np.pi / (2 * 0.1) / 100), "--t-max", repr(10 * np.pi),
+                     "--window", "15,16.5"]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "numerical failure" in err
+        # a warning would reach stderr as more lines outside pytest
+        assert not recwarn.list
+
+    def test_langevin_realness_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(oscbath.langevin, "REALNESS_TOL", -1.0)
+        assert main(["langevin", "--config", TWO_OSC, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "not real" in err
 
 
 class TestGoldenFiles:

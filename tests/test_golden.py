@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 import oscbath as ob
-from oscbath.amplitudes import amplitudes_at, survival_series
+from oscbath.amplitudes import survival_series
 from oscbath.golden import (compare_exact_vs_golden, delta_t, fit_exponential,
-                            golden_rule_rates, perturbative_prediction)
-from oscbath.master import master_coefficients_flagged, transition_probabilities
+                            golden_rule_rate_00, golden_rule_rates, perturbative_prediction)
+from oscbath.linalg import NumericalError
+from oscbath.master import master_coefficients, time_blocks
+
+
+def exact_w00(sd, times):
+    return np.concatenate([master_coefficients(blk.p, blk.pdot)[0][:, 0, 0]
+                           for blk in time_blocks(sd, times)])
 
 
 class TestDeltaT:
@@ -64,6 +70,28 @@ class TestGoldenRuleRates:
         w_pert = gamma @ (np.eye(gamma.shape[0]) - gamma * t)
         assert np.abs(w_pert - gamma + (gamma @ gamma) * t).max() <= 1e-15
         assert np.abs(w_pert - gamma).max() <= 0.15 * np.abs(gamma).max()
+
+    @pytest.mark.parametrize("which", ["bath51", "bath201", "complex", "bath_bath"])
+    def test_closed_form_rate_00(self, which, bath51_spec, bath201_spec):
+        rng = np.random.default_rng(5)
+        n = 9
+        freqs = np.linspace(0.5, 1.5, n)
+        gs = 0.02 * rng.normal(size=n)
+        mixing = 0.01 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        spec = {
+            "bath51": bath51_spec,
+            "bath201": bath201_spec,
+            "complex": ob.ModelSpec(omega=1.02, bath_frequencies=freqs,
+                                    couplings=gs * np.exp(2j * np.pi * rng.random(n))),
+            # column 0 ignores the bath-bath block and the self shift
+            "bath_bath": ob.ModelSpec(omega=1.02, bath_frequencies=freqs, couplings=gs,
+                                      self_shift=0.03, bath_bath=mixing + mixing.conj().T),
+        }[which]
+        times = np.array([0.1, 1.0, 7.5, 40.0, 333.0])
+        dense = np.array([golden_rule_rates(spec, t).gamma[0, 0] for t in times])
+        closed = golden_rule_rate_00(spec, times)
+        assert np.all(dense < 0)
+        assert np.abs(closed / dense - 1.0).max() <= 1e-14
 
 
 class TestPerturbativePrediction:
@@ -124,7 +152,7 @@ class TestFitExponential:
 
     def test_underflow_rejected(self):
         times = np.linspace(0, 10, 50)
-        with pytest.raises(ValueError, match="1e-12"):
+        with pytest.raises(NumericalError, match="1e-12"):
             fit_exponential(times, np.full(50, 1e-14 + 0j), (0, 10))
 
     def test_bad_window(self):
@@ -134,27 +162,25 @@ class TestFitExponential:
 
 class TestCompareExactVsGolden:
     def test_uncoupled_zero_deviation(self):
+        # W_00 and Gamma_00 both vanish, so there is no rate to compare;
+        # the same holds when every point is singular
         spec = ob.ModelSpec(omega=1.0, bath_frequencies=np.array([1.0]),
                             couplings=np.zeros(1))
-        assert np.isnan(compare_exact_vs_golden(
-            np.array([1.0]), [], spec))
+        sd = ob.eigendecompose(ob.build_hamiltonian(spec))
+        times = np.array([1.0, 2.0])
+        assert np.isnan(compare_exact_vs_golden(times, exact_w00(sd, times), spec))
+        assert np.isnan(compare_exact_vs_golden(times, [np.nan, np.nan], spec))
 
     def test_two_oscillator_factor_two(self, two_osc_spec, two_osc_sd):
         # exact W_off = g tan(2gt) ~ 2 g^2 t vs golden-rule g^2 t: the
         # short-time ratio for a single discrete level is 2, reported as is
         times = np.linspace(0.05, 0.5, 10)
-        w_series = [master_coefficients_flagged(
-            transition_probabilities(amplitudes_at(two_osc_sd, t)))
-            for t in times]
-        dev = compare_exact_vs_golden(times, w_series, two_osc_spec)
+        dev = compare_exact_vs_golden(times, exact_w00(two_osc_sd, times), two_osc_spec)
         assert dev == pytest.approx(1.0, abs=0.05)
 
     def test_linear_bath_loss_rate(self, bath201_spec, bath201_sd):
         # golden-rule window: after the initial transient, before the
         # survival probability has decayed appreciably (1/gamma ~ 16)
         times = np.arange(5.0, 15.001, 0.5)
-        w_series = [master_coefficients_flagged(
-            transition_probabilities(amplitudes_at(bath201_sd, t)))
-            for t in times]
-        dev = compare_exact_vs_golden(times, w_series, bath201_spec)
+        dev = compare_exact_vs_golden(times, exact_w00(bath201_sd, times), bath201_spec)
         assert dev <= 0.25

@@ -3,9 +3,7 @@ import pytest
 
 import oscbath as ob
 from oscbath.amplitudes import amplitudes_at, survival_series
-from oscbath.langevin import (langevin_coefficients, langevin_residual,
-                              langevin_series, noise_covariance,
-                              noise_covariance_grid)
+from oscbath.langevin import langevin_residual, langevin_series, noise_covariance_grid
 
 G = 0.1
 
@@ -18,30 +16,28 @@ def uncoupled_sd(omega=1.3):
 
 class TestCoefficients:
     def test_uncoupled(self):
-        sd = uncoupled_sd()
-        for t in (0.5, 2.0, 11.0):
-            lc = langevin_coefficients(amplitudes_at(sd, t))
+        for lc in langevin_series(uncoupled_sd(), [0.5, 2.0, 11.0]):
             assert not lc.singular
             assert lc.omega_sq == pytest.approx(1.3 ** 2, abs=1e-12)
             assert lc.gamma == pytest.approx(0.0, abs=1e-12)
 
     def test_initial_values(self, two_osc_sd):
-        lc = langevin_coefficients(amplitudes_at(two_osc_sd, 0.7))
+        lc = langevin_series(two_osc_sd, [0.7])[0]
         assert lc.a == pytest.approx(np.cos(0.7) * np.cos(G * 0.7), abs=1e-12)
         assert lc.b == pytest.approx(-np.sin(0.7) * np.cos(G * 0.7), abs=1e-12)
         lc0 = langevin_series(two_osc_sd, [0.0, 0.1])[0]
         assert lc0.a == pytest.approx(1.0) and lc0.b == pytest.approx(0.0, abs=1e-15)
 
     def test_resonant_closed_forms(self, two_osc_sd):
-        for t in np.linspace(0.1, 0.9 * np.pi / (2 * G), 15):
-            lc = langevin_coefficients(amplitudes_at(two_osc_sd, t))
+        times = np.linspace(0.1, 0.9 * np.pi / (2 * G), 15)
+        for t, lc in zip(times, langevin_series(two_osc_sd, times)):
             assert abs(lc.gamma - 2 * G * np.tan(G * t)) <= 1e-8
             assert abs(lc.omega_sq - (1 + G ** 2 + 2 * G ** 2 * np.tan(G * t) ** 2)) <= 1e-8
 
     def test_wronskian_singularity_flagged(self, two_osc_sd):
         # cos(gt) node: a and b both vanish, the Wronskian is zero there
         t_sing = np.pi / (2 * G)
-        lc = langevin_coefficients(amplitudes_at(two_osc_sd, t_sing))
+        lc = langevin_series(two_osc_sd, [t_sing])[0]
         assert lc.singular
         assert np.isnan(lc.gamma) and np.isnan(lc.omega_sq)
 
@@ -74,21 +70,19 @@ class TestNoiseCovariance:
         sd = uncoupled_sd()
         spec = ob.ModelSpec(omega=1.3, bath_frequencies=np.array([0.5]),
                             couplings=np.zeros(1))
-        c = noise_covariance(amplitudes_at(sd, 2.0), amplitudes_at(sd, 3.0),
-                             [1.0, 0.7], spec)
-        assert abs(c) <= 1e-25
+        cov = noise_covariance_grid(sd, [2.0, 3.0], [1.0, 0.7], spec)
+        assert np.abs(cov).max() <= 1e-25
 
     def test_vanishes_at_origin(self, two_osc_sd, two_osc_spec):
-        amps0 = amplitudes_at(two_osc_sd, 0.0)
-        assert abs(noise_covariance(amps0, amps0, [1.0, 0.3], two_osc_spec)) <= 1e-30
+        cov = noise_covariance_grid(two_osc_sd, [0.0], [1.0, 0.3], two_osc_spec)
+        assert abs(cov[0, 0]) <= 1e-30
 
     def test_resonant_equal_time(self, two_osc_sd, two_osc_spec):
         n1 = 0.3
-        for t in (0.5, 2.0, 7.0):
-            amps = amplitudes_at(two_osc_sd, t)
-            c = noise_covariance(amps, amps, [1.0, n1], two_osc_spec)
-            expected = np.sin(G * t) ** 2 * (2 * n1 + 1) / 2.0
-            assert c == pytest.approx(expected, abs=1e-12)
+        times = np.array([0.5, 2.0, 7.0])
+        cov = noise_covariance_grid(two_osc_sd, times, [1.0, n1], two_osc_spec)
+        expected = np.sin(G * times) ** 2 * (2 * n1 + 1) / 2.0
+        assert np.abs(np.diag(cov) - expected).max() <= 1e-12
 
     def test_symmetry_and_positivity(self, bath51_sd, bath51_spec):
         init = ob.thermal_populations(bath51_spec, beta=1.0)
@@ -96,8 +90,10 @@ class TestNoiseCovariance:
         cov = noise_covariance_grid(bath51_sd, times, init, bath51_spec)
         assert np.array_equal(cov, cov.T)
         assert np.diag(cov).min() >= 0.0
-        amps = [amplitudes_at(bath51_sd, t) for t in times]
-        c_pair = noise_covariance(amps[3], amps[7], init, bath51_spec)
+        # one entry from the dense amplitude rows and the docstring's sum
+        a, _ = amplitudes_at(bath51_sd, times[[3, 7]])
+        c_pair = ((a[0, 0, 1:] * a[1, 0, 1:].conj()).real @ (2.0 * init[1:] + 1.0)
+                  / (2.0 * bath51_spec.mass * bath51_spec.omega))
         assert cov[3, 7] == pytest.approx(c_pair, rel=1e-12)
 
 
