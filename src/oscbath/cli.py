@@ -8,7 +8,7 @@ Unix line endings, singular time points written as nan plus a sidecar
 Exit codes: 0 success, 1 validation failure, 2 config or I/O error
 (including a time grid or fit window that is not usable), 3 numerical
 failure (LAPACK eigensolver non-convergence, a survival amplitude too small
-to fit, non-real Langevin coefficients).  Errors print one line on stderr.
+to fit).  Errors print one line on stderr, and so does each warning.
 """
 
 import argparse
@@ -17,6 +17,7 @@ import itertools
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -135,9 +136,12 @@ def cmd_langevin(args):
     cfg, sd = _prepare(args)
     times = cfg.time_grid()
 
-    coeffs = langevin.langevin_series(sd, times)
-    rows = [(fmt(lc.t), fmt(lc.a), fmt(lc.b), fmt(lc.omega_sq),
-             fmt(lc.gamma), str(int(lc.singular))) for lc in coeffs]
+    series = langevin.langevin_series(sd, times)
+    rows = [(fmt(t), fmt(z.real), fmt(z.imag), fmt(om), fmt(gm), str(int(sing)))
+            for t, z, om, gm, sing in zip(times.tolist(), series.a00.tolist(),
+                                          series.omega_sq.tolist(),
+                                          series.gamma.tolist(),
+                                          series.singular.tolist())]
     _write_csv(os.path.join(args.out, "langevin.csv"),
                ["t", "a", "b", "omega_sq", "gamma", "singular"], rows)
 
@@ -149,12 +153,12 @@ def cmd_langevin(args):
     _write_csv(os.path.join(args.out, "noise_cov.csv"),
                ["t", "t_prime", "c_ff"], rows)
 
-    res = langevin.langevin_residual(sd, times)
-    rows = [(fmt(t), fmt(res[i])) for i, t in enumerate(times)]
+    res = langevin.langevin_residual(series)
+    rows = [(fmt(t), fmt(r)) for t, r in zip(times.tolist(), res.tolist())]
     _write_csv(os.path.join(args.out, "langevin_residual.csv"),
                ["t", "residual"], rows)
 
-    _write_singular_report(args.out, [lc.t for lc in coeffs if lc.singular])
+    _write_singular_report(args.out, list(times[series.singular]))
     return 0
 
 
@@ -188,7 +192,11 @@ def cmd_golden(args):
 
     a00, _, _ = amplitudes.survival_series(sd, times)
     fit = golden.fit_exponential(times, a00, window)
-    pred = golden.perturbative_prediction(cfg.spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pred = golden.perturbative_prediction(cfg.spec)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
 
     wtimes = times[mask]
     stride = max(1, (len(wtimes) - 1) // 200)

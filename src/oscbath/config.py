@@ -1,4 +1,4 @@
-"""JSON run-configuration parsing and serialization.
+"""JSON run-configuration parsing.
 
 Schema (all frequencies angular, hbar = 1)::
 
@@ -54,7 +54,6 @@ class RunConfig:
     dt: float
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     fit_window: tuple | None = None
-    raw: dict | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -190,7 +189,7 @@ def parse_config(data):
         fit_window = (float(fw[0]), float(fw[1]))
 
     return RunConfig(spec=spec, initial=init, t_max=t_max, dt=dt,
-                     tolerances=tolerances, fit_window=fit_window, raw=data)
+                     tolerances=tolerances, fit_window=fit_window)
 
 
 def load_config(path):
@@ -204,32 +203,3 @@ def load_config(path):
             f"invalid JSON in {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     return parse_config(data)
-
-
-def _complex_out(z):
-    z = complex(z)
-    if z.imag == 0.0:
-        return z.real
-    return [z.real, z.imag]
-
-
-def serialize_spec(spec, initial_doc, t_max, dt):
-    """Emit a config document that parses back to an identical model."""
-    doc = {
-        "system": {"omega": spec.omega, "mass": spec.mass, "v_self": spec.self_shift},
-        "bath": {
-            "n": int(spec.n_bath),
-            "spectrum": {"type": "explicit", "omegas": spec.bath_frequencies.tolist()},
-            "coupling": {"type": "explicit",
-                         "gs": [_complex_out(g) for g in spec.couplings]},
-            "bath_bath": ("zero" if spec.bath_bath is None else
-                          [[_complex_out(x) for x in row] for row in spec.bath_bath]),
-        },
-        "initial": initial_doc,
-        "time": {"t_max": t_max, "dt": dt},
-    }
-    if spec.n_bath == 0:
-        del doc["bath"]["spectrum"]
-        del doc["bath"]["coupling"]
-        del doc["bath"]["bath_bath"]
-    return doc

@@ -19,12 +19,6 @@ from .linalg import NumericalError
 
 
 @dataclass(frozen=True)
-class GoldenRuleRates:
-    t: float
-    gamma: np.ndarray   # (dim, dim) real, symmetric off-diagonal, column sums 0
-
-
-@dataclass(frozen=True)
 class PerturbativePrediction:
     delta_omega: float
     gamma: float
@@ -57,15 +51,16 @@ def delta_t(alpha, t):
 
 
 def golden_rule_rates(spec, t):
-    """Gamma[n, m] = 2 pi |v_nm|^2 delta_t(omega_n - omega_m) for n != m;
-    diagonals fixed so every column (and row) sums to zero."""
+    """Gamma[n, m] = 2 pi |v_nm|^2 delta_t(omega_n - omega_m) for n != m,
+    as a real (dim, dim) array; diagonals fixed so every column (and row)
+    sums to zero."""
     v = spec.coupling_matrix()
     freqs = spec.bare_frequencies()
     gaps = freqs[:, None] - freqs[None, :]
     gamma = 2.0 * np.pi * np.abs(v) ** 2 * delta_t(gaps, t)
     np.fill_diagonal(gamma, 0.0)
     np.fill_diagonal(gamma, -gamma.sum(axis=0))
-    return GoldenRuleRates(t=float(t), gamma=gamma)
+    return gamma
 
 
 def golden_rule_rate_00(spec, times):
@@ -84,14 +79,13 @@ def golden_rule_rate_00(spec, times):
     return -rates.sum(axis=0)
 
 
-def perturbative_prediction(spec, pv_cutoff=None):
+def perturbative_prediction(spec):
     """Level shift and decay rate for the system oscillator.
 
-    The principal-value sum drops terms with |Omega - omega_k| below
-    ``pv_cutoff`` (default: half the local level spacing).  The decay rate
-    uses the coupling at the bath frequency nearest Omega and the local
-    density of states; outside the bath band it is zero (no resonant
-    channel) with a warning.
+    The principal-value sum drops terms with |Omega - omega_k| below half
+    the smallest level spacing.  The decay rate uses the coupling at the
+    bath frequency nearest Omega and the local density of states; outside
+    the bath band it is zero (no resonant channel) with a warning.
     """
     freqs = spec.bath_frequencies
     if freqs.size == 0:
@@ -99,10 +93,9 @@ def perturbative_prediction(spec, pv_cutoff=None):
                                       density_of_states=0.0)
     spacing = np.diff(np.sort(freqs))
     local = spacing[spacing > 0]
-    if pv_cutoff is None:
-        pv_cutoff = 0.5 * local.min() if local.size else 0.0
+    cutoff = 0.5 * local.min() if local.size else 0.0
     gaps = spec.omega - freqs
-    keep = np.abs(gaps) >= pv_cutoff if pv_cutoff > 0 else np.abs(gaps) > 0
+    keep = np.abs(gaps) >= cutoff if cutoff > 0 else np.abs(gaps) > 0
     delta_omega = spec.self_shift + float(
         (np.abs(spec.couplings[keep]) ** 2 / gaps[keep]).sum())
 

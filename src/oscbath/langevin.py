@@ -3,17 +3,20 @@
 Writing the survival amplitude as A(t) = a(t) + i b(t), both a and b solve
 the homogeneous oscillator equation
 
-    xddot + Gamma(t) xdot + Omega2(t) x = 0,
+    xddot + Gamma(t) xdot + Omega2(t) x = 0.
 
-and solving that 2x2 linear system for the two coefficients gives
+Solving that 2x2 linear system for the two coefficients gives real ratios
+of Wronskians,
 
-    Omega2 = (Adot conj(Addot) - conj(Adot) Addot) / D
-    Gamma  = -(A conj(Addot) - conj(A) Addot) / D
-    D      = A conj(Adot) - conj(A) Adot
+    Omega2 = (adot bddot - bdot addot) / w
+    Gamma  = -(a bddot - b addot) / w
+    w      = a bdot - b adot
 
-All three ratios are purely real; D = -2i (a bdot - adot b) vanishes at
-isolated Wronskian zeros, which are flagged and excluded, never
-interpolated.
+Each of them is the imaginary part of a product: with
+q = Im(A conj(Adot)) = -w, Omega2 = Im(Adot conj(Addot)) / q and
+Gamma = -Im(A conj(Addot)) / q.  So the coefficients are computed in real
+arithmetic, over the whole time grid at once.  w vanishes at isolated
+Wronskian zeros, which are flagged and excluded, never interpolated.
 """
 
 from dataclasses import dataclass
@@ -21,74 +24,66 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import survival_series, system_row_series
-from .linalg import NumericalError
 
-# D is declared singular when |Im(conj(A) Adot)| <= WRONSKIAN_TOL * |A| |Adot|
+# q is declared singular when |q| <= WRONSKIAN_TOL * |A| |Adot|
 WRONSKIAN_TOL = 1e-12
 # |A00| is dimensionless with natural scale 1; below this it is a numerical
 # node of both homogeneous solutions, i.e. a Wronskian zero
 AMPLITUDE_NODE_TOL = 1e-12
-REALNESS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class LangevinCoefficients:
-    t: float
-    a: float              # Re A00
-    b: float              # Im A00
-    omega_sq: float       # nan when singular
-    gamma: float          # nan when singular
-    wronskian: float      # |D| = |2 Im(A conj(Adot))|
-    singular: bool
+class LangevinSeries:
+    """The survival triple and the Langevin coefficients over a time grid;
+    every array is indexed by time."""
+
+    a00: np.ndarray         # A00 = a + i b, complex
+    adot00: np.ndarray      # dA00/dt
+    addot00: np.ndarray     # d2A00/dt2
+    omega_sq: np.ndarray    # nan where singular
+    gamma: np.ndarray       # nan where singular
+    singular: np.ndarray    # bool
 
 
-def coefficients_from_survival(t, a00, adot00, addot00):
-    """Langevin coefficients from the scalar survival amplitude triple."""
-    d = a00 * np.conj(adot00) - np.conj(a00) * adot00
-    scale = abs(a00) * abs(adot00)
-    if abs(d) <= 2.0 * WRONSKIAN_TOL * scale or abs(a00) <= AMPLITUDE_NODE_TOL:
-        return LangevinCoefficients(t=float(t), a=a00.real, b=a00.imag,
-                                    omega_sq=np.nan, gamma=np.nan,
-                                    wronskian=abs(d), singular=True)
-    omega_sq = (adot00 * np.conj(addot00) - np.conj(adot00) * addot00) / d
-    gamma = -(a00 * np.conj(addot00) - np.conj(a00) * addot00) / d
-    rscale = max(abs(omega_sq), abs(gamma), 1.0)
-    imag_residue = max(abs(omega_sq.imag), abs(gamma.imag)) / rscale
-    if imag_residue > REALNESS_TOL:
-        raise NumericalError(
-            f"Langevin coefficients not real at t = {t:.6g}: "
-            f"relative imaginary residue {imag_residue:.3e}")
-    return LangevinCoefficients(t=float(t), a=a00.real, b=a00.imag,
-                                omega_sq=omega_sq.real, gamma=gamma.real,
-                                wronskian=abs(d), singular=False)
+def _im_conj(x, y):
+    """Im(x conj(y)), elementwise."""
+    return x.imag * y.real - x.real * y.imag
 
 
 def langevin_series(sd, times):
-    """Coefficients over a time grid via the scalar survival sums."""
+    """Langevin coefficients over a time grid from the survival sums.
+
+    These real forms round exactly as the complex ratios with denominator
+    A conj(Adot) - conj(A) Adot = 2i q, evaluated one time at a time with
+    scalar complex arithmetic."""
     a, adot, addot = survival_series(sd, times)
-    return [coefficients_from_survival(t, a[i], adot[i], addot[i])
-            for i, t in enumerate(np.asarray(times, float))]
+    q = _im_conj(a, adot)
+    # hypot, not np.abs: it rounds as the scalar abs() of complex numbers
+    mag = np.hypot(a.real, a.imag)
+    singular = ((np.abs(q) <= WRONSKIAN_TOL * (mag * np.hypot(adot.real, adot.imag)))
+                | (mag <= AMPLITUDE_NODE_TOL))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / q
+        omega_sq = np.where(singular, np.nan, _im_conj(adot, addot) * inv)
+        gamma = np.where(singular, np.nan, -(_im_conj(a, addot) * inv))
+    return LangevinSeries(a00=a, adot00=adot, addot00=addot, omega_sq=omega_sq,
+                          gamma=gamma, singular=singular)
 
 
-def langevin_residual(sd, times):
-    """Normalized homogeneous-equation residual per grid point.
+def langevin_residual(series):
+    """Normalized homogeneous-equation residual per grid point of a
+    ``langevin_series`` record.
 
     For each t, the larger of |xddot + Gamma xdot + Omega2 x| over the two
     solutions x = a, b, divided by max(|addot|, |bddot|, Omega2).  Singular
     points give nan.
     """
-    a00, adot00, addot00 = survival_series(sd, times)
-    out = np.empty(len(a00))
-    for i, t in enumerate(np.asarray(times, float)):
-        lc = coefficients_from_survival(t, a00[i], adot00[i], addot00[i])
-        if lc.singular:
-            out[i] = np.nan
-            continue
-        res_a = addot00[i].real + lc.gamma * adot00[i].real + lc.omega_sq * a00[i].real
-        res_b = addot00[i].imag + lc.gamma * adot00[i].imag + lc.omega_sq * a00[i].imag
-        denom = max(abs(addot00[i].real), abs(addot00[i].imag), abs(lc.omega_sq))
-        out[i] = max(abs(res_a), abs(res_b)) / denom
-    return out
+    s = series
+    res_a = s.addot00.real + s.gamma * s.adot00.real + s.omega_sq * s.a00.real
+    res_b = s.addot00.imag + s.gamma * s.adot00.imag + s.omega_sq * s.a00.imag
+    denom = np.maximum(np.maximum(np.abs(s.addot00.real), np.abs(s.addot00.imag)),
+                       np.abs(s.omega_sq))
+    return np.maximum(np.abs(res_a), np.abs(res_b)) / denom
 
 
 def noise_covariance_grid(sd, times, initial, spec):

@@ -17,8 +17,8 @@ import scipy.linalg
 
 
 class NumericalError(ArithmeticError):
-    """A computed quantity fails a numerical sanity check (log underflow,
-    non-real Langevin coefficients); the CLI maps it to exit code 3."""
+    """A computed quantity fails a numerical sanity check (the log underflow
+    of the exponential fit); the CLI maps it to exit code 3."""
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ def run_suite(cfg, sd):
     record("total quanta conservation", worst["conservation"], tol["conservation"])
     record("master-equation residual", worst["master_residual"], tol["master_residual"])
 
-    lres = langevin.langevin_residual(sd, times)
+    lres = langevin.langevin_residual(langevin.langevin_series(sd, times))
     finite = lres[np.isfinite(lres)]
     record("Langevin ODE residual", finite.max() if finite.size else 0.0,
            tol["langevin_residual"])
@@ -116,12 +116,11 @@ def two_mode_oracle():
     w_exact = (g * np.tan(2 * g * times))[:, None, None] * np.array([[-1.0, 1.0],
                                                                      [1.0, -1.0]])
     worst_w = np.abs(w - w_exact).max()
-    coeffs = langevin.langevin_series(sd, times)
-    gamma = np.array([lc.gamma for lc in coeffs])
-    omega_sq = np.array([lc.omega_sq for lc in coeffs])
+    series = langevin.langevin_series(sd, times)
     tan = np.tan(g * times)
     worst_lang = np.abs(np.concatenate([
-        gamma - 2 * g * tan, omega_sq - (1.0 + g ** 2 + 2 * g ** 2 * tan ** 2)])).max()
+        series.gamma - 2 * g * tan,
+        series.omega_sq - (1.0 + g ** 2 + 2 * g ** 2 * tan ** 2)])).max()
     return [
         ("two-mode survival closed form", worst_a, 1e-12,
          worst_a <= 1e-12),

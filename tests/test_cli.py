@@ -7,7 +7,6 @@ import pytest
 import scipy.linalg
 
 import oscbath.cli
-import oscbath.langevin
 import oscbath.validation
 from oscbath.cli import main
 
@@ -123,6 +122,16 @@ class TestGoldenCommand:
         assert report["window"] == [10.0, 25.0]
         assert report["gamma_pred"] == pytest.approx(2 * np.pi * 1e-4 * 50)
 
+    def test_outside_band_warning_is_one_line(self, tmp_path, capsys, recwarn):
+        # one bath frequency: no band, so the prediction warns, and the run
+        # still succeeds
+        assert main(["golden", "--config", TWO_OSC, "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("warning: system frequency outside the bath band: ")
+        # a warning left to the warnings module would reach stderr as more lines
+        assert not recwarn.list
+
     def test_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -214,12 +223,6 @@ class TestErrorPaths:
         assert len(err.splitlines()) == 1 and "numerical failure" in err
         # a warning would reach stderr as more lines outside pytest
         assert not recwarn.list
-
-    def test_langevin_realness_failure(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(oscbath.langevin, "REALNESS_TOL", -1.0)
-        assert main(["langevin", "--config", TWO_OSC, "--out", str(tmp_path)]) == 3
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "not real" in err
 
 
 class TestGoldenFiles:

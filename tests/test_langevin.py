@@ -1,11 +1,16 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
 import oscbath as ob
 from oscbath.amplitudes import amplitudes_at, survival_series
-from oscbath.langevin import langevin_residual, langevin_series, noise_covariance_grid
+from oscbath.langevin import (AMPLITUDE_NODE_TOL, WRONSKIAN_TOL, langevin_residual,
+                              langevin_series, noise_covariance_grid)
 
 G = 0.1
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def uncoupled_sd(omega=1.3):
@@ -16,53 +21,63 @@ def uncoupled_sd(omega=1.3):
 
 class TestCoefficients:
     def test_uncoupled(self):
-        for lc in langevin_series(uncoupled_sd(), [0.5, 2.0, 11.0]):
-            assert not lc.singular
-            assert lc.omega_sq == pytest.approx(1.3 ** 2, abs=1e-12)
-            assert lc.gamma == pytest.approx(0.0, abs=1e-12)
+        series = langevin_series(uncoupled_sd(), [0.5, 2.0, 11.0])
+        assert not series.singular.any()
+        assert np.abs(series.omega_sq - 1.3 ** 2).max() <= 1e-12
+        assert np.abs(series.gamma).max() <= 1e-12
 
     def test_initial_values(self, two_osc_sd):
-        lc = langevin_series(two_osc_sd, [0.7])[0]
-        assert lc.a == pytest.approx(np.cos(0.7) * np.cos(G * 0.7), abs=1e-12)
-        assert lc.b == pytest.approx(-np.sin(0.7) * np.cos(G * 0.7), abs=1e-12)
-        lc0 = langevin_series(two_osc_sd, [0.0, 0.1])[0]
-        assert lc0.a == pytest.approx(1.0) and lc0.b == pytest.approx(0.0, abs=1e-15)
+        a00 = langevin_series(two_osc_sd, [0.7]).a00[0]
+        assert a00.real == pytest.approx(np.cos(0.7) * np.cos(G * 0.7), abs=1e-12)
+        assert a00.imag == pytest.approx(-np.sin(0.7) * np.cos(G * 0.7), abs=1e-12)
+        a00 = langevin_series(two_osc_sd, [0.0, 0.1]).a00[0]
+        assert a00.real == pytest.approx(1.0) and a00.imag == pytest.approx(0.0, abs=1e-15)
 
     def test_resonant_closed_forms(self, two_osc_sd):
         times = np.linspace(0.1, 0.9 * np.pi / (2 * G), 15)
-        for t, lc in zip(times, langevin_series(two_osc_sd, times)):
-            assert abs(lc.gamma - 2 * G * np.tan(G * t)) <= 1e-8
-            assert abs(lc.omega_sq - (1 + G ** 2 + 2 * G ** 2 * np.tan(G * t) ** 2)) <= 1e-8
+        series = langevin_series(two_osc_sd, times)
+        assert np.abs(series.gamma - 2 * G * np.tan(G * times)).max() <= 1e-8
+        assert np.abs(series.omega_sq
+                      - (1 + G ** 2 + 2 * G ** 2 * np.tan(G * times) ** 2)).max() <= 1e-8
 
     def test_wronskian_singularity_flagged(self, two_osc_sd):
         # cos(gt) node: a and b both vanish, the Wronskian is zero there
         t_sing = np.pi / (2 * G)
-        lc = langevin_series(two_osc_sd, [t_sing])[0]
-        assert lc.singular
-        assert np.isnan(lc.gamma) and np.isnan(lc.omega_sq)
+        series = langevin_series(two_osc_sd, [t_sing])
+        assert series.singular[0]
+        assert np.isnan(series.gamma[0]) and np.isnan(series.omega_sq[0])
 
     def test_exponential_regime_plateau(self, bath201_sd, bath201_spec):
         pred = ob.perturbative_prediction(bath201_spec)
-        coeffs = langevin_series(bath201_sd, np.arange(20.0, 80.0, 0.5))
-        gammas = np.array([lc.gamma for lc in coeffs if not lc.singular])
-        omegas = np.array([lc.omega_sq for lc in coeffs if not lc.singular])
+        series = langevin_series(bath201_sd, np.arange(20.0, 80.0, 0.5))
+        gammas = series.gamma[~series.singular]
+        omegas = series.omega_sq[~series.singular]
         assert np.abs(gammas - pred.gamma).max() <= 0.15 * pred.gamma
         assert np.abs(np.sqrt(omegas) - (1.0 + pred.delta_omega)).max() <= 0.02
 
 
+def residual(sd, times):
+    return langevin_residual(langevin_series(sd, times))
+
+
 class TestResidual:
     def test_uncoupled_zero(self):
-        res = langevin_residual(uncoupled_sd(), np.linspace(0.5, 10, 20))
+        res = residual(uncoupled_sd(), np.linspace(0.5, 10, 20))
         assert np.nanmax(res) <= 1e-12
 
     def test_two_oscillator(self, two_osc_sd):
-        res = langevin_residual(two_osc_sd, np.linspace(0.1, 0.9 * np.pi / (2 * G), 30))
+        res = residual(two_osc_sd, np.linspace(0.1, 0.9 * np.pi / (2 * G), 30))
         assert np.nanmax(res) <= 1e-8
 
     def test_linear_bath(self, bath51_sd):
-        res = langevin_residual(bath51_sd, np.linspace(0.5, 50, 100))
+        res = residual(bath51_sd, np.linspace(0.5, 50, 100))
         finite = res[np.isfinite(res)]
         assert finite.max() <= 1e-6
+
+    def test_singular_point_is_nan(self, two_osc_sd):
+        times = np.array([1.0, np.pi / (2 * G), 20.0])
+        res = residual(two_osc_sd, times)
+        assert np.isnan(res[1]) and np.isfinite(res[[0, 2]]).all()
 
 
 class TestNoiseCovariance:
@@ -106,12 +121,65 @@ def test_survival_row_unitarity(bath51_sd):
     assert np.abs(norms - 1.0).max() <= 1e-10
 
 
-def test_realness_residue(bath51_sd):
-    # imaginary parts are algebraically zero; computed ones must be tiny
-    a, adot, addot = survival_series(bath51_sd, [4.2])
-    d = a[0] * np.conj(adot[0]) - np.conj(a[0]) * adot[0]
-    om2 = (adot[0] * np.conj(addot[0]) - np.conj(adot[0]) * addot[0]) / d
-    gam = -(a[0] * np.conj(addot[0]) - np.conj(a[0]) * addot[0]) / d
-    scale = max(abs(om2), abs(gam), 1.0)
-    assert abs(om2.imag) / scale <= 1e-10
-    assert abs(gam.imag) / scale <= 1e-10
+def complex_formula(a, adot, addot):
+    """The complex ratios that ``langevin_series`` computes in real form,
+    one time point at a time: (omega_sq, gamma, singular) and the largest
+    imaginary part of any coefficient."""
+    omega_sq, gamma, singular, imag = [], [], [], 0.0
+    for z, zd, zdd in zip(a, adot, addot):
+        d = z * np.conj(zd) - np.conj(z) * zd
+        if (abs(d) <= 2.0 * WRONSKIAN_TOL * (abs(z) * abs(zd))
+                or abs(z) <= AMPLITUDE_NODE_TOL):
+            omega_sq.append(np.nan)
+            gamma.append(np.nan)
+            singular.append(True)
+            continue
+        om = (zd * np.conj(zdd) - np.conj(zd) * zdd) / d
+        gm = -(z * np.conj(zdd) - np.conj(z) * zdd) / d
+        omega_sq.append(om.real)
+        gamma.append(gm.real)
+        singular.append(False)
+        imag = max(imag, abs(om.imag), abs(gm.imag))
+    return np.array(omega_sq), np.array(gamma), np.array(singular), imag
+
+
+def config_grid(name):
+    cfg = ob.load_config(os.path.join(CONFIG_DIR, name))
+    return ob.eigendecompose(ob.build_hamiltonian(cfg.spec)), cfg.time_grid()
+
+
+def two_oscillator_singular_grid():
+    # dt divides the Wronskian-zero spacing pi/(2g) into 100 steps, so the
+    # grid lands on its zeros
+    cfg = ob.load_config(os.path.join(CONFIG_DIR, "two_oscillator.json"))
+    return (ob.eigendecompose(ob.build_hamiltonian(cfg.spec)),
+            np.arange(2001) * (np.pi / (2 * G) / 100))
+
+
+def random_phase_grid():
+    cfg = ob.load_config(os.path.join(CONFIG_DIR, "linear_bath_n51.json"))
+    rng = np.random.default_rng(11)
+    phases = np.exp(2j * np.pi * rng.random(cfg.spec.n_bath))
+    spec = dataclasses.replace(cfg.spec, couplings=cfg.spec.couplings * phases)
+    return ob.eigendecompose(ob.build_hamiltonian(spec)), cfg.time_grid()
+
+
+@pytest.mark.parametrize("grid, n_singular", [
+    (lambda: config_grid("two_oscillator.json"), 0),
+    (lambda: config_grid("linear_bath_n51.json"), None),
+    (lambda: config_grid("linear_bath_n201.json"), None),
+    (two_oscillator_singular_grid, 10),
+    (random_phase_grid, None),
+], ids=["two_oscillator", "n51", "n201", "two_oscillator_singular", "n51_random_phases"])
+def test_real_form_equals_complex_formula(grid, n_singular):
+    """The imaginary parts the complex formula creates are exactly zero,
+    and the real form reproduces its real parts and flags bit for bit."""
+    sd, times = grid()
+    series = langevin_series(sd, times)
+    omega_sq, gamma, singular, imag = complex_formula(*survival_series(sd, times))
+    assert imag == 0.0
+    assert series.omega_sq.tobytes() == omega_sq.tobytes()
+    assert series.gamma.tobytes() == gamma.tobytes()
+    assert np.array_equal(series.singular, singular)
+    if n_singular is not None:
+        assert series.singular.sum() == n_singular

@@ -1,10 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 import oscbath as ob
-from oscbath.config import ConfigError, load_config, parse_config, serialize_spec
+from oscbath.config import ConfigError, load_config, parse_config
 from oscbath.model import (ModelSpec, build_hamiltonian, explicit_populations,
                            preset_linear_bath, thermal_populations)
 
@@ -89,11 +87,24 @@ class TestPopulations:
 
 class TestConfig:
     def test_roundtrip_identical_matrix(self, tmp_path):
-        spec = preset_linear_bath(7, 0.5, 1.5, 1.0, 0.01, self_shift=0.05)
-        doc = serialize_spec(spec, {"type": "thermal", "beta": 2.0}, 10.0, 0.1)
+        # the preset's frequencies written out as an explicit spectrum
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
+        path.write_text("""{
+          "system": {"omega": 1.0, "mass": 1.0, "v_self": 0.05},
+          "bath": {
+            "n": 7,
+            "spectrum": {"type": "explicit",
+                         "omegas": [0.5, 0.6666666666666666, 0.8333333333333333, 1.0,
+                                    1.1666666666666665, 1.3333333333333333, 1.5]},
+            "coupling": {"type": "explicit",
+                         "gs": [0.01, 0.01, 0.01, 0.01, 0.01, 0.01, [0.01, 0.0]]},
+            "bath_bath": "zero"
+          },
+          "initial": {"type": "thermal", "beta": 2.0},
+          "time": {"t_max": 10.0, "dt": 0.1}
+        }""")
         cfg = load_config(path)
+        spec = preset_linear_bath(7, 0.5, 1.5, 1.0, 0.01, self_shift=0.05)
         h1 = build_hamiltonian(spec)
         h2 = build_hamiltonian(cfg.spec)
         assert h1.tobytes() == h2.tobytes()
