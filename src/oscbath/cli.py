@@ -13,7 +13,6 @@ to fit).  Errors print one line on stderr, and so does each warning.
 
 import argparse
 import dataclasses
-import itertools
 import json
 import os
 import sys
@@ -28,27 +27,38 @@ from .linalg import NumericalError, eigendecompose
 MAX_COV_POINTS = 101  # per axis in noise_cov.csv
 
 
-def fmt(x):
-    return format(float(x), ".17g")
+def _lines(template, *columns):
+    """``template % row`` for each row of equal-length 1-D array columns."""
+    for row in zip(*(c.tolist() for c in columns)):
+        yield template % row
 
 
-def _write_csv(path, header, rows):
+def _grid_lines(times, values):
+    """The (t, index..., value) lines of an array whose leading axis runs
+    over ``times``, index columns in C order, one string per time; a complex
+    value gives re, im."""
+    value = "%.17g,%.17g\n" if np.iscomplexobj(values) else "%.17g\n"
+    # "\0" marks where a line's time goes
+    body = "".join("\0" + "".join(f"{i}," for i in idx) + value
+                   for idx in np.ndindex(values.shape[1:]))
+    if np.iscomplexobj(values):
+        values = np.stack((values.real, values.imag), axis=-1)
+    for t, row in zip(times.tolist(), values.reshape(len(times), -1).tolist()):
+        yield body.replace("\0", "%.17g," % t) % tuple(row)
+
+
+def _write_csv(path, header, lines):
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(lines)
 
 
 def _write_singular_report(out_dir, singular_times):
-    path = os.path.join(out_dir, "singular_points.txt")
-    with open(path, "w", newline="\n") as fh:
-        if singular_times:
-            fh.write("# time points where P(t) or the Wronskian is singular "
-                     "to tolerance; values written as nan\n")
-            for t in singular_times:
-                fh.write(fmt(t) + "\n")
-        else:
-            fh.write("# no singular time points\n")
+    header = ("# time points where P(t) or the Wronskian is singular to tolerance; "
+              "values written as nan" if singular_times.size
+              else "# no singular time points")
+    _write_csv(os.path.join(out_dir, "singular_points.txt"), header,
+               _lines("%.17g\n", singular_times))
 
 
 def _prepare(args):
@@ -58,11 +68,12 @@ def _prepare(args):
         overrides["t_max"] = args.t_max
     if args.dt is not None:
         overrides["dt"] = args.dt
-    if args.window is not None:
+    window = getattr(args, "window", None)  # only golden has the flag
+    if window is not None:
         try:
-            t1, t2 = (float(x) for x in args.window.split(","))
+            t1, t2 = (float(x) for x in window.split(","))
         except ValueError as exc:
-            raise ConfigError(f"bad --window '{args.window}': expected t1,t2") from exc
+            raise ConfigError(f"bad --window '{window}': expected t1,t2") from exc
         if not t1 < t2:
             raise ConfigError(f"bad --window: need t1 < t2, got {t1},{t2}")
         overrides["fit_window"] = (t1, t2)
@@ -73,34 +84,19 @@ def _prepare(args):
     return cfg, sd
 
 
-def _grid_rows(times, values):
-    """CSV rows (t, index..., value) of an array whose leading axis runs
-    over ``times``, in C order; a complex value fills two columns, re, im."""
-    cells = list(itertools.product(*(map(str, range(n)) for n in values.shape[1:])))
-    index = itertools.product([fmt(t) for t in times], cells)
-    if np.iscomplexobj(values):
-        for (t, idx), z in zip(index, values.ravel().tolist()):
-            yield (t, *idx, fmt(z.real), fmt(z.imag))
-    else:
-        for (t, idx), x in zip(index, values.ravel().tolist()):
-            yield (t, *idx, fmt(x))
-
-
 def cmd_amplitudes(args):
     cfg, sd = _prepare(args)
     times = cfg.time_grid()
 
-    # rows are formatted block by block while the file is written
-    rows = (row for blk in master.time_blocks(sd, times)
-            for row in _grid_rows(blk.times, blk.a))
-    _write_csv(os.path.join(args.out, "amplitudes.csv"),
-               ["t", "n", "m", "re", "im"], rows)
+    # lines are formatted block by block while the file is written
+    lines = (line for blk in master.time_blocks(sd, times)
+             for line in _grid_lines(blk.times, blk.a))
+    _write_csv(os.path.join(args.out, "amplitudes.csv"), "t,n,m,re,im", lines)
 
     a00, _, _ = amplitudes.survival_series(sd, times)
-    rows = [(fmt(t), fmt(z.real), fmt(z.imag), fmt(abs(z)))
-            for t, z in zip(times, a00)]
-    _write_csv(os.path.join(args.out, "survival.csv"),
-               ["t", "re", "im", "abs"], rows)
+    _write_csv(os.path.join(args.out, "survival.csv"), "t,re,im,abs",
+               _lines("%.17g,%.17g,%.17g,%.17g\n", times, a00.real, a00.imag,
+                      np.hypot(a00.real, a00.imag)))
     return 0
 
 
@@ -119,16 +115,16 @@ def cmd_master(args):
         res_balance.append(bal)
         singular.append(sing)
 
-    _write_csv(os.path.join(args.out, "populations.csv"),
-               ["t", "n", "population"], _grid_rows(times, np.concatenate(occ)))
-    _write_csv(os.path.join(args.out, "w_coeffs.csv"),
-               ["t", "n", "k", "W"], _grid_rows(times, np.concatenate(w)))
-    rows = [(fmt(t), fmt(r), fmt(b)) for t, r, b in
-            zip(times, np.concatenate(res_matrix), np.concatenate(res_balance))]
+    _write_csv(os.path.join(args.out, "populations.csv"), "t,n,population",
+               _grid_lines(times, np.concatenate(occ)))
+    _write_csv(os.path.join(args.out, "w_coeffs.csv"), "t,n,k,W",
+               _grid_lines(times, np.concatenate(w)))
     _write_csv(os.path.join(args.out, "master_residual.csv"),
-               ["t", "residual", "residual_balance"], rows)
+               "t,residual,residual_balance",
+               _lines("%.17g,%.17g,%.17g\n", times, np.concatenate(res_matrix),
+                      np.concatenate(res_balance)))
 
-    _write_singular_report(args.out, list(times[np.concatenate(singular)]))
+    _write_singular_report(args.out, times[np.concatenate(singular)])
     return 0
 
 
@@ -137,28 +133,21 @@ def cmd_langevin(args):
     times = cfg.time_grid()
 
     series = langevin.langevin_series(sd, times)
-    rows = [(fmt(t), fmt(z.real), fmt(z.imag), fmt(om), fmt(gm), str(int(sing)))
-            for t, z, om, gm, sing in zip(times.tolist(), series.a00.tolist(),
-                                          series.omega_sq.tolist(),
-                                          series.gamma.tolist(),
-                                          series.singular.tolist())]
-    _write_csv(os.path.join(args.out, "langevin.csv"),
-               ["t", "a", "b", "omega_sq", "gamma", "singular"], rows)
+    _write_csv(os.path.join(args.out, "langevin.csv"), "t,a,b,omega_sq,gamma,singular",
+               _lines("%.17g,%.17g,%.17g,%.17g,%.17g,%d\n", times, series.a00.real,
+                      series.a00.imag, series.omega_sq, series.gamma, series.singular))
 
     stride = max(1, (len(times) - 1) // (MAX_COV_POINTS - 1)) if len(times) > 1 else 1
     tsub = times[::stride]
     cov = langevin.noise_covariance_grid(sd, tsub, cfg.initial, cfg.spec)
-    rows = [(fmt(t), fmt(tp), fmt(cov[i, j]))
-            for i, t in enumerate(tsub) for j, tp in enumerate(tsub)]
-    _write_csv(os.path.join(args.out, "noise_cov.csv"),
-               ["t", "t_prime", "c_ff"], rows)
+    _write_csv(os.path.join(args.out, "noise_cov.csv"), "t,t_prime,c_ff",
+               _lines("%.17g,%.17g,%.17g\n", np.repeat(tsub, len(tsub)),
+                      np.tile(tsub, len(tsub)), cov.ravel()))
 
-    res = langevin.langevin_residual(series)
-    rows = [(fmt(t), fmt(r)) for t, r in zip(times.tolist(), res.tolist())]
-    _write_csv(os.path.join(args.out, "langevin_residual.csv"),
-               ["t", "residual"], rows)
+    _write_csv(os.path.join(args.out, "langevin_residual.csv"), "t,residual",
+               _lines("%.17g,%.17g\n", times, langevin.langevin_residual(series)))
 
-    _write_singular_report(args.out, list(times[series.singular]))
+    _write_singular_report(args.out, times[series.singular])
     return 0
 
 
@@ -257,7 +246,8 @@ def build_parser():
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--t-max", type=float, default=None, help="override time.t_max")
         p.add_argument("--dt", type=float, default=None, help="override time.dt")
-        p.add_argument("--window", default=None, help="fit window t1,t2")
+        if name == "golden":
+            p.add_argument("--window", default=None, help="fit window t1,t2")
         p.set_defaults(handler=handler)
     return parser
 

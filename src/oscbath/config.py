@@ -62,8 +62,11 @@ class RunConfig:
             raise ConfigError(f"time.t_max must be finite and >= dt, got {self.t_max}")
 
     def time_grid(self):
-        n_steps = int(round(self.t_max / self.dt))
-        return np.arange(n_steps + 1) * self.dt
+        try:
+            return np.arange(int(round(self.t_max / self.dt)) + 1) * self.dt
+        except (ValueError, OverflowError, MemoryError) as exc:
+            raise ConfigError(f"time.dt = {self.dt} gives a time grid too long "
+                              f"for t_max = {self.t_max}: {exc}") from exc
 
 
 def _get(d, key, path, expected=None):
@@ -85,6 +88,16 @@ def _as_complex(value, path):
 
 def parse_config(data):
     """Build a RunConfig from a decoded JSON document."""
+    try:
+        return _parse(data)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        # a value of the right key but unusable: wrong type, shape or range
+        raise ConfigError(f"invalid value: {exc}") from exc
+
+
+def _parse(data):
     system = _get(data, "system", "system", dict)
     omega = float(_get(system, "omega", "system.omega", (int, float)))
     mass = float(system.get("mass", 1.0))
@@ -133,11 +146,8 @@ def parse_config(data):
                                    (int, float)))
             omega_max = float(_get(spectrum, "omega_max", "bath.spectrum.omega_max",
                                    (int, float)))
-            try:
-                spec = preset_linear_bath(n, omega_min, omega_max, omega,
-                                          0.0, self_shift=v_self, mass=mass)
-            except ValueError as exc:
-                raise ConfigError(f"bath.spectrum: {exc}") from exc
+            spec = preset_linear_bath(n, omega_min, omega_max, omega,
+                                      0.0, self_shift=v_self, mass=mass)
             spec = ModelSpec(omega=omega, bath_frequencies=spec.bath_frequencies,
                              couplings=gs, self_shift=v_self, bath_bath=bath_bath,
                              mass=mass, density_of_states=spec.density_of_states)
@@ -154,20 +164,15 @@ def parse_config(data):
 
     initial = _get(data, "initial", "initial", dict)
     itype = _get(initial, "type", "initial.type", str)
-    try:
-        if itype == "thermal":
-            beta = float(_get(initial, "beta", "initial.beta", (int, float)))
-            occ0 = float(initial.get("system_occupation", 1.0))
-            init = thermal_populations(spec, beta, system_occupation=occ0)
-        elif itype == "explicit":
-            init = explicit_populations(
-                spec, _get(initial, "occupations", "initial.occupations", list))
-        else:
-            raise ConfigError(f"unknown initial.type '{itype}'")
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"initial: {exc}") from exc
+    if itype == "thermal":
+        beta = float(_get(initial, "beta", "initial.beta", (int, float)))
+        occ0 = float(initial.get("system_occupation", 1.0))
+        init = thermal_populations(spec, beta, system_occupation=occ0)
+    elif itype == "explicit":
+        init = explicit_populations(
+            spec, _get(initial, "occupations", "initial.occupations", list))
+    else:
+        raise ConfigError(f"unknown initial.type '{itype}'")
 
     time = _get(data, "time", "time", dict)
     t_max = float(_get(time, "t_max", "time.t_max", (int, float)))

@@ -83,6 +83,37 @@ class TestMasterCommand:
         w_rows = read_csv(tmp_path / "w_coeffs.csv")
         assert any(r["W"] == "nan" for r in w_rows)
 
+
+def singular_report_times(out):
+    lines = (out / "singular_points.txt").read_text().splitlines()
+    assert lines[0].startswith("# time points where P(t) or the Wronskian is singular")
+    return lines[1:]
+
+
+class TestSingularPoints:
+    # dt = pi/(2 g)/100 with g = 0.1 puts the zeros of det P(t), at odd
+    # multiples of pi/(4 g), and of A00 = cos(g t) on grid points of [0, 70]
+    GRID = ["--config", TWO_OSC, "--dt", "0.015707963267948967", "--t-max", "70"]
+
+    def test_master_lists_the_nan_rows(self, tmp_path):
+        assert main(["master", *self.GRID, "--out", str(tmp_path)]) == 0
+        listed = singular_report_times(tmp_path)
+        w_rows = read_csv(tmp_path / "w_coeffs.csv")
+        nan_times = sorted({r["t"] for r in w_rows if r["W"] == "nan"}, key=float)
+        assert listed == nan_times and len(listed) == 4
+        assert all(r["W"] == "nan" for r in w_rows if r["t"] in listed)
+
+    def test_langevin_lists_the_singular_rows(self, tmp_path):
+        assert main(["langevin", *self.GRID, "--out", str(tmp_path)]) == 0
+        listed = singular_report_times(tmp_path)
+        assert listed == ["15.707963267948967", "47.1238898038469"]
+        rows = read_csv(tmp_path / "langevin.csv")
+        assert [r["t"] for r in rows if r["singular"] == "1"] == listed
+        for r in rows:
+            singular = r["singular"] == "1"
+            assert (r["omega_sq"] == "nan") == singular
+            assert (r["gamma"] == "nan") == singular
+
     def test_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -204,6 +235,21 @@ class TestErrorPaths:
         assert main(argv + ["--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "t_max" in err
+
+    def test_time_grid_too_long(self, tmp_path, capsys):
+        # t_max/dt ~ 5e300 points: numpy refuses the size before allocating
+        assert main(["master", "--config", TWO_OSC, "--out", str(tmp_path),
+                     "--dt", "1e-300"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "time.dt" in err
+
+    @pytest.mark.parametrize("command", ["amplitudes", "master", "langevin", "validate"])
+    def test_window_only_on_golden(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", TWO_OSC, "--out", str(tmp_path),
+                  "--window", "1,2"])
+        assert exc.value.code == 2
+        assert "--window" in capsys.readouterr().err
 
     def test_eigensolver_failure(self, tmp_path, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):

@@ -139,6 +139,18 @@ class TestConfig:
         (lambda d: d["bath"].pop("coupling"), "bath.coupling"),
         (lambda d: d["time"].__setitem__("dt", -1.0), "dt"),
         (lambda d: d["initial"].__setitem__("type", "bogus"), "initial.type"),
+        # values of the right key that cannot be used: one ConfigError each
+        (lambda d: d.__setitem__("fit_window", ["a", "b"]), "invalid value: .*'a'"),
+        (lambda d: d.__setitem__("fit_window", [1, "b"]), "invalid value: .*'str'"),
+        (lambda d: d["system"].__setitem__("mass", "heavy"), "invalid value: .*'heavy'"),
+        (lambda d: d["system"].__setitem__("mass", None), "invalid value: .*NoneType"),
+        (lambda d: d["system"].__setitem__("mass", -1), "invalid value: mass"),
+        (lambda d: d["system"].__setitem__("omega", -1), "invalid value: system frequency"),
+        (lambda d: d["bath"]["spectrum"].__setitem__("omegas", ["x"]),
+         "invalid value: .*'x'"),
+        (lambda d: d["system"].__setitem__("v_self", [1, 2]), "invalid value: .*list"),
+        (lambda d: d["bath"].__setitem__("bath_bath", [[1, 2]]),
+         "invalid value: bath_bath shape"),
     ])
     def test_schema_errors(self, mutation, fragment):
         doc = {
