@@ -83,6 +83,13 @@ class TestMasterCommand:
         w_rows = read_csv(tmp_path / "w_coeffs.csv")
         assert any(r["W"] == "nan" for r in w_rows)
 
+    def test_deterministic(self, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        for out in (out1, out2):
+            assert main(["master", "--config", N51, "--out", str(out)]) == 0
+        for name in ("populations.csv", "w_coeffs.csv", "master_residual.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
 
 def singular_report_times(out):
     lines = (out / "singular_points.txt").read_text().splitlines()
@@ -113,13 +120,6 @@ class TestSingularPoints:
             singular = r["singular"] == "1"
             assert (r["omega_sq"] == "nan") == singular
             assert (r["gamma"] == "nan") == singular
-
-    def test_deterministic(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        for out in (out1, out2):
-            assert main(["master", "--config", N51, "--out", str(out)]) == 0
-        for name in ("populations.csv", "w_coeffs.csv", "master_residual.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestLangevinCommand:
