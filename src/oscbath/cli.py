@@ -227,8 +227,16 @@ def cmd_validate(args):
     return 0 if failed == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Subcommand parsers are made of this class too, so every usage error
+    prints one line on stderr and exits 2, as a config error does."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oscbath",
         description="Exact master and Langevin equations for a harmonic "
                     "oscillator coupled to a finite bath")

@@ -1,19 +1,17 @@
-"""Dense Hermitian eigendecomposition, the LU condition estimate and the
-numerical-failure exception.
+"""Dense Hermitian eigendecomposition and the numerical-failure exception.
 
-The eigensolver is LAPACK's divide-and-conquer ``eigh``, run in real
-arithmetic whenever the matrix has no imaginary part, and a single
-closed-form Jacobi rotation for matrices of dimension 2 or less.
-Eigenvalues come out ascending and every eigenvector carries a fixed phase
-convention, so identical input bytes give identical output bytes at a
-fixed BLAS thread count.  LAPACK non-convergence raises
-``numpy.linalg.LinAlgError``.
+The eigensolver is numpy's ``linalg.eigh`` (LAPACK's divide-and-conquer
+``syevd``/``heevd``), run in real arithmetic whenever the matrix has no
+imaginary part, and a single closed-form Jacobi rotation for matrices of
+dimension 2 or less.  Eigenvalues come out ascending and every
+eigenvector carries a fixed phase convention, so identical input bytes
+give identical output bytes at a fixed BLAS thread count.  LAPACK
+non-convergence raises ``numpy.linalg.LinAlgError``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class NumericalError(ArithmeticError):
@@ -111,11 +109,11 @@ def eigendecompose(h):
     if n <= 2:
         eigenvalues, vectors = _rotate_small(h)
     elif np.any(h.imag):
-        eigenvalues, vectors = scipy.linalg.eigh(h, driver="evd")
+        eigenvalues, vectors = np.linalg.eigh(h)
     else:
         # real arithmetic on a real matrix: the complex solver is measurably
         # less accurate on it
-        eigenvalues, vectors = scipy.linalg.eigh(h.real, driver="evd")
+        eigenvalues, vectors = np.linalg.eigh(h.real)
         vectors = vectors.astype(np.complex128)
 
     order = np.argsort(eigenvalues, kind="stable")
@@ -131,11 +129,3 @@ def eigendecompose(h):
 
     return SpectralDecomposition(eigenvalues=eigenvalues, vectors=np.ascontiguousarray(vectors))
 
-
-def lu_condition(lu):
-    """Pivot-ratio condition estimate max|u_ii|/min|u_ii| of each LU factor
-    in a stack of shape (..., dim, dim); a zero pivot gives inf."""
-    pivots = np.abs(np.diagonal(lu, axis1=-2, axis2=-1))
-    pmin = pivots.min(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(pmin == 0.0, np.inf, pivots.max(axis=-1) / pmin)

@@ -11,14 +11,11 @@ time grid in blocks of consecutive times and stacks each block's matrices
 along a leading time axis.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .amplitudes import amplitudes_at
-from .linalg import lu_condition
 
 DEFAULT_CONDITION_CAP = 1e10
 
@@ -44,26 +41,38 @@ def transition_probabilities(a, adot):
     return np.abs(a) ** 2, 2.0 * (a.conj() * adot).real
 
 
-def master_coefficients(p, pdot, condition_cap=DEFAULT_CONDITION_CAP):
-    """W = Pdot P^{-1} for a stack of P of shape (K, dim, dim), via pivoted LU.
+def _solve(a, b):
+    """``np.linalg.solve(a, b)`` over stacks.  numpy rejects the whole stack
+    if one matrix of ``a`` is exactly singular; then solve one time at a
+    time, with inf in place of each rejected solution."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full(b.shape, np.inf)
+        return np.concatenate([_solve(a[k:k + 1], b[k:k + 1]) for k in range(len(a))])
 
-    Returns ``(w, condition, singular)``.  Where the pivot-ratio condition
-    estimate exceeds ``condition_cap``, P counts as singular and that W is
-    nan-filled.
+
+def master_coefficients(p, pdot, condition_cap=DEFAULT_CONDITION_CAP):
+    """W = Pdot P^{-1} for a stack of P of shape (K, dim, dim).
+
+    Returns ``(w, condition, singular)``.  ``condition`` is the exact 1-norm
+    condition number ||P||_1 ||P^{-1}||_1, inf where P is exactly singular.
+    Where it exceeds ``condition_cap``, P counts as singular.  W is nan-filled
+    there and wherever the condition is not finite.
     """
-    w = np.full(p.shape, np.nan)
-    condition = np.empty(len(p))
-    with warnings.catch_warnings():
-        # an exactly singular P is flagged via the condition cap just below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        # one factorization per time: older SciPy releases take no stacks
-        for k, (pk, pdotk) in enumerate(zip(p, pdot)):
-            lu, piv = scipy.linalg.lu_factor(pk)
-            condition[k] = lu_condition(lu)
-            if not condition[k] > condition_cap:
-                # solve P^T X^T = Pdot^T  =>  X = Pdot P^{-1}
-                w[k] = scipy.linalg.lu_solve((lu, piv), pdotk.T, trans=1).T
-    return w, condition, condition > condition_cap
+    dim = p.shape[-1]
+    # one factorization of P^T per time solves P^T [W^T | P^{-T}] = [Pdot^T | I]
+    rhs = np.concatenate([pdot.swapaxes(-1, -2), np.broadcast_to(np.eye(dim), p.shape)],
+                         axis=-1)
+    x = _solve(p.swapaxes(-1, -2), rhs)
+    # ||P||_1 is the largest column sum of |P|, ||P^{-1}||_1 the largest row sum of |P^{-T}|
+    condition = (np.abs(p).sum(axis=-2).max(axis=-1)
+                 * np.abs(x[..., dim:]).sum(axis=-1).max(axis=-1))
+    singular = ~(condition <= condition_cap)
+    w = x[..., :dim].swapaxes(-1, -2).copy()
+    w[singular | ~np.isfinite(condition)] = np.nan
+    return w, condition, singular
 
 
 def time_blocks(sd, times):

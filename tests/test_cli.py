@@ -1,10 +1,11 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import oscbath.cli
 import oscbath.validation
@@ -30,6 +31,17 @@ def write_bare_config(tmp_path, t_max=1.0, dt=0.5):
         "time": {"t_max": t_max, "dt": dt},
     }))
     return str(path)
+
+
+def test_package_imports_without_scipy():
+    # scipy is a test dependency only: the package's linear algebra is numpy's
+    src = os.path.dirname(os.path.dirname(oscbath.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, oscbath, oscbath.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
 
 
 class TestAmplitudesCommand:
@@ -249,12 +261,20 @@ class TestErrorPaths:
             main([command, "--config", TWO_OSC, "--out", str(tmp_path),
                   "--window", "1,2"])
         assert exc.value.code == 2
-        assert "--window" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "--window" in err
+
+    def test_unknown_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["master", "--config", TWO_OSC, "--out", str(tmp_path), "--bogus", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["oscbath: error: unrecognized arguments: --bogus 1"]
 
     def test_eigensolver_failure(self, tmp_path, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("eigenvalue iteration did not converge")
-        monkeypatch.setattr(scipy.linalg, "eigh", no_convergence)
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
         assert main(["master", "--config", N51, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "numerical failure" in err

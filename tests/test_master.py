@@ -101,6 +101,25 @@ class TestMasterCoefficients:
         assert master_coefficients(blk.p, blk.pdot, condition_cap=np.inf)[2].tolist() == [
             False, False]
 
+    def test_singular_p_in_a_stack(self, two_osc_sd):
+        # P(pi/(4g)) has every entry exactly 1/2, so numpy rejects the whole
+        # stacked solve and the times are solved one at a time
+        times = np.array([1.0, 2.0, np.pi / (4 * G), 9.0])
+        blk, w, condition, singular = solved(two_osc_sd, times)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(blk.p, blk.pdot)
+        assert singular.tolist() == [False, False, True, False]
+        assert condition[2] == np.inf and np.isnan(w[2]).all()
+        for i in (0, 1, 3):
+            one = master_coefficients(blk.p[i:i + 1], blk.pdot[i:i + 1])
+            for stacked, single in zip((w, condition, singular), one):
+                assert np.array_equal(stacked[i], single[0])
+        w_inf, condition_inf, singular_inf = master_coefficients(blk.p, blk.pdot,
+                                                                 condition_cap=np.inf)
+        assert not singular_inf.any()
+        assert np.array_equal(w_inf, w, equal_nan=True)
+        assert np.array_equal(condition_inf, condition)
+
     def test_w_equals_pdot_at_t_zero(self, bath51_sd):
         blk, w, _, _ = solved(bath51_sd, [0.0])
         assert np.abs(w - blk.pdot).max() <= 1e-12
