@@ -10,8 +10,7 @@ equation whose damping and frequency follow from the survival amplitude.
 from .amplitudes import amplitudes_at, survival_series, system_row_series
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .golden import (ExponentialFit, PerturbativePrediction, compare_exact_vs_golden,
-                     delta_t, fit_exponential, golden_rule_rate_00, golden_rule_rates,
-                     perturbative_prediction)
+                     delta_t, fit_exponential, golden_rule_rate_00, perturbative_prediction)
 from .langevin import langevin_residual, langevin_series, noise_covariance_grid
 from .linalg import NumericalError, SpectralDecomposition, eigendecompose
 from .master import (TimeBlock, master_coefficients, master_residual, time_blocks,

@@ -3,7 +3,8 @@
 Subcommands: amplitudes | master | langevin | golden | validate.
 Outputs are deterministic: fixed column order, 17-significant-digit floats,
 Unix line endings, singular time points written as nan plus a sidecar
-``singular_points.txt``.
+``singular_points.txt``.  ``amplitudes`` and ``master`` write each block of
+``master.time_blocks`` as it arrives, so memory is bounded by one block.
 
 Exit codes: 0 success, 1 validation failure, 2 config or I/O error
 (including a time grid or fit window that is not usable), 3 numerical
@@ -12,7 +13,9 @@ to fit).  Errors print one line on stderr, and so does each warning.
 """
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -25,6 +28,12 @@ from .config import ConfigError, load_config
 from .linalg import NumericalError, eigendecompose
 
 MAX_COV_POINTS = 101  # per axis in noise_cov.csv
+MAX_W00_POINTS = 201  # fit-window times at which golden solves W
+
+
+def _subsample(times, points):
+    """Every k-th time, k the largest stride that keeps at least ``points``."""
+    return times[::max(1, (len(times) - 1) // (points - 1))]
 
 
 def _lines(template, *columns):
@@ -33,23 +42,35 @@ def _lines(template, *columns):
         yield template % row
 
 
+@functools.cache
+def _grid_template(shape, is_complex):
+    """One time's lines of a ``shape`` array, index columns in C order."""
+    value = "%.17g,%.17g\n" if is_complex else "%.17g\n"
+    # "\0" marks where a line's time goes
+    return "".join("\0" + "".join(f"{i}," for i in idx) + value
+                   for idx in np.ndindex(shape))
+
+
 def _grid_lines(times, values):
     """The (t, index..., value) lines of an array whose leading axis runs
-    over ``times``, index columns in C order, one string per time; a complex
-    value gives re, im."""
-    value = "%.17g,%.17g\n" if np.iscomplexobj(values) else "%.17g\n"
-    # "\0" marks where a line's time goes
-    body = "".join("\0" + "".join(f"{i}," for i in idx) + value
-                   for idx in np.ndindex(values.shape[1:]))
+    over ``times``, one string per time; a complex value gives re, im."""
+    body = _grid_template(values.shape[1:], np.iscomplexobj(values))
     if np.iscomplexobj(values):
         values = np.stack((values.real, values.imag), axis=-1)
     for t, row in zip(times.tolist(), values.reshape(len(times), -1).tolist()):
         yield body.replace("\0", "%.17g," % t) % tuple(row)
 
 
-def _write_csv(path, header, lines):
+@contextlib.contextmanager
+def _open_csv(path, header):
+    """``path`` open for writing with Unix line endings, ``header`` written."""
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
+        yield fh
+
+
+def _write_csv(path, header, lines):
+    with _open_csv(path, header) as fh:
         fh.writelines(lines)
 
 
@@ -104,27 +125,21 @@ def cmd_master(args):
     cfg, sd = _prepare(args)
     times = cfg.time_grid()
 
-    occ, w, res_matrix, res_balance, singular = [], [], [], [], []
-    for blk in master.time_blocks(sd, times):
-        w_blk, _, sing = master.master_coefficients(blk.p, blk.pdot,
+    singular = []
+    with (_open_csv(os.path.join(args.out, "populations.csv"), "t,n,population") as occ_fh,
+          _open_csv(os.path.join(args.out, "w_coeffs.csv"), "t,n,k,W") as w_fh,
+          _open_csv(os.path.join(args.out, "master_residual.csv"),
+                    "t,residual,residual_balance") as res_fh):
+        for blk in master.time_blocks(sd, times):
+            w, _, sing = master.master_coefficients(blk.p, blk.pdot,
                                                     cfg.tolerances["condition_cap"])
-        res, bal = master.master_residual(blk, w_blk, cfg.initial)
-        occ.append(blk.p @ cfg.initial)
-        w.append(w_blk)
-        res_matrix.append(res)
-        res_balance.append(bal)
-        singular.append(sing)
+            res, bal = master.master_residual(blk, w, cfg.initial)
+            occ_fh.writelines(_grid_lines(blk.times, blk.p @ cfg.initial))
+            w_fh.writelines(_grid_lines(blk.times, w))
+            res_fh.writelines(_lines("%.17g,%.17g,%.17g\n", blk.times, res, bal))
+            singular.extend(blk.times[sing].tolist())
 
-    _write_csv(os.path.join(args.out, "populations.csv"), "t,n,population",
-               _grid_lines(times, np.concatenate(occ)))
-    _write_csv(os.path.join(args.out, "w_coeffs.csv"), "t,n,k,W",
-               _grid_lines(times, np.concatenate(w)))
-    _write_csv(os.path.join(args.out, "master_residual.csv"),
-               "t,residual,residual_balance",
-               _lines("%.17g,%.17g,%.17g\n", times, np.concatenate(res_matrix),
-                      np.concatenate(res_balance)))
-
-    _write_singular_report(args.out, times[np.concatenate(singular)])
+    _write_singular_report(args.out, np.array(singular))
     return 0
 
 
@@ -137,8 +152,7 @@ def cmd_langevin(args):
                _lines("%.17g,%.17g,%.17g,%.17g,%.17g,%d\n", times, series.a00.real,
                       series.a00.imag, series.omega_sq, series.gamma, series.singular))
 
-    stride = max(1, (len(times) - 1) // (MAX_COV_POINTS - 1)) if len(times) > 1 else 1
-    tsub = times[::stride]
+    tsub = _subsample(times, MAX_COV_POINTS)
     cov = langevin.noise_covariance_grid(sd, tsub, cfg.initial, cfg.spec)
     _write_csv(os.path.join(args.out, "noise_cov.csv"), "t,t_prime,c_ff",
                _lines("%.17g,%.17g,%.17g\n", np.repeat(tsub, len(tsub)),
@@ -187,9 +201,7 @@ def cmd_golden(args):
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
 
-    wtimes = times[mask]
-    stride = max(1, (len(wtimes) - 1) // 200)
-    wtimes = wtimes[::stride]
+    wtimes = _subsample(times[mask], MAX_W00_POINTS)
     w00 = []
     for blk in master.time_blocks(sd, wtimes):
         w, _, _ = master.master_coefficients(blk.p, blk.pdot, cfg.tolerances["condition_cap"])

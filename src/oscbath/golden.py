@@ -50,30 +50,18 @@ def delta_t(alpha, t):
     return val
 
 
-def golden_rule_rates(spec, t):
-    """Gamma[n, m] = 2 pi |v_nm|^2 delta_t(omega_n - omega_m) for n != m,
-    as a real (dim, dim) array; diagonals fixed so every column (and row)
-    sums to zero."""
-    v = spec.coupling_matrix()
-    freqs = spec.bare_frequencies()
-    gaps = freqs[:, None] - freqs[None, :]
-    gamma = 2.0 * np.pi * np.abs(v) ** 2 * delta_t(gaps, t)
-    np.fill_diagonal(gamma, 0.0)
-    np.fill_diagonal(gamma, -gamma.sum(axis=0))
-    return gamma
-
-
 def golden_rule_rate_00(spec, times):
-    """Gamma[0, 0] of ``golden_rule_rates`` over a 1-D time grid, in closed
-    form: Gamma_00(t) = -2 pi sum_n |g_n|^2 delta_t(omega_n - Omega).
+    """Golden-rule loss rate of the system level over a 1-D time grid,
+    Gamma_00(t) = -2 pi sum_n |g_n|^2 delta_t(omega_n - Omega): minus the
+    column-0 sum of the rates 2 pi |v_n0|^2 delta_t(omega_n - omega_0).
 
     Only the system-bath couplings enter; the bath-bath block and the self
     shift do not.
     """
     times = np.asarray(times, dtype=np.float64)
     gaps = spec.bath_frequencies - spec.omega
-    # (bath, time) layout: the sum runs over the bath index in order, as the
-    # column sum of golden_rule_rates does
+    # (bath, time) layout: the sum runs over the bath index in order, as a
+    # column sum of the dense rate matrix does
     weights = 2.0 * np.pi * np.abs(spec.couplings) ** 2
     rates = weights[:, None] * delta_t(gaps[:, None], times)
     return -rates.sum(axis=0)

@@ -58,8 +58,8 @@ def master_coefficients(p, pdot, condition_cap=DEFAULT_CONDITION_CAP):
 
     Returns ``(w, condition, singular)``.  ``condition`` is the exact 1-norm
     condition number ||P||_1 ||P^{-1}||_1, inf where P is exactly singular.
-    Where it exceeds ``condition_cap``, P counts as singular.  W is nan-filled
-    there and wherever the condition is not finite.
+    P counts as singular, and W is nan-filled, where the condition is not
+    finite or exceeds ``condition_cap``.
     """
     dim = p.shape[-1]
     # one factorization of P^T per time solves P^T [W^T | P^{-T}] = [Pdot^T | I]
@@ -69,9 +69,9 @@ def master_coefficients(p, pdot, condition_cap=DEFAULT_CONDITION_CAP):
     # ||P||_1 is the largest column sum of |P|, ||P^{-1}||_1 the largest row sum of |P^{-T}|
     condition = (np.abs(p).sum(axis=-2).max(axis=-1)
                  * np.abs(x[..., dim:]).sum(axis=-1).max(axis=-1))
-    singular = ~(condition <= condition_cap)
+    singular = ~(condition <= condition_cap) | ~np.isfinite(condition)
     w = x[..., :dim].swapaxes(-1, -2).copy()
-    w[singular | ~np.isfinite(condition)] = np.nan
+    w[singular] = np.nan
     return w, condition, singular
 
 

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oscbath.cli
+import oscbath.master
 import oscbath.validation
 from oscbath.cli import main
 
@@ -102,6 +104,37 @@ class TestMasterCommand:
         for name in ("populations.csv", "w_coeffs.csv", "master_residual.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_memory_bounded_by_one_block(self, tmp_path):
+        # four times the grid, the same peak: the files are written block by
+        # block and no whole-grid array or per-row list is kept
+        peaks = []
+        for t_max in ("12", "48"):
+            tracemalloc.start()
+            try:
+                assert main(["master", "--config", N51, "--out", str(tmp_path),
+                             "--t-max", t_max]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("command, names", [
+    ("amplitudes", ("amplitudes.csv", "survival.csv")),
+    ("master", ("populations.csv", "w_coeffs.csv", "master_residual.csv",
+                "singular_points.txt")),
+])
+def test_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, command, names):
+    # one time per block, the default, and the whole grid in one block
+    outs = []
+    for entries in (1, oscbath.master.BLOCK_ENTRIES, 2 ** 22):
+        monkeypatch.setattr(oscbath.master, "BLOCK_ENTRIES", entries)
+        outs.append(tmp_path / str(entries))
+        assert main([command, "--config", N51, "--out", str(outs[-1])]) == 0
+    for name in names:
+        expected = (outs[0] / name).read_bytes()
+        assert all((out / name).read_bytes() == expected for out in outs[1:]), name
+
 
 def singular_report_times(out):
     lines = (out / "singular_points.txt").read_text().splitlines()
@@ -115,12 +148,23 @@ class TestSingularPoints:
     GRID = ["--config", TWO_OSC, "--dt", "0.015707963267948967", "--t-max", "70"]
 
     def test_master_lists_the_nan_rows(self, tmp_path):
-        assert main(["master", *self.GRID, "--out", str(tmp_path)]) == 0
-        listed = singular_report_times(tmp_path)
-        w_rows = read_csv(tmp_path / "w_coeffs.csv")
-        nan_times = sorted({r["t"] for r in w_rows if r["W"] == "nan"}, key=float)
-        assert listed == nan_times and len(listed) == 4
-        assert all(r["W"] == "nan" for r in w_rows if r["t"] in listed)
+        # with no condition cap, only the exactly singular P(pi/(4 g)) is
+        # flagged; dt = pi/(4 g)/400 puts it on a grid point
+        doc = json.loads(open(TWO_OSC).read())
+        doc["tolerances"] = {"condition_cap": float("inf")}  # json writes Infinity
+        cap_off = tmp_path / "cap_off.json"
+        cap_off.write_text(json.dumps(doc))
+        for argv, count in [
+            (self.GRID, 4),
+            (["--config", str(cap_off), "--dt", "0.019634954084936207", "--t-max", "8"], 1),
+        ]:
+            out = tmp_path / str(count)
+            assert main(["master", *argv, "--out", str(out)]) == 0
+            listed = singular_report_times(out)
+            w_rows = read_csv(out / "w_coeffs.csv")
+            nan_times = sorted({r["t"] for r in w_rows if r["W"] == "nan"}, key=float)
+            assert listed == nan_times and len(listed) == count
+            assert all(r["W"] == "nan" for r in w_rows if r["t"] in listed)
 
     def test_langevin_lists_the_singular_rows(self, tmp_path):
         assert main(["langevin", *self.GRID, "--out", str(tmp_path)]) == 0

@@ -4,9 +4,22 @@ import pytest
 import oscbath as ob
 from oscbath.amplitudes import survival_series
 from oscbath.golden import (compare_exact_vs_golden, delta_t, fit_exponential,
-                            golden_rule_rate_00, golden_rule_rates, perturbative_prediction)
+                            golden_rule_rate_00, perturbative_prediction)
 from oscbath.linalg import NumericalError
 from oscbath.master import master_coefficients, time_blocks
+
+
+def golden_rule_rates(spec, t):
+    """Dense reference for ``golden_rule_rate_00``: Gamma[n, m] =
+    2 pi |v_nm|^2 delta_t(omega_n - omega_m) for n != m, as a real (dim, dim)
+    array; diagonals fixed so every column (and row) sums to zero."""
+    v = spec.coupling_matrix()
+    freqs = spec.bare_frequencies()
+    gaps = freqs[:, None] - freqs[None, :]
+    gamma = 2.0 * np.pi * np.abs(v) ** 2 * delta_t(gaps, t)
+    np.fill_diagonal(gamma, 0.0)
+    np.fill_diagonal(gamma, -gamma.sum(axis=0))
+    return gamma
 
 
 def exact_w00(sd, times):
