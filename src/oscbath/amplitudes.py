@@ -15,11 +15,13 @@ t; derivatives are never computed by differencing.
 import numpy as np
 
 
-def amplitudes_at(sd, times):
+def amplitudes_at(sd, times, rows=None):
     """Dense A and dA/dt at a time or a 1-D array of times.
 
     Returns ``(a, adot)``, complex arrays of shape ``times.shape + (dim,
-    dim)``: one matrix per time, stacked along the leading axis.
+    dim)``: one matrix per time, stacked along the leading axis.  Given
+    ``rows``, dA/dt holds only the leading ``rows`` rows (none for 0), so
+    its shape ends in ``(rows, dim)``.
     """
     times = np.asarray(times, dtype=np.float64)
     bad = times[~np.isfinite(times)]
@@ -30,7 +32,7 @@ def amplitudes_at(sd, times):
     phases = np.exp(-1j * np.multiply.outer(times, alpha))[..., None, :]
     uc = u.conj()
     a = uc @ (u * phases).swapaxes(-1, -2)
-    adot = uc @ (u * (-1j * alpha * phases)).swapaxes(-1, -2)
+    adot = uc[:rows] @ (u * (-1j * alpha * phases)).swapaxes(-1, -2)
     return a, adot
 
 

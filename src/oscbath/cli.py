@@ -5,6 +5,9 @@ Outputs are deterministic: fixed column order, 17-significant-digit floats,
 Unix line endings, singular time points written as nan plus a sidecar
 ``singular_points.txt``.  ``amplitudes`` and ``master`` write each block of
 ``master.time_blocks`` as it arrives, so memory is bounded by one block.
+Each command asks the engine for only the rows of Pdot and W it reads:
+``golden`` for row 0 (its W[0, 0] loss rate), ``amplitudes`` for none and
+``master`` for all.
 
 Exit codes: 0 success, 1 validation failure, 2 config or I/O error
 (including a time grid or fit window that is not usable), 3 numerical
@@ -32,8 +35,8 @@ MAX_W00_POINTS = 201  # fit-window times at which golden solves W
 
 
 def _subsample(times, points):
-    """Every k-th time, k the largest stride that keeps at least ``points``."""
-    return times[::max(1, (len(times) - 1) // (points - 1))]
+    """Every k-th time, k the smallest stride that keeps at most ``points``."""
+    return times[::max(1, -(-(len(times) - 1) // (points - 1)))]
 
 
 def _lines(template, *columns):
@@ -110,7 +113,7 @@ def cmd_amplitudes(args):
     times = cfg.time_grid()
 
     # lines are formatted block by block while the file is written
-    lines = (line for blk in master.time_blocks(sd, times)
+    lines = (line for blk in master.time_blocks(sd, times, rows=0)
              for line in _grid_lines(blk.times, blk.a))
     _write_csv(os.path.join(args.out, "amplitudes.csv"), "t,n,m,re,im", lines)
 
@@ -203,7 +206,7 @@ def cmd_golden(args):
 
     wtimes = _subsample(times[mask], MAX_W00_POINTS)
     w00 = []
-    for blk in master.time_blocks(sd, wtimes):
+    for blk in master.time_blocks(sd, wtimes, rows=1):
         w, _, _ = master.master_coefficients(blk.p, blk.pdot, cfg.tolerances["condition_cap"])
         # copied, since a view of W[:, 0, 0] would keep the block's whole W alive
         w00.append(w[:, 0, 0].copy())

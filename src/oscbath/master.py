@@ -8,7 +8,10 @@ times are flagged, never regularized.
 
 Everything dense is computed by one engine, ``time_blocks``, which walks a
 time grid in blocks of consecutive times and stacks each block's matrices
-along a leading time axis.
+along a leading time axis.  A consumer names the leading rows of Pdot it
+reads, and only those rows of Adot, Pdot and W are computed: ``golden``
+reads row 0, ``amplitudes`` and a cap-less ``grid_invariants`` read none,
+and ``master`` and ``validate`` read all of them.
 """
 
 from dataclasses import dataclass
@@ -32,13 +35,13 @@ class TimeBlock:
     times: np.ndarray       # (K,)
     a: np.ndarray           # (K, dim, dim) complex, unitary
     p: np.ndarray           # (K, dim, dim) real, doubly stochastic
-    pdot: np.ndarray        # elementwise d|A|^2/dt = 2 Re(conj(A) Adot)
+    pdot: np.ndarray        # (K, rows, dim) leading rows of d|A|^2/dt = 2 Re(conj(A) Adot)
 
 
 def transition_probabilities(a, adot):
     """P = |A|^2 and Pdot = 2 Re(conj(A) Adot), elementwise on (stacks of)
-    amplitude matrices."""
-    return np.abs(a) ** 2, 2.0 * (a.conj() * adot).real
+    amplitude matrices; Pdot has the leading rows that ``adot`` has."""
+    return np.abs(a) ** 2, 2.0 * (a[..., :adot.shape[-2], :].conj() * adot).real
 
 
 def _solve(a, b):
@@ -54,39 +57,43 @@ def _solve(a, b):
 
 
 def master_coefficients(p, pdot, condition_cap=DEFAULT_CONDITION_CAP):
-    """W = Pdot P^{-1} for a stack of P of shape (K, dim, dim).
+    """Rows of W = Pdot P^{-1} for a stack of P of shape (K, dim, dim).
 
-    Returns ``(w, condition, singular)``.  ``condition`` is the exact 1-norm
-    condition number ||P||_1 ||P^{-1}||_1, inf where P is exactly singular.
-    P counts as singular, and W is nan-filled, where the condition is not
-    finite or exceeds ``condition_cap``.
+    ``pdot`` holds the leading r rows of Pdot, shape (K, r, dim); the same r
+    rows of W are returned.  Returns ``(w, condition, singular)``.
+    ``condition`` is the exact 1-norm condition number ||P||_1 ||P^{-1}||_1,
+    inf where P is exactly singular.  P counts as singular, and W is
+    nan-filled, where the condition is not finite or exceeds
+    ``condition_cap``.
     """
-    dim = p.shape[-1]
-    # one factorization of P^T per time solves P^T [W^T | P^{-T}] = [Pdot^T | I]
+    dim, r = p.shape[-1], pdot.shape[-2]
+    # one factorization of P^T per time solves P^T [W_r^T | P^{-T}] = [Pdot_r^T | I]
     rhs = np.concatenate([pdot.swapaxes(-1, -2), np.broadcast_to(np.eye(dim), p.shape)],
                          axis=-1)
     x = _solve(p.swapaxes(-1, -2), rhs)
     # ||P||_1 is the largest column sum of |P|, ||P^{-1}||_1 the largest row sum of |P^{-T}|
     condition = (np.abs(p).sum(axis=-2).max(axis=-1)
-                 * np.abs(x[..., dim:]).sum(axis=-1).max(axis=-1))
+                 * np.abs(x[..., r:]).sum(axis=-1).max(axis=-1))
     singular = ~(condition <= condition_cap) | ~np.isfinite(condition)
-    w = x[..., :dim].swapaxes(-1, -2).copy()
+    w = x[..., :r].swapaxes(-1, -2).copy()
     w[singular] = np.nan
     return w, condition, singular
 
 
-def time_blocks(sd, times):
+def time_blocks(sd, times, rows=None):
     """Yield a TimeBlock for each run of consecutive ``times``.
 
-    The block length is ``BLOCK_ENTRIES // dim**2`` (at least one time), so
-    memory stays bounded however long the grid is.  No W is solved here:
-    the consumers that need it call ``master_coefficients`` on a block.
+    Each block's Pdot holds the leading ``rows`` rows (all if None, none for
+    0), and only those rows of Adot are formed.  The block length is
+    ``BLOCK_ENTRIES // dim**2`` (at least one time), so memory stays bounded
+    however long the grid is.  No W is solved here: the consumers that need
+    it call ``master_coefficients`` on a block.
     """
     times = np.asarray(times, dtype=np.float64)
     step = max(1, BLOCK_ENTRIES // sd.dim ** 2)
     for start in range(0, len(times), step):
         t = times[start:start + step]
-        a, adot = amplitudes_at(sd, t)
+        a, adot = amplitudes_at(sd, t, rows)
         p, pdot = transition_probabilities(a, adot)
         yield TimeBlock(times=t, a=a, p=p, pdot=pdot)
 

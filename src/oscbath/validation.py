@@ -40,7 +40,9 @@ def grid_invariants(sd, times, initial, condition_cap=None):
     worst = dict.fromkeys(keys, 0.0)
     total0 = None
     eye = np.eye(sd.dim)
-    for blk in master.time_blocks(sd, times):
+    # Pdot is read only to solve W
+    rows = None if condition_cap is not None else 0
+    for blk in master.time_blocks(sd, times, rows):
         gram = blk.a @ blk.a.conj().swapaxes(-1, -2)
         occ = blk.p @ initial
         totals = occ.sum(axis=-1)

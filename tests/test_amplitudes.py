@@ -53,6 +53,17 @@ class TestAmplitudesAt:
             a_t, adot_t = amplitudes_at(bath51_sd, t)
             assert np.array_equal(a[i], a_t) and np.array_equal(adot[i], adot_t)
 
+    @pytest.mark.parametrize("rows", [0, 1, 5, 52])
+    def test_adot_rows_match_full(self, bath51_sd, bath201_sd, rows):
+        # only the leading rows of Adot are formed; A stays whole
+        for sd in (bath51_sd, bath201_sd):
+            times = np.array([0.0, 3.0, 40.0])
+            a, adot = amplitudes_at(sd, times)
+            a_r, adot_r = amplitudes_at(sd, times, rows)
+            assert np.array_equal(a_r, a)
+            assert adot_r.shape == (3, rows, sd.dim)
+            assert np.abs(adot_r - adot[:, :rows]).max(initial=0.0) <= 1e-15
+
     def test_group_property(self, bath51_sd):
         rng = np.random.default_rng(11)
         for t1, t2 in rng.uniform(0, 10, size=(4, 2)):

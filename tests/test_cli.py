@@ -191,6 +191,21 @@ class TestLangevinCommand:
         for (t, tp), val in cov.items():
             assert val == pytest.approx(cov[(tp, t)], rel=1e-12)
 
+    def test_noise_cov_points_are_a_maximum(self, tmp_path):
+        # 200 times: a stride of 2 keeps 100 per axis, where a stride of 1
+        # wrote all 200 (40,000 pairs)
+        assert main(["langevin", "--config", TWO_OSC, "--out", str(tmp_path),
+                     "--t-max", "19.9"]) == 0
+        rows = read_csv(tmp_path / "noise_cov.csv")
+        assert len(rows) <= oscbath.cli.MAX_COV_POINTS ** 2
+        times = [r["t"] for r in read_csv(tmp_path / "langevin.csv")]
+        assert len(times) == 200
+        assert list(dict.fromkeys(r["t"] for r in rows)) == times[::2]
+        for n in range(1, 1000):
+            kept = oscbath.cli._subsample(np.arange(n), oscbath.cli.MAX_COV_POINTS)
+            assert kept[0] == 0
+            assert min(n, 51) <= len(kept) <= oscbath.cli.MAX_COV_POINTS
+
     def test_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -225,6 +240,62 @@ class TestGoldenCommand:
             assert main(["golden", "--config", N51, "--out", str(out)]) == 0
         assert ((out1 / "golden_report.json").read_bytes()
                 == (out2 / "golden_report.json").read_bytes())
+
+
+class TestRowsRead:
+    """Each consumer forms only the rows of Adot, Pdot and W it reads."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Lists that collect the (rows, dim) of Adot from every
+        ``amplitudes_at`` call and the rows of Pdot given to every
+        ``master_coefficients`` call."""
+        adot_shapes, pdot_rows = [], []
+        amplitudes_at = oscbath.master.amplitudes_at
+        master_coefficients = oscbath.master.master_coefficients
+
+        def amplitudes_spy(*args, **kwargs):
+            a, adot = amplitudes_at(*args, **kwargs)
+            adot_shapes.append(adot.shape[-2:])
+            return a, adot
+
+        def master_spy(p, pdot, *args, **kwargs):
+            pdot_rows.append(pdot.shape[-2])
+            return master_coefficients(p, pdot, *args, **kwargs)
+
+        monkeypatch.setattr(oscbath.master, "amplitudes_at", amplitudes_spy)
+        monkeypatch.setattr(oscbath.master, "master_coefficients", master_spy)
+        return adot_shapes, pdot_rows
+
+    def test_golden_reads_row_0(self, tmp_path, monkeypatch):
+        adot_shapes, pdot_rows = self.spy(monkeypatch)
+        assert main(["golden", "--config", N51, "--out", str(tmp_path)]) == 0
+        assert pdot_rows and set(pdot_rows) == {1}
+        assert set(adot_shapes) == {(1, 52)}
+
+    def test_amplitudes_reads_no_row(self, tmp_path, monkeypatch):
+        adot_shapes, pdot_rows = self.spy(monkeypatch)
+        assert main(["amplitudes", "--config", N51, "--out", str(tmp_path)]) == 0
+        assert adot_shapes and set(adot_shapes) == {(0, 52)}
+        assert not pdot_rows
+
+    def test_grid_invariants_reads_rows_only_for_w(self, bath51_sd, monkeypatch):
+        adot_shapes, pdot_rows = self.spy(monkeypatch)
+        times, init = np.linspace(0, 50, 26), np.full(52, 0.5)
+        oscbath.validation.grid_invariants(bath51_sd, times, init, condition_cap=None)
+        assert adot_shapes and set(adot_shapes) == {(0, 52)}
+        assert not pdot_rows
+        adot_shapes.clear()
+        oscbath.validation.grid_invariants(bath51_sd, times, init, condition_cap=1e10)
+        assert set(adot_shapes) == {(52, 52)} and set(pdot_rows) == {52}
+
+    @pytest.mark.parametrize("command", ["master", "validate"])
+    def test_master_and_validate_read_every_row(self, tmp_path, monkeypatch, command):
+        adot_shapes, pdot_rows = self.spy(monkeypatch)
+        assert main([command, "--config", N51, "--out", str(tmp_path)]) == 0
+        # validate also runs the dim-2 two-mode oracle
+        assert adot_shapes and all(rows == dim for rows, dim in adot_shapes)
+        assert set(pdot_rows) == ({52} if command == "master" else {52, 2})
 
 
 class TestValidateCommand:

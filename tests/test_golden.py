@@ -1,8 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
 import oscbath as ob
+import oscbath.golden
 from oscbath.amplitudes import survival_series
+from oscbath.cli import main
 from oscbath.golden import (compare_exact_vs_golden, delta_t, fit_exponential,
                             golden_rule_rate_00, perturbative_prediction)
 from oscbath.linalg import NumericalError
@@ -197,3 +201,21 @@ class TestCompareExactVsGolden:
         times = np.arange(5.0, 15.001, 0.5)
         dev = compare_exact_vs_golden(times, exact_w00(bath201_sd, times), bath201_spec)
         assert dev <= 0.25
+
+    def test_cli_w00_matches_dense_reference(self, tmp_path, monkeypatch):
+        # the golden command solves only row 0 of W; it must agree with the
+        # row 0 of the full dense W at the times it compares
+        seen = []
+
+        def spy(times, w00, spec, compare=compare_exact_vs_golden):
+            seen.append((times, w00))
+            return compare(times, w00, spec)
+
+        monkeypatch.setattr(oscbath.golden, "compare_exact_vs_golden", spy)
+        config = os.path.join(os.path.dirname(__file__), "..", "configs",
+                              "linear_bath_n51.json")
+        assert main(["golden", "--config", config, "--out", str(tmp_path)]) == 0
+        ((times, w00),) = seen
+        sd = ob.eigendecompose(ob.build_hamiltonian(ob.load_config(config).spec))
+        assert np.all(w00 < 0)
+        assert np.abs(w00 / exact_w00(sd, times) - 1.0).max() <= 1e-13

@@ -120,6 +120,17 @@ class TestMasterCoefficients:
         assert np.array_equal(singular_inf, singular)
         assert np.array_equal(w_inf, w, equal_nan=True)
         assert np.array_equal(condition_inf, condition)
+        # one row of Pdot in, the same row of W out, with the same
+        # condition and mask; so also from a block that formed only row 0
+        (row_blk,) = time_blocks(two_osc_sd, times, rows=1)
+        assert row_blk.pdot.shape == (4, 1, 2)
+        assert np.array_equal(row_blk.p, blk.p)
+        for pdot in (blk.pdot[:, :1], row_blk.pdot):
+            w_0, condition_0, singular_0 = master_coefficients(blk.p, pdot)
+            assert w_0.shape == (4, 1, 2)
+            assert np.allclose(w_0[:, 0], w[:, 0], rtol=1e-13, atol=0, equal_nan=True)
+            assert np.array_equal(condition_0, condition)
+            assert np.array_equal(singular_0, singular)
 
     def test_w_equals_pdot_at_t_zero(self, bath51_sd):
         blk, w, _, _ = solved(bath51_sd, [0.0])

@@ -1,0 +1,82 @@
+"""Derandomized property tests on random arrowhead models: a system
+oscillator coupled to 1-11 bath modes that do not couple to each other, so
+the one-particle Hamiltonian of dim 2-12 is an arrowhead matrix, with real
+or complex couplings."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oscbath as ob
+from oscbath.master import master_coefficients, time_blocks
+
+# derandomized: the same examples on every run, and no example database
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def arrowheads(draw):
+    """A ``ModelSpec`` with 1-11 bath modes, every |g_n| in [0.005, 0.3],
+    and the same couplings times unit phases as a second one."""
+    n = draw(st.integers(1, 11))
+    draws = st.lists(unit, min_size=n, max_size=n)
+    freqs = 0.1 + 1.9 * np.array(draw(draws))
+    signs = np.where(np.array(draw(draws)) < 0.5, -1.0, 1.0)
+    g = signs * (0.005 + 0.295 * np.array(draw(draws)))
+    if draw(st.booleans()):
+        g = g * np.exp(2j * np.pi * np.array(draw(draws)))
+    rephased = g * np.exp(2j * np.pi * np.array(draw(draws)))
+    omega = 0.5 + draw(unit)
+    return (ob.ModelSpec(omega=omega, bath_frequencies=freqs, couplings=g),
+            ob.ModelSpec(omega=omega, bath_frequencies=freqs, couplings=rephased))
+
+
+times_lists = st.lists(st.floats(0.0, 20.0), min_size=1, max_size=4)
+
+
+def solve(spec, times, rows=None):
+    """P, Pdot and ``master_coefficients`` of one block over ``times``."""
+    sd = ob.eigendecompose(ob.build_hamiltonian(spec))
+    (blk,) = time_blocks(sd, times, rows)
+    return (blk.p, blk.pdot, *master_coefficients(blk.p, blk.pdot))
+
+
+def w_error_bound(tol, w, condition):
+    """``tol`` times the condition of each time's P and its largest |W|
+    (at least 1): how far rounding in P or Pdot can move W = Pdot P^{-1}."""
+    return tol * condition * np.abs(w).max(axis=(-2, -1), initial=1.0)
+
+
+@PROPERTY
+@given(arrowheads(), times_lists, st.integers(0, 12))
+def test_row_subset_w_equals_full_rows(specs, times, rows):
+    spec, _ = specs
+    rows = min(rows, len(spec.couplings) + 1)
+    p, pdot, w, condition, singular = solve(spec, times)
+    p_r, pdot_r, w_r, condition_r, singular_r = solve(spec, times, rows)
+    assert np.array_equal(p_r, p)
+    assert pdot_r.shape == w_r.shape == (len(times), rows, p.shape[-1])
+    assert np.abs(pdot_r - pdot[:, :rows]).max(initial=0.0) <= 1e-14
+    assert np.array_equal(singular_r, singular)
+    assert np.allclose(condition_r, condition, rtol=1e-12, atol=0)
+    ok = ~singular
+    err = np.abs(w_r - w[:, :rows]).max(axis=(-2, -1), initial=0.0)
+    assert np.all(err[ok] <= w_error_bound(1e-14, w, condition)[ok])
+    assert np.isnan(w_r[singular]).all()
+
+
+@PROPERTY
+@given(arrowheads(), times_lists)
+def test_invariant_under_coupling_phases(specs, times):
+    # D = diag(1, g_n'/g_n) maps one model onto the other, and A onto
+    # D A D^*, so |A|^2 and everything built from it does not move
+    spec, rephased = specs
+    p, pdot, w, condition, singular = solve(spec, times)
+    p2, pdot2, w2, _, singular2 = solve(rephased, times)
+    assert np.abs(p2 - p).max() <= 1e-13
+    assert np.abs(pdot2 - pdot).max() <= 1e-13
+    ok = ~(singular | singular2)
+    err = np.abs(w2 - w).max(axis=(-2, -1))
+    assert np.all(err[ok] <= w_error_bound(1e-13, w, condition)[ok])
