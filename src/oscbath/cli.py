@@ -4,7 +4,9 @@ Subcommands: amplitudes | master | langevin | golden | validate.
 Outputs are deterministic: fixed column order, 17-significant-digit floats,
 Unix line endings, singular time points written as nan plus a sidecar
 ``singular_points.txt``.  ``amplitudes`` and ``master`` write each block of
-``master.time_blocks`` as it arrives, so memory is bounded by one block.
+``master.time_blocks`` as it arrives, the survival sums are formed block by
+block, and every per-time CSV column is formatted one block at a time, so
+memory is bounded by one block plus a few per-time vectors.
 Each command asks the engine for only the rows of Pdot and W it reads:
 ``golden`` for row 0 (its W[0, 0] loss rate), ``amplitudes`` for none and
 ``master`` for all.
@@ -20,6 +22,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 import warnings
@@ -40,9 +43,14 @@ def _subsample(times, points):
 
 
 def _lines(template, *columns):
-    """``template % row`` for each row of equal-length 1-D array columns."""
-    for row in zip(*(c.tolist() for c in columns)):
-        yield template % row
+    """``template % row`` for each row of equal-length 1-D array columns.
+
+    The columns become Python values one block of
+    ``amplitudes.block_slices`` rows at a time, never the whole grid at
+    once, so a long grid costs no more than one block of Python objects."""
+    for s in amplitudes.block_slices(len(columns[0]), len(columns)):
+        for row in zip(*(c[s].tolist() for c in columns)):
+            yield template % row
 
 
 @functools.cache
@@ -186,6 +194,12 @@ def default_fit_window(cfg):
     return (t1, t2)
 
 
+def _json_number(x):
+    """``x``, or None (JSON null) if it is not finite: strict JSON has no
+    nan or inf."""
+    return x if math.isfinite(x) else None
+
+
 def cmd_golden(args):
     cfg, sd = _prepare(args)
     times = cfg.time_grid()
@@ -214,16 +228,16 @@ def cmd_golden(args):
     w_dev = golden.compare_exact_vs_golden(wtimes, w00, cfg.spec)
 
     report = {
-        "gamma_pred": pred.gamma,
-        "gamma_fit": fit.gamma_fit,
-        "delta_omega_pred": pred.delta_omega,
-        "omega_fit": fit.omega_fit,
-        "window": list(fit.window),
-        "goodness": fit.goodness,
-        "w_deviation": w_dev,
+        "gamma_pred": _json_number(pred.gamma),
+        "gamma_fit": _json_number(fit.gamma_fit),
+        "delta_omega_pred": _json_number(pred.delta_omega),
+        "omega_fit": _json_number(fit.omega_fit),
+        "window": [_json_number(t) for t in fit.window],
+        "goodness": _json_number(fit.goodness),
+        "w_deviation": _json_number(w_dev),
     }
     with open(os.path.join(args.out, "golden_report.json"), "w", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return 0
 

@@ -36,15 +36,19 @@ class ExponentialFit:
 def delta_t(alpha, t):
     """Finite-time delta surrogate, normalized to unit integral over alpha.
 
-    ``alpha`` and ``t`` broadcast against each other."""
+    ``alpha`` and ``t`` broadcast against each other.  At t = 0 it takes
+    its t -> 0+ limit, 0 for every alpha (the peak t / (2 pi) vanishes
+    too), so a rate read at t = 0 is 0, as the exact W(0) = Pdot(0) = 0 is.
+    Negative times are rejected."""
     t = np.asarray(t, dtype=np.float64)
-    if not np.all(t > 0):
-        raise ValueError(f"time must be positive, got {t}")
+    if not np.all(t >= 0):
+        raise ValueError(f"time must be non-negative, got {t}")
     alpha = np.asarray(alpha, dtype=np.float64)
     peak = t / (2.0 * np.pi)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = 2.0 * np.sin(alpha * t / 2.0) ** 2 / (np.pi * alpha ** 2 * t)
-    val = np.where(alpha == 0.0, peak, val)
+    # both limits are the peak: alpha -> 0 at fixed t, and t -> 0+ (peak 0)
+    val = np.where((alpha == 0.0) | (t == 0.0), peak, val)
     if val.ndim == 0:
         return float(val)
     return val

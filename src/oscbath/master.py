@@ -18,13 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import amplitudes_at
+from .amplitudes import amplitudes_at, block_slices
 
 DEFAULT_CONDITION_CAP = 1e10
-
-# Complex entries of one (times, dim, dim) array in a block: 2**15 entries
-# are 0.5 MiB, so a block's arrays stay a few MiB whatever the grid length.
-BLOCK_ENTRIES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -84,15 +80,15 @@ def time_blocks(sd, times, rows=None):
     """Yield a TimeBlock for each run of consecutive ``times``.
 
     Each block's Pdot holds the leading ``rows`` rows (all if None, none for
-    0), and only those rows of Adot are formed.  The block length is
-    ``BLOCK_ENTRIES // dim**2`` (at least one time), so memory stays bounded
+    0), and only those rows of Adot are formed.  The blocks are
+    ``amplitudes.block_slices(len(times), dim**2)``, so each (times, dim,
+    dim) array is about ``BLOCK_ENTRIES`` entries and memory stays bounded
     however long the grid is.  No W is solved here: the consumers that need
     it call ``master_coefficients`` on a block.
     """
     times = np.asarray(times, dtype=np.float64)
-    step = max(1, BLOCK_ENTRIES // sd.dim ** 2)
-    for start in range(0, len(times), step):
-        t = times[start:start + step]
+    for s in block_slices(len(times), sd.dim ** 2):
+        t = times[s]
         a, adot = amplitudes_at(sd, t, rows)
         p, pdot = transition_probabilities(a, adot)
         yield TimeBlock(times=t, a=a, p=p, pdot=pdot)

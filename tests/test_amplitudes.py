@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oscbath as ob
-from oscbath.amplitudes import amplitudes_at, survival_series, system_row_series
+from oscbath.amplitudes import (BLOCK_ENTRIES, amplitudes_at, survival_series,
+                                system_row_series)
 
 G = 0.1
 
@@ -105,11 +108,34 @@ class TestSurvival:
                - survival_series(bath51_sd, times - step)[1]) / (2 * step)
         assert np.abs(addot00 - fd2).max() <= 1e-6
 
+    def test_series_independent_of_the_block(self, bath51_sd, bath201_sd):
+        # a time's sums have the same bytes on its own as on a grid of
+        # several blocks
+        times = np.linspace(0, 200, 401)
+        for sd in (bath51_sd, bath201_sd):
+            alone = [survival_series(sd, [t]) for t in times]
+            for k, series in enumerate(survival_series(sd, times)):
+                assert np.array_equal(series, [s[k][0] for s in alone])
+
     def test_system_row_series(self, bath51_sd):
         times = np.array([0.0, 4.2])
         rows = system_row_series(bath51_sd, times)
         full = amplitudes_at(bath51_sd, 4.2)[0][0, :]
         assert np.abs(rows[1] - full).max() <= 1e-13
+
+
+def test_survival_memory_is_one_block(bath201_sd):
+    # the (times, dim) phase matrix is formed one block at a time: beyond the
+    # three complex outputs the peak is a few block arrays, where the whole
+    # 8,001 x 202 matrix alone would be 26 MB
+    times = np.arange(8001) * 0.1
+    tracemalloc.start()
+    try:
+        survival_series(bath201_sd, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 3 * 16 * len(times) <= 6 * 16 * BLOCK_ENTRIES, peak
 
 
 def test_recurrence_revival(bath51_sd, bath51_spec):

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oscbath.amplitudes
 import oscbath.cli
 import oscbath.master
 import oscbath.validation
@@ -17,6 +18,7 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 TWO_OSC = os.path.join(CONFIG_DIR, "two_oscillator.json")
 N51 = os.path.join(CONFIG_DIR, "linear_bath_n51.json")
+N201 = os.path.join(CONFIG_DIR, "linear_bath_n201.json")
 
 
 def read_csv(path):
@@ -123,17 +125,35 @@ class TestMasterCommand:
     ("amplitudes", ("amplitudes.csv", "survival.csv")),
     ("master", ("populations.csv", "w_coeffs.csv", "master_residual.csv",
                 "singular_points.txt")),
+    ("langevin", ("langevin.csv", "noise_cov.csv", "langevin_residual.csv",
+                  "singular_points.txt")),
 ])
 def test_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, command, names):
-    # one time per block, the default, and the whole grid in one block
+    # one time (or CSV row) per block, a few per block with a short last
+    # one, the default, and the whole grid in one block; the one block rule
+    # cuts the dense engine, the survival sums and every CSV column
     outs = []
-    for entries in (1, oscbath.master.BLOCK_ENTRIES, 2 ** 22):
-        monkeypatch.setattr(oscbath.master, "BLOCK_ENTRIES", entries)
+    for entries in (1, 2 ** 10, oscbath.amplitudes.BLOCK_ENTRIES, 2 ** 22):
+        monkeypatch.setattr(oscbath.amplitudes, "BLOCK_ENTRIES", entries)
         outs.append(tmp_path / str(entries))
         assert main([command, "--config", N51, "--out", str(outs[-1])]) == 0
     for name in names:
         expected = (outs[0] / name).read_bytes()
         assert all((out / name).read_bytes() == expected for out in outs[1:]), name
+
+
+def test_lines_are_converted_one_block_at_a_time():
+    # 100,000 rows of three columns as Python floats would be 9.6 MB; one
+    # block of BLOCK_ENTRIES values is about 1 MB
+    columns = [np.arange(100_000.0) + k for k in range(3)]
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in oscbath.cli._lines("%.17g,%.17g,%.17g\n", *columns))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 100_000
+    assert peak <= 64 * oscbath.amplitudes.BLOCK_ENTRIES, peak
 
 
 def singular_report_times(out):
@@ -213,6 +233,22 @@ class TestLangevinCommand:
         for name in ("langevin.csv", "noise_cov.csv", "langevin_residual.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_memory_grows_by_scalars_per_time(self, tmp_path):
+        # n201 at 1,001 and 4,001 times, both with 101 noise_cov times per
+        # axis: the survival sums stream by block and the CSV columns are
+        # formatted by block, so the peak grows by a few per-time scalars
+        # (here at most 32 float64), not by a dim-202 complex row (3.2 kB)
+        peaks = []
+        for t_max in ("100", "400"):
+            tracemalloc.start()
+            try:
+                assert main(["langevin", "--config", N201, "--out", str(tmp_path),
+                             "--t-max", t_max]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 3000 <= 32 * 8, peaks
+
 
 class TestGoldenCommand:
     def test_report_schema(self, tmp_path):
@@ -223,6 +259,35 @@ class TestGoldenCommand:
                                "omega_fit", "window", "goodness", "w_deviation"}
         assert report["window"] == [10.0, 25.0]
         assert report["gamma_pred"] == pytest.approx(2 * np.pi * 1e-4 * 50)
+
+    def test_window_from_t_zero(self, tmp_path):
+        # W00(0) = 0, and the golden-rule rate at t = 0 is its t -> 0+ limit
+        assert main(["golden", "--config", N51, "--out", str(tmp_path),
+                     "--window", "0,10"]) == 0
+        report = json.loads((tmp_path / "golden_report.json").read_text())
+        assert report["window"] == [0.0, 10.0]
+        assert 0 < report["w_deviation"] < 1
+
+    def test_nan_is_written_as_null(self, tmp_path):
+        # uncoupled modes at 0.5, 1.0, 1.5 with t_max 5: the default window
+        # falls back to [0, t_max], and w_deviation is nan (no golden rate)
+        cfg = tmp_path / "uncoupled.json"
+        cfg.write_text(json.dumps({
+            "system": {"omega": 1.0},
+            "bath": {"n": 3, "spectrum": {"type": "explicit", "omegas": [0.5, 1.0, 1.5]},
+                     "coupling": {"type": "uniform", "g": 0.0}},
+            "initial": {"type": "explicit", "occupations": [1.0, 0.0, 0.0, 0.0]},
+            "time": {"t_max": 5.0, "dt": 0.5},
+        }))
+        assert main(["golden", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((tmp_path / "golden_report.json").read_text(),
+                            parse_constant=reject)
+        assert report["window"] == [0.0, 5.0]
+        assert report["w_deviation"] is None
 
     def test_outside_band_warning_is_one_line(self, tmp_path, capsys, recwarn):
         # one bath frequency: no band, so the prediction warns, and the run

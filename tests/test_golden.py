@@ -54,9 +54,17 @@ class TestDeltaT:
         integral = np.trapezoid(delta_t(alphas, t), alphas)
         assert integral == pytest.approx(1.0, abs=1e-3)
 
-    def test_rejects_nonpositive_time(self):
-        with pytest.raises(ValueError):
-            delta_t(0.1, 0.0)
+    def test_zero_time_is_the_limit(self):
+        # the t -> 0+ limit is 0 for every alpha, without a divide warning
+        alphas = np.array([-1.0, 0.0, 0.1, 3.0])
+        assert np.array_equal(delta_t(alphas, 0.0), np.zeros(4))
+        assert delta_t(alphas[:, None], np.array([0.0, 1e-9]))[:, 1].max() <= 1e-9
+        assert golden_rule_rate_00(ob.preset_linear_bath(5, 0.5, 1.5, 1.0, 0.01),
+                                   [0.0]) == 0.0
+
+    def test_rejects_negative_time(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            delta_t(0.1, -1e-3)
 
 
 class TestGoldenRuleRates:

@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg
 
 import oscbath as ob
-from oscbath.master import (BLOCK_ENTRIES, TimeBlock, master_coefficients,
-                            master_residual, time_blocks)
+from oscbath.amplitudes import BLOCK_ENTRIES
+from oscbath.master import TimeBlock, master_coefficients, master_residual, time_blocks
 from oscbath.validation import grid_invariants
 
 G = 0.1
