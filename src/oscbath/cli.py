@@ -106,10 +106,8 @@ def _prepare(args):
             t1, t2 = (float(x) for x in window.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad --window '{window}': expected t1,t2") from exc
-        if not t1 < t2:
-            raise ConfigError(f"bad --window: need t1 < t2, got {t1},{t2}")
         overrides["fit_window"] = (t1, t2)
-    # replace() re-runs RunConfig's time-grid checks on the overridden values
+    # replace() re-runs RunConfig's time-grid and fit-window checks
     cfg = dataclasses.replace(cfg, **overrides)
     os.makedirs(args.out, exist_ok=True)
     sd = eigendecompose(model.build_hamiltonian(cfg.spec))
@@ -176,24 +174,6 @@ def cmd_langevin(args):
     return 0
 
 
-def default_fit_window(cfg):
-    """Window between the initial transient and half the recurrence time."""
-    freqs = cfg.spec.bath_frequencies
-    if freqs.size >= 2:
-        bandwidth = freqs.max() - freqs.min()
-        spacing = np.diff(np.sort(freqs))
-        spacing = spacing[spacing > 0]
-        t1 = 5.0 / bandwidth if bandwidth > 0 else cfg.dt
-        t2 = cfg.t_max
-        if spacing.size:
-            t2 = min(t2, 0.5 * 2.0 * np.pi / spacing.min())
-    else:
-        t1, t2 = 0.1 * cfg.t_max, cfg.t_max
-    if not t1 < t2:
-        t1, t2 = 0.0, cfg.t_max
-    return (t1, t2)
-
-
 def _json_number(x):
     """``x``, or None (JSON null) if it is not finite: strict JSON has no
     nan or inf."""
@@ -202,13 +182,7 @@ def _json_number(x):
 
 def cmd_golden(args):
     cfg, sd = _prepare(args)
-    times = cfg.time_grid()
-    window = cfg.fit_window or default_fit_window(cfg)
-
-    mask = (times >= window[0]) & (times <= window[1])
-    if mask.sum() < 2:
-        raise ConfigError(f"fit window [{window[0]:g}, {window[1]:g}] holds fewer than "
-                          f"2 points of the time grid [0, {times[-1]:g}]")
+    window, times = cfg.fit_times()
 
     a00, _, _ = amplitudes.survival_series(sd, times)
     fit = golden.fit_exponential(times, a00, window)
@@ -218,7 +192,7 @@ def cmd_golden(args):
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
 
-    wtimes = _subsample(times[mask], MAX_W00_POINTS)
+    wtimes = _subsample(times, MAX_W00_POINTS)
     w00 = []
     for blk in master.time_blocks(sd, wtimes, rows=1):
         w, _, _ = master.master_coefficients(blk.p, blk.pdot, cfg.tolerances["condition_cap"])

@@ -19,7 +19,7 @@ Schema (all frequencies angular, hbar = 1)::
 
 Complex numbers are written as a plain number or a two-element [re, im]
 list.  Optional top-level keys: "tolerances" (name -> float overrides) and
-"fit_window" ([t1, t2] for the exponential fit).
+"fit_window" ([t1, t2] for the exponential fit; both finite, t1 < t2).
 """
 
 import json
@@ -60,6 +60,10 @@ class RunConfig:
             raise ConfigError(f"time.dt must be finite and positive, got {self.dt}")
         if not (math.isfinite(self.t_max) and self.t_max >= self.dt):
             raise ConfigError(f"time.t_max must be finite and >= dt, got {self.t_max}")
+        if self.fit_window is not None:
+            t1, t2 = self.fit_window
+            if not (math.isfinite(t1) and math.isfinite(t2) and t1 < t2):
+                raise ConfigError(f"fit window must be finite with t1 < t2, got [{t1}, {t2}]")
 
     def time_grid(self):
         try:
@@ -67,6 +71,27 @@ class RunConfig:
         except (ValueError, OverflowError, MemoryError) as exc:
             raise ConfigError(f"time.dt = {self.dt} gives a time grid too long "
                               f"for t_max = {self.t_max}: {exc}") from exc
+
+    def fit_times(self):
+        """The exponential-fit window and the grid times inside it: the
+        configured window, or else the decay regime of the finite bath, from
+        the transient 5 / bandwidth to half the recurrence time 2 pi / spacing."""
+        if self.fit_window is not None:
+            t1, t2 = self.fit_window
+        else:
+            freqs, spacing = self.spec.bath_frequencies, self.spec.level_spacing
+            if spacing > 0:
+                t1, t2 = 5.0 / np.ptp(freqs), min(self.t_max, 0.5 * 2.0 * np.pi / spacing)
+            else:  # no spacing: one bath frequency, maybe repeated, or none
+                t1, t2 = self.dt if freqs.size >= 2 else 0.1 * self.t_max, self.t_max
+            if not t1 < t2:
+                t1, t2 = 0.0, self.t_max
+        grid = self.time_grid()
+        times = grid[(grid >= t1) & (grid <= t2)]
+        if times.size < 2:
+            raise ConfigError(f"fit window [{t1:g}, {t2:g}] holds fewer than "
+                              f"2 points of the time grid [0, {grid[-1]:g}]")
+        return (t1, t2), times
 
 
 def _get(d, key, path, expected=None):
@@ -146,11 +171,8 @@ def _parse(data):
                                    (int, float)))
             omega_max = float(_get(spectrum, "omega_max", "bath.spectrum.omega_max",
                                    (int, float)))
-            spec = preset_linear_bath(n, omega_min, omega_max, omega,
-                                      0.0, self_shift=v_self, mass=mass)
-            spec = ModelSpec(omega=omega, bath_frequencies=spec.bath_frequencies,
-                             couplings=gs, self_shift=v_self, bath_bath=bath_bath,
-                             mass=mass, density_of_states=spec.density_of_states)
+            spec = preset_linear_bath(n, omega_min, omega_max, omega, gs,
+                                      self_shift=v_self, mass=mass, bath_bath=bath_bath)
         elif stype == "explicit":
             raw_omegas = _get(spectrum, "omegas", "bath.spectrum.omegas", list)
             if len(raw_omegas) != n:
@@ -189,8 +211,8 @@ def _parse(data):
     fit_window = None
     if "fit_window" in data:
         fw = data["fit_window"]
-        if not (isinstance(fw, list) and len(fw) == 2 and fw[0] < fw[1]):
-            raise ConfigError("fit_window must be [t1, t2] with t1 < t2")
+        if not (isinstance(fw, list) and len(fw) == 2):
+            raise ConfigError("fit_window must be a list [t1, t2]")
         fit_window = (float(fw[0]), float(fw[1]))
 
     return RunConfig(spec=spec, initial=init, t_max=t_max, dt=dt,

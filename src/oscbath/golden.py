@@ -30,7 +30,7 @@ class ExponentialFit:
     window: tuple
     gamma_fit: float    # decay rate of |A00|^2 (twice the |A00| slope)
     omega_fit: float    # phase slope
-    goodness: float     # max |log|A| - fit| / total fitted drop
+    goodness: float     # max |log|A| - fit| / total fitted drop; nan if no drop
 
 
 def delta_t(alpha, t):
@@ -76,34 +76,33 @@ def perturbative_prediction(spec):
 
     The principal-value sum drops terms with |Omega - omega_k| below half
     the smallest level spacing.  The decay rate uses the coupling at the
-    bath frequency nearest Omega and the local density of states; outside
-    the bath band it is zero (no resonant channel) with a warning.
+    bath frequency nearest Omega and the local density of states; it is
+    zero, with a warning, without a density of states (fewer than two
+    distinct bath frequencies) or outside the bath band.
     """
     freqs = spec.bath_frequencies
     if freqs.size == 0:
         return PerturbativePrediction(delta_omega=spec.self_shift, gamma=0.0,
                                       density_of_states=0.0)
-    spacing = np.diff(np.sort(freqs))
-    local = spacing[spacing > 0]
-    cutoff = 0.5 * local.min() if local.size else 0.0
+    spacing = spec.level_spacing
+    cutoff = 0.5 * spacing
     gaps = spec.omega - freqs
     keep = np.abs(gaps) >= cutoff if cutoff > 0 else np.abs(gaps) > 0
     delta_omega = spec.self_shift + float(
         (np.abs(spec.couplings[keep]) ** 2 / gaps[keep]).sum())
 
-    if not (freqs.min() <= spec.omega <= freqs.max()) or local.size == 0:
-        warnings.warn("system frequency outside the bath band: no resonant "
-                      "decay channel, gamma = 0")
-        return PerturbativePrediction(delta_omega=delta_omega, gamma=0.0,
-                                      density_of_states=0.0)
-    nearest = int(np.argmin(np.abs(gaps)))
-    if spec.density_of_states is not None:
-        rho = spec.density_of_states
+    if spacing == 0:
+        reason = "fewer than two distinct bath frequencies: no density of states"
+    elif not freqs.min() <= spec.omega <= freqs.max():
+        reason = "system frequency outside the bath band: no resonant decay channel"
     else:
-        rho = 1.0 / local.min()
-    gamma = 2.0 * np.pi * abs(spec.couplings[nearest]) ** 2 * rho
-    return PerturbativePrediction(delta_omega=delta_omega, gamma=gamma,
-                                  density_of_states=rho)
+        nearest = int(np.argmin(np.abs(gaps)))
+        rho = spec.density_of_states if spec.density_of_states is not None else 1.0 / spacing
+        gamma = 2.0 * np.pi * abs(spec.couplings[nearest]) ** 2 * rho
+        return PerturbativePrediction(delta_omega=delta_omega, gamma=gamma,
+                                      density_of_states=rho)
+    warnings.warn(f"{reason}, gamma = 0")
+    return PerturbativePrediction(delta_omega=delta_omega, gamma=0.0, density_of_states=0.0)
 
 
 def fit_exponential(times, survival, window):
@@ -111,7 +110,8 @@ def fit_exponential(times, survival, window):
 
     Fits a line to log|A00(t)| (slope = -gamma_fit/2) and to the unwrapped
     phase (slope = -omega_fit).  Goodness is the max deviation of log|A00|
-    from the line, relative to the total drop across the window.
+    from the line, relative to the total fitted drop across the window, or
+    nan when that drop is at rounding level (<= 1e-12: no decay to measure).
     """
     times = np.asarray(times, dtype=np.float64)
     survival = np.asarray(survival, dtype=np.complex128)
@@ -132,8 +132,8 @@ def fit_exponential(times, survival, window):
     phase = np.unwrap(np.angle(s))
     pslope, _ = np.polyfit(t, phase, 1)
     fitline = slope * t + intercept
-    drop = max(abs(slope) * (t[-1] - t[0]), 1e-30)
-    goodness = float(np.abs(logmag - fitline).max() / drop)
+    drop = abs(slope) * (t[-1] - t[0])
+    goodness = float(np.abs(logmag - fitline).max() / drop) if drop > 1e-12 else float("nan")
     return ExponentialFit(window=(float(t1), float(t2)),
                           gamma_fit=float(-2.0 * slope),
                           omega_fit=float(-pslope),

@@ -66,6 +66,12 @@ class ModelSpec:
     def dim(self):
         return self.n_bath + 1
 
+    @property
+    def level_spacing(self):
+        """Smallest positive gap between bath frequencies, 0 if there is none."""
+        gaps = np.diff(np.unique(self.bath_frequencies))
+        return gaps.min() if gaps.size else 0.0
+
     def bare_frequencies(self):
         """Diagonal of the uncoupled Hamiltonian: (Omega, omega_1..omega_N)."""
         return np.concatenate(([self.omega], self.bath_frequencies))
@@ -89,11 +95,12 @@ def build_hamiltonian(spec):
     return h
 
 
-def preset_linear_bath(n, omega_min, omega_max, omega, g, self_shift=0.0, mass=1.0):
-    """Uniform frequency grid on [omega_min, omega_max] with equal couplings.
+def preset_linear_bath(n, omega_min, omega_max, omega, g, self_shift=0.0, mass=1.0,
+                       bath_bath=None):
+    """Uniform frequency grid on [omega_min, omega_max]; ``g`` is one coupling or n.
 
     Records the density of states rho = (n - 1) / (omega_max - omega_min)
-    for golden-rule predictions.  No bath-bath interaction.
+    for golden-rule predictions.
     """
     if n < 1:
         raise ValueError(f"bath size must be >= 1, got {n}")
@@ -108,6 +115,7 @@ def preset_linear_bath(n, omega_min, omega_max, omega, g, self_shift=0.0, mass=1
         bath_frequencies=freqs,
         couplings=np.full(n, g, dtype=np.complex128),
         self_shift=self_shift,
+        bath_bath=bath_bath,
         mass=mass,
         density_of_states=rho,
     )

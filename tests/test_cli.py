@@ -288,14 +288,30 @@ class TestGoldenCommand:
                             parse_constant=reject)
         assert report["window"] == [0.0, 5.0]
         assert report["w_deviation"] is None
+        # |A00| = 1 to rounding: no fitted drop to measure the goodness against
+        assert report["goodness"] is None
+
+    def test_survival_sums_only_in_the_window(self, tmp_path, monkeypatch):
+        seen = []
+        survival_series = oscbath.amplitudes.survival_series
+
+        def spy(sd, times):
+            seen.append(times)
+            return survival_series(sd, times)
+
+        monkeypatch.setattr(oscbath.amplitudes, "survival_series", spy)
+        assert main(["golden", "--config", N51, "--out", str(tmp_path),
+                     "--window", "10,25"]) == 0
+        (times,) = seen
+        assert np.array_equal(times, np.arange(20, 51) * 0.5)
 
     def test_outside_band_warning_is_one_line(self, tmp_path, capsys, recwarn):
-        # one bath frequency: no band, so the prediction warns, and the run
-        # still succeeds
+        # one bath frequency: no level spacing and so no density of states,
+        # so the prediction warns, and the run still succeeds
         assert main(["golden", "--config", TWO_OSC, "--out", str(tmp_path)]) == 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("warning: system frequency outside the bath band: ")
+        assert err[0].startswith("warning: fewer than two distinct bath frequencies: ")
         # a warning left to the warnings module would reach stderr as more lines
         assert not recwarn.list
 
@@ -411,6 +427,20 @@ class TestErrorPaths:
     def test_window_outside_grid(self, tmp_path, capsys):
         assert main(["golden", "--config", TWO_OSC, "--out", str(tmp_path),
                      "--window", "1000,2000"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "fit window" in err
+
+    @pytest.mark.parametrize("where", ["--window 0,inf", "--window=-inf,5", "config"])
+    def test_non_finite_window(self, tmp_path, capsys, where):
+        doc = json.loads(open(TWO_OSC).read())
+        argv = ["golden", "--out", str(tmp_path)]
+        if where == "config":
+            doc["fit_window"] = [0, float("inf")]  # json writes and reads Infinity
+        else:
+            argv += where.split()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(argv + ["--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "fit window" in err
 

@@ -140,6 +140,18 @@ class TestPerturbativePrediction:
             pred = perturbative_prediction(spec)
         assert pred.gamma == 0.0
 
+    @pytest.mark.parametrize("freqs", [[1.0], [1.0, 1.0]])
+    def test_no_level_spacing_warns(self, freqs):
+        # Omega lies in the "band" of one resonant mode or of a degenerate
+        # pair, but with no level spacing there is no density of states
+        spec = ob.ModelSpec(omega=1.0, bath_frequencies=np.array(freqs),
+                            couplings=np.full(len(freqs), 0.1))
+        with pytest.warns(UserWarning) as caught:
+            pred = perturbative_prediction(spec)
+        assert [str(w.message) for w in caught] == [
+            "fewer than two distinct bath frequencies: no density of states, gamma = 0"]
+        assert pred.gamma == 0.0 and pred.density_of_states == 0.0
+
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(4)
         freqs = np.linspace(0.5, 1.5, 9)
@@ -168,6 +180,8 @@ class TestFitExponential:
         fit = fit_exponential(times, survival_series(sd, times)[0], (1, 10))
         assert fit.gamma_fit == pytest.approx(0.0, abs=1e-12)
         assert fit.omega_fit == pytest.approx(1.3, abs=1e-12)
+        # the fitted drop is rounding, and a goodness relative to it noise
+        assert np.isnan(fit.goodness)
 
     def test_linear_bath_anchor(self, bath201_sd, bath201_spec):
         times = np.arange(0, 100.0001, 0.1)

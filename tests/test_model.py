@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,15 @@ class TestPopulations:
             explicit_populations(bath51_spec, [1.0, 2.0])
 
 
+def test_level_spacing():
+    def spacing(freqs):
+        return ModelSpec(omega=1.0, bath_frequencies=np.array(freqs),
+                         couplings=np.zeros(len(freqs))).level_spacing
+
+    assert spacing([]) == spacing([1.0]) == spacing([1.0, 1.0]) == 0.0
+    assert spacing([1.5, 0.5, 1.0, 0.5, 1.25]) == 0.25
+
+
 class TestConfig:
     def test_roundtrip_identical_matrix(self, tmp_path):
         # the preset's frequencies written out as an explicit spectrum
@@ -141,7 +152,7 @@ class TestConfig:
         (lambda d: d["initial"].__setitem__("type", "bogus"), "initial.type"),
         # values of the right key that cannot be used: one ConfigError each
         (lambda d: d.__setitem__("fit_window", ["a", "b"]), "invalid value: .*'a'"),
-        (lambda d: d.__setitem__("fit_window", [1, "b"]), "invalid value: .*'str'"),
+        (lambda d: d.__setitem__("fit_window", [1, "b"]), "invalid value: .*'b'"),
         (lambda d: d["system"].__setitem__("mass", "heavy"), "invalid value: .*'heavy'"),
         (lambda d: d["system"].__setitem__("mass", None), "invalid value: .*NoneType"),
         (lambda d: d["system"].__setitem__("mass", -1), "invalid value: mass"),
@@ -164,6 +175,79 @@ class TestConfig:
         mutation(doc)
         with pytest.raises(ConfigError, match=fragment):
             parse_config(doc)
+
+    def test_one_model_spec_per_linear_config(self, monkeypatch):
+        made = []
+        post_init = ModelSpec.__post_init__
+        monkeypatch.setattr(ModelSpec, "__post_init__",
+                            lambda spec: made.append(spec) or post_init(spec))
+        cfg = parse_config({
+            "system": {"omega": 1.0},
+            "bath": {"n": 2,
+                     "spectrum": {"type": "linear", "omega_min": 0.5, "omega_max": 1.5},
+                     "coupling": {"type": "explicit", "gs": [0.1, [0.0, 0.2]]},
+                     "bath_bath": [[0.0, [0.0, 0.01]], [[0.0, -0.01], 0.0]]},
+            "initial": {"type": "explicit", "occupations": [1, 0, 0]},
+            "time": {"t_max": 1.0, "dt": 0.5},
+        })
+        assert made == [cfg.spec]
+        assert cfg.spec.density_of_states == 1.0
+        assert np.array_equal(cfg.spec.couplings, [0.1, 0.2j])
+        assert np.array_equal(cfg.spec.bath_bath, [[0, 0.01j], [-0.01j, 0]])
+
+    @pytest.mark.parametrize("bath, window", [
+        # from 5 / bandwidth to half the recurrence time pi / spacing
+        ({"n": 3, "spectrum": {"type": "linear", "omega_min": 0.0, "omega_max": 2.0}},
+         (2.5, np.pi)),
+        # ... at most t_max
+        ({"n": 51, "spectrum": {"type": "linear", "omega_min": 0.5, "omega_max": 1.5}},
+         (5.0, 10.0)),
+        # ... or all of [0, t_max] when that is empty
+        ({"n": 3, "spectrum": {"type": "linear", "omega_min": 0.0, "omega_max": 0.2}},
+         (0.0, 10.0)),
+        # no level spacing: [dt, t_max] for a degenerate bath, else [t_max / 10, t_max]
+        ({"n": 2, "spectrum": {"type": "explicit", "omegas": [1.0, 1.0]}}, (0.5, 10.0)),
+        ({"n": 1, "spectrum": {"type": "explicit", "omegas": [1.0]}}, (1.0, 10.0)),
+        ({"n": 0}, (1.0, 10.0)),
+    ])
+    def test_default_fit_window(self, bath, window):
+        bath["coupling"] = {"type": "uniform", "g": 0.01}
+        cfg = parse_config({
+            "system": {"omega": 1.0},
+            "bath": bath,
+            "initial": {"type": "explicit", "occupations": [1.0] + [0.0] * bath["n"]},
+            "time": {"t_max": 10.0, "dt": 0.5},
+        })
+        got, times = cfg.fit_times()
+        assert got == window
+        grid = cfg.time_grid()
+        assert np.array_equal(times, grid[(grid >= window[0]) & (grid <= window[1])])
+
+    @pytest.mark.parametrize("window, fragment", [
+        ((2.0, 1.0), "fit window must be finite with t1 < t2"),
+        ((1.0, 1.0), "fit window must be finite with t1 < t2"),
+        ((0.0, np.inf), "fit window must be finite"),
+        ((np.nan, 1.0), "fit window must be finite"),
+    ])
+    def test_fit_window_checked_once(self, window, fragment):
+        cfg = parse_config({
+            "system": {"omega": 1.0}, "bath": {"n": 0},
+            "initial": {"type": "explicit", "occupations": [1.0]},
+            "time": {"t_max": 10.0, "dt": 0.5},
+        })
+        with pytest.raises(ConfigError, match=fragment):
+            dataclasses.replace(cfg, fit_window=window)
+
+    def test_fit_window_holds_two_grid_points(self):
+        cfg = parse_config({
+            "system": {"omega": 1.0}, "bath": {"n": 0},
+            "initial": {"type": "explicit", "occupations": [1.0]},
+            "time": {"t_max": 10.0, "dt": 0.5}, "fit_window": [9.9, 20.0],
+        })
+        with pytest.raises(ConfigError, match="holds fewer than 2 points"):
+            cfg.fit_times()
+        _, times = dataclasses.replace(cfg, fit_window=(9.5, 20.0)).fit_times()
+        assert times.tolist() == [9.5, 10.0]
 
     def test_json_error_has_location(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,13 +1,16 @@
 """Derandomized property tests on random arrowhead models: a system
 oscillator coupled to 1-11 bath modes that do not couple to each other, so
 the one-particle Hamiltonian of dim 2-12 is an arrowhead matrix, with real
-or complex couplings."""
+or complex couplings; and on resonant two-mode models, against their
+closed forms."""
 
 import numpy as np
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscbath as ob
+from oscbath.langevin import langevin_series
 from oscbath.master import master_coefficients, time_blocks
 
 # derandomized: the same examples on every run, and no example database
@@ -80,3 +83,34 @@ def test_invariant_under_coupling_phases(specs, times):
     ok = ~(singular | singular2)
     err = np.abs(w2 - w).max(axis=(-2, -1))
     assert np.all(err[ok] <= w_error_bound(1e-13, w, condition)[ok])
+
+
+@PROPERTY
+@given(arrowheads())
+def test_eigenvalues_match_scipy_eigh(specs):
+    for spec in specs:
+        h = ob.build_hamiltonian(spec)
+        alpha = ob.eigendecompose(h).eigenvalues
+        reference = scipy.linalg.eigh(h, eigvals_only=True)
+        tol = len(h) * np.finfo(float).eps * np.linalg.norm(h, 2)
+        assert np.abs(alpha - reference).max() <= tol
+
+
+@PROPERTY
+@given(st.floats(0.5, 2.0), st.floats(0.01, 0.3), st.lists(unit, min_size=1, max_size=8))
+def test_resonant_two_mode_closed_forms(omega, g, fractions):
+    # Omega = omega_1: A00 = e^{-i Omega t} cos(gt), W = g tan(2gt) [[-1, 1],
+    # [1, -1]] and Gamma = 2g tan(gt), on t <= 0.9 pi / (4g), short of the
+    # pole of tan(2gt); tolerances as in validation.two_mode_oracle
+    spec = ob.ModelSpec(omega=omega, bath_frequencies=[omega], couplings=[g])
+    sd = ob.eigendecompose(ob.build_hamiltonian(spec))
+    times = 0.9 * np.pi / (4 * g) * np.array(fractions)
+    (blk,) = time_blocks(sd, times)
+    w, _, singular = master_coefficients(blk.p, blk.pdot)
+    assert not singular.any()
+    assert np.abs(blk.a[:, 0, 0] - np.exp(-1j * omega * times) * np.cos(g * times)).max() <= 1e-12
+    w_exact = (g * np.tan(2 * g * times))[:, None, None] * np.array([[-1.0, 1.0], [1.0, -1.0]])
+    assert np.abs(w - w_exact).max() <= 1e-8
+    series = langevin_series(sd, times)
+    assert not series.singular.any()
+    assert np.abs(series.gamma - 2 * g * np.tan(g * times)).max() <= 1e-8
