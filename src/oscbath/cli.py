@@ -187,7 +187,7 @@ def cmd_golden(args):
     a00, _, _ = amplitudes.survival_series(sd, times)
     fit = golden.fit_exponential(times, a00, window)
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        warnings.simplefilter("always", UserWarning)
         pred = golden.perturbative_prediction(cfg.spec)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)

@@ -117,7 +117,7 @@ def parse_config(data):
         return _parse(data)
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         # a value of the right key but unusable: wrong type, shape or range
         raise ConfigError(f"invalid value: {exc}") from exc
 
@@ -221,12 +221,11 @@ def _parse(data):
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"invalid JSON in {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    except ValueError as exc:
+        # bad syntax, text that is not UTF-8, an integer past int's digit limit
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return parse_config(data)

@@ -81,9 +81,6 @@ def perturbative_prediction(spec):
     distinct bath frequencies) or outside the bath band.
     """
     freqs = spec.bath_frequencies
-    if freqs.size == 0:
-        return PerturbativePrediction(delta_omega=spec.self_shift, gamma=0.0,
-                                      density_of_states=0.0)
     spacing = spec.level_spacing
     cutoff = 0.5 * spacing
     gaps = spec.omega - freqs

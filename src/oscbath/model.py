@@ -38,7 +38,13 @@ class ModelSpec:
         self._validate()
 
     def _validate(self):
-        if not (self.omega > 0 and np.isfinite(self.omega)):
+        # every field that enters H, checked as stored: H itself is dim^2
+        for name, value in (("system frequency", self.omega), ("v_self", self.self_shift),
+                            ("bath frequencies", self.bath_frequencies),
+                            ("couplings", self.couplings), ("bath_bath", self.bath_bath)):
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
+        if not self.omega > 0:
             raise ValueError(f"system frequency must be positive, got {self.omega}")
         if not (self.mass > 0 and np.isfinite(self.mass)):
             raise ValueError(f"mass must be positive, got {self.mass}")
@@ -46,10 +52,8 @@ class ModelSpec:
         if self.couplings.shape != (n,):
             raise ValueError(
                 f"couplings length {self.couplings.shape} does not match bath size {n}")
-        if np.any(self.bath_frequencies < 0) or not np.all(np.isfinite(self.bath_frequencies)):
-            raise ValueError("bath frequencies must be finite and non-negative")
-        if not np.all(np.isfinite(self.couplings)):
-            raise ValueError("couplings must be finite")
+        if np.any(self.bath_frequencies < 0):
+            raise ValueError("bath frequencies must be non-negative")
         if self.bath_bath is not None:
             if self.bath_bath.shape != (n, n):
                 raise ValueError(
@@ -104,9 +108,9 @@ def preset_linear_bath(n, omega_min, omega_max, omega, g, self_shift=0.0, mass=1
     """
     if n < 1:
         raise ValueError(f"bath size must be >= 1, got {n}")
-    if not omega_min < omega_max:
+    if not (np.isfinite(omega_min) and np.isfinite(omega_max) and omega_min < omega_max):
         raise ValueError(
-            f"degenerate frequency grid: need omega_min < omega_max, "
+            f"degenerate frequency grid: need finite omega_min < omega_max, "
             f"got [{omega_min}, {omega_max}]")
     freqs = np.linspace(omega_min, omega_max, n)
     rho = (n - 1) / (omega_max - omega_min) if n > 1 else None
@@ -128,15 +132,11 @@ def thermal_populations(spec, beta, system_occupation=1.0):
     """
     if not beta > 0:
         raise ValueError(f"inverse temperature must be positive, got {beta}")
-    if system_occupation < 0:
-        raise ValueError("system occupation must be non-negative")
     if np.any(spec.bath_frequencies == 0):
         raise ValueError("thermal occupation diverges for a zero-frequency bath mode")
-    occ = np.empty(spec.dim)
-    occ[0] = system_occupation
     with np.errstate(over="ignore"):
-        occ[1:] = 1.0 / np.expm1(beta * spec.bath_frequencies)
-    return occ
+        bath = 1.0 / np.expm1(beta * spec.bath_frequencies)
+    return explicit_populations(spec, np.concatenate(([system_occupation], bath)))
 
 
 def explicit_populations(spec, occupations):

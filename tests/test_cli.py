@@ -458,6 +458,48 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "t_max" in err
 
+    def test_window_not_a_pair(self, tmp_path, capsys):
+        assert main(["golden", "--config", TWO_OSC, "--out", str(tmp_path),
+                     "--window", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["config error: bad --window '1': expected t1,t2"]
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "file"
+        out.write_text("")
+        assert main(["master", "--config", TWO_OSC, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("i/o error: ")
+
+    @pytest.mark.parametrize("bad", [
+        "v_self nan", "v_self inf", "v_self -inf",
+        # diagonal entries, which a Hermiticity test alone does not catch
+        "bath_bath nan", "bath_bath inf", "bath_bath -inf",
+        "system_occupation nan", "system_occupation inf",
+        "omega_min -inf", "omega_max inf", "not utf-8",
+    ])
+    def test_unusable_model_input(self, tmp_path, capsys, bad):
+        # each is one line on stderr and exit 2, as any other config error
+        cfg = tmp_path / "cfg.json"
+        if bad == "not utf-8":
+            cfg.write_bytes(b"\xff\xfe" + open(N51).read().encode("utf-16-le"))
+        else:
+            doc = json.loads(open(N51).read())
+            key, value = bad.split()
+            value = float(value)  # json writes NaN and Infinity
+            if key == "bath_bath":
+                doc["bath"]["bath_bath"] = np.diag([value] + [0.0] * 50).tolist()
+            elif key == "v_self":
+                doc["system"]["v_self"] = value
+            elif key == "system_occupation":
+                doc["initial"]["system_occupation"] = value
+            else:
+                doc["bath"]["spectrum"][key] = value
+            cfg.write_text(json.dumps(doc))
+        assert main(["master", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
     def test_time_grid_too_long(self, tmp_path, capsys):
         # t_max/dt ~ 5e300 points: numpy refuses the size before allocating
         assert main(["master", "--config", TWO_OSC, "--out", str(tmp_path),

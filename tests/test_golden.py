@@ -140,10 +140,11 @@ class TestPerturbativePrediction:
             pred = perturbative_prediction(spec)
         assert pred.gamma == 0.0
 
-    @pytest.mark.parametrize("freqs", [[1.0], [1.0, 1.0]])
+    @pytest.mark.parametrize("freqs", [[1.0], [1.0, 1.0], []])
     def test_no_level_spacing_warns(self, freqs):
         # Omega lies in the "band" of one resonant mode or of a degenerate
-        # pair, but with no level spacing there is no density of states
+        # pair, but with no level spacing there is no density of states; a
+        # bath-less system has neither, and takes the same branch
         spec = ob.ModelSpec(omega=1.0, bath_frequencies=np.array(freqs),
                             couplings=np.full(len(freqs), 0.1))
         with pytest.warns(UserWarning) as caught:
@@ -151,6 +152,7 @@ class TestPerturbativePrediction:
         assert [str(w.message) for w in caught] == [
             "fewer than two distinct bath frequencies: no density of states, gamma = 0"]
         assert pred.gamma == 0.0 and pred.density_of_states == 0.0
+        assert pred.delta_omega == 0.0
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(4)

@@ -45,6 +45,24 @@ class TestBuildHamiltonian:
             ModelSpec(omega=1.0, bath_frequencies=np.array([1.0]),
                       couplings=np.array([0.1, 0.2]))
 
+    @pytest.mark.parametrize("field, value, fragment", [
+        ("omega", np.inf, "system frequency must be finite"),
+        ("self_shift", np.nan, "v_self must be finite"),
+        ("self_shift", -np.inf, "v_self must be finite"),
+        ("bath_frequencies", [np.nan, 2.0], "bath frequencies must be finite"),
+        ("bath_frequencies", [-1.0, 2.0], "bath frequencies must be non-negative"),
+        ("couplings", [0.1, np.inf], "couplings must be finite"),
+        # a Hermitian-looking non-finite diagonal: inf - inf is nan, not > 0
+        ("bath_bath", [[np.inf, 0.0], [0.0, 0.0]], "bath_bath must be finite"),
+        ("bath_bath", [[0.0, 0.0], [0.0, np.nan]], "bath_bath must be finite"),
+        ("bath_bath", [[0.0, 0.1], [0.0, 0.0]], "bath_bath block not Hermitian"),
+    ])
+    def test_unbuildable_model_rejected(self, field, value, fragment):
+        fields = dict(omega=1.0, bath_frequencies=[1.0, 2.0], couplings=[0.1, 0.1])
+        fields[field] = value
+        with pytest.raises(ValueError, match=fragment):
+            ModelSpec(**fields)
+
 
 class TestLinearPreset:
     def test_grid(self):
@@ -60,6 +78,12 @@ class TestLinearPreset:
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             preset_linear_bath(1, 1.0, 1.0, 1.0, 0.01)
+
+    @pytest.mark.parametrize("bounds", [(-np.inf, 1.5), (0.5, np.inf), (np.nan, 1.5)])
+    def test_non_finite_bounds_rejected(self, bounds):
+        # before np.linspace, whose RuntimeWarning would fail this test
+        with pytest.raises(ValueError, match="need finite omega_min < omega_max"):
+            preset_linear_bath(5, *bounds, 1.0, 0.01)
 
 
 class TestPopulations:
@@ -85,6 +109,20 @@ class TestPopulations:
     def test_explicit_validation(self, bath51_spec):
         with pytest.raises(ValueError, match="occupations"):
             explicit_populations(bath51_spec, [1.0, 2.0])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            explicit_populations(bath51_spec, [-1.0] + [0.0] * 51)
+
+    @pytest.mark.parametrize("beta, system_occupation, fragment", [
+        (0.0, 1.0, "inverse temperature must be positive"),
+        (-1.0, 1.0, "inverse temperature must be positive"),
+        (np.nan, 1.0, "inverse temperature must be positive"),
+        (1.0, -1.0, "occupations must be finite and non-negative"),
+        (1.0, np.nan, "occupations must be finite and non-negative"),
+        (1.0, np.inf, "occupations must be finite and non-negative"),
+    ])
+    def test_thermal_rejected(self, bath51_spec, beta, system_occupation, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            thermal_populations(bath51_spec, beta, system_occupation)
 
 
 def test_level_spacing():
@@ -162,6 +200,27 @@ class TestConfig:
         (lambda d: d["system"].__setitem__("v_self", [1, 2]), "invalid value: .*list"),
         (lambda d: d["bath"].__setitem__("bath_bath", [[1, 2]]),
          "invalid value: bath_bath shape"),
+        (lambda d: d["system"].__setitem__("omega", "1"),
+         "key 'system.omega' has wrong type: got str"),
+        (lambda d: d["system"].__setitem__("omega", 10 ** 400),
+         "invalid value: int too large to convert to float"),
+        (lambda d: d["bath"]["coupling"].__setitem__("g", [1, 2, 3]),
+         "key 'bath.coupling.g' must be a number or"),
+        (lambda d: d["bath"].__setitem__("n", -1), "bath.n must be >= 0, got -1"),
+        (lambda d: d["bath"].__setitem__("coupling", {"type": "explicit", "gs": [0.1, 0.2]}),
+         "bath.coupling.gs has 2 entries, expected 1"),
+        (lambda d: d["bath"]["spectrum"].__setitem__("omegas", [1.0, 2.0]),
+         "bath.spectrum.omegas has 2 entries, expected 1"),
+        (lambda d: d["bath"]["coupling"].__setitem__("type", "bogus"),
+         "unknown bath.coupling.type 'bogus'"),
+        (lambda d: d["bath"]["spectrum"].__setitem__("type", "bogus"),
+         "unknown bath.spectrum.type 'bogus'"),
+        (lambda d: d["bath"].__setitem__("bath_bath", "one"),
+         'bath.bath_bath must be "zero" or a matrix'),
+        (lambda d: d.__setitem__("tolerances", {"bogus": 1.0}), "unknown tolerance 'bogus'"),
+        (lambda d: d.__setitem__("tolerances", {"unitarity": 0}),
+         "tolerances.unitarity must be a positive number"),
+        (lambda d: d.__setitem__("fit_window", [1.0]), r"fit_window must be a list \[t1, t2\]"),
     ])
     def test_schema_errors(self, mutation, fragment):
         doc = {
@@ -253,4 +312,14 @@ class TestConfig:
         path = tmp_path / "bad.json"
         path.write_text("{\n  'bad': 1\n}")
         with pytest.raises(ConfigError, match="line 2"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text, fragment", [
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+        (b"[1" + b"0" * 5000 + b"]", "Exceeds the limit"),  # int's digit limit
+    ])
+    def test_unreadable_json(self, tmp_path, text, fragment):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match=f"invalid JSON in .*{fragment}"):
             load_config(path)
