@@ -185,7 +185,7 @@ def cmd_golden(args):
     window, times = cfg.fit_times()
 
     a00, _, _ = amplitudes.survival_series(sd, times)
-    fit = golden.fit_exponential(times, a00, window)
+    fit = golden.fit_exponential(times, a00)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         pred = golden.perturbative_prediction(cfg.spec)
@@ -206,7 +206,7 @@ def cmd_golden(args):
         "gamma_fit": _json_number(fit.gamma_fit),
         "delta_omega_pred": _json_number(pred.delta_omega),
         "omega_fit": _json_number(fit.omega_fit),
-        "window": [_json_number(t) for t in fit.window],
+        "window": [_json_number(float(t)) for t in window],
         "goodness": _json_number(fit.goodness),
         "w_deviation": _json_number(w_dev),
     }

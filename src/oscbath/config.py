@@ -17,9 +17,11 @@ Schema (all frequencies angular, hbar = 1)::
       "time":   {"t_max": 200.0, "dt": 0.1}
     }
 
-Complex numbers are written as a plain number or a two-element [re, im]
-list.  Optional top-level keys: "tolerances" (name -> float overrides) and
-"fit_window" ([t1, t2] for the exponential fit; both finite, t1 < t2).
+Every number is a JSON number: true, false and quoted numbers such as "2"
+are rejected.  Complex numbers are written as a plain number or a
+two-element [re, im] list.  Optional top-level keys: "tolerances" (name ->
+number overrides) and "fit_window" ([t1, t2] for the exponential fit; both
+finite, t1 < t2).
 """
 
 import json
@@ -94,21 +96,40 @@ class RunConfig:
         return (t1, t2), times
 
 
-def _get(d, key, path, expected=None):
+def _value(val, path, kind):
+    """``val`` read as ``kind``: dict, list, str, int, float (any JSON
+    number) or complex (a number or an [re, im] pair of numbers).  A JSON
+    boolean is never a number, and a quoted number is a string."""
+    if kind is complex and isinstance(val, list) and len(val) == 2:
+        return complex(_value(val[0], f"{path}[0]", float), _value(val[1], f"{path}[1]", float))
+    any_number = kind in (float, complex)  # int or float; kind int takes an int only
+    if isinstance(val, bool) or not isinstance(val, (int, float) if any_number else kind):
+        names = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+                 int: "an integer", float: "a number", complex: "a number or [re, im] pair",
+                 type(None): "null"}
+        raise ConfigError(f"key '{path}' must be {names[kind]}, "
+                          f"got {names.get(type(val), type(val).__name__)}")
+    return kind(val) if any_number else val
+
+
+def _items(d, path, kind, length=None):
+    """Every entry of the array at ``path`` read as ``kind``; exactly
+    ``length`` of them where the schema fixes the count."""
+    items = _get(d, path, list)
+    if length is not None and len(items) != length:
+        raise ConfigError(f"{path} has {len(items)} entries, expected {length}")
+    return [_value(x, f"{path}[{i}]", kind) for i, x in enumerate(items)]
+
+
+def _get(d, path, kind, default=None):
+    """The value at ``path``, whose last part is its key in ``d``, read as
+    ``kind``; ``default`` if the key is absent, and an error without one."""
+    key = path.rpartition(".")[2]
     if not isinstance(d, dict) or key not in d:
-        raise ConfigError(f"missing required key '{path}'")
-    val = d[key]
-    if expected is not None and not isinstance(val, expected):
-        raise ConfigError(f"key '{path}' has wrong type: got {type(val).__name__}")
-    return val
-
-
-def _as_complex(value, path):
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise ConfigError(f"key '{path}' must be a number or [re, im] pair")
+        if default is None:
+            raise ConfigError(f"missing required key '{path}'")
+        return default
+    return _value(d[key], path, kind)
 
 
 def parse_config(data):
@@ -118,18 +139,18 @@ def parse_config(data):
     except ConfigError:
         raise
     except (ValueError, TypeError, OverflowError) as exc:
-        # a value of the right key but unusable: wrong type, shape or range
+        # a value of the right type but unusable: out of range or of the wrong shape
         raise ConfigError(f"invalid value: {exc}") from exc
 
 
 def _parse(data):
-    system = _get(data, "system", "system", dict)
-    omega = float(_get(system, "omega", "system.omega", (int, float)))
-    mass = float(system.get("mass", 1.0))
-    v_self = float(system.get("v_self", 0.0))
+    system = _get(data, "system", dict)
+    omega = _get(system, "system.omega", float)
+    mass = _get(system, "system.mass", float, 1.0)
+    v_self = _get(system, "system.v_self", float, 0.0)
 
-    bath = _get(data, "bath", "bath", dict)
-    n = _get(bath, "n", "bath.n", int)
+    bath = _get(data, "bath", dict)
+    n = _get(bath, "bath.n", int)
     if n < 0:
         raise ConfigError(f"bath.n must be >= 0, got {n}")
 
@@ -137,83 +158,64 @@ def _parse(data):
         spec = ModelSpec(omega=omega, bath_frequencies=np.zeros(0),
                          couplings=np.zeros(0), self_shift=v_self, mass=mass)
     else:
-        spectrum = _get(bath, "spectrum", "bath.spectrum", dict)
-        stype = _get(spectrum, "type", "bath.spectrum.type", str)
-        coupling = _get(bath, "coupling", "bath.coupling", dict)
-        ctype = _get(coupling, "type", "bath.coupling.type", str)
+        spectrum = _get(bath, "bath.spectrum", dict)
+        stype = _get(spectrum, "bath.spectrum.type", str)
+        coupling = _get(bath, "bath.coupling", dict)
+        ctype = _get(coupling, "bath.coupling.type", str)
 
         if ctype == "uniform":
-            gs = np.full(n, _as_complex(_get(coupling, "g", "bath.coupling.g"),
-                                        "bath.coupling.g"))
+            gs = np.full(n, _get(coupling, "bath.coupling.g", complex))
         elif ctype == "explicit":
-            raw_gs = _get(coupling, "gs", "bath.coupling.gs", list)
-            if len(raw_gs) != n:
-                raise ConfigError(
-                    f"bath.coupling.gs has {len(raw_gs)} entries, expected {n}")
-            gs = np.array([_as_complex(g, f"bath.coupling.gs[{i}]")
-                           for i, g in enumerate(raw_gs)])
+            gs = np.array(_items(coupling, "bath.coupling.gs", complex, n))
         else:
             raise ConfigError(f"unknown bath.coupling.type '{ctype}'")
 
-        bath_bath_raw = bath.get("bath_bath", "zero")
-        if bath_bath_raw == "zero":
-            bath_bath = None
-        elif isinstance(bath_bath_raw, list):
+        bath_bath = bath.get("bath_bath", "zero")
+        if isinstance(bath_bath, list):
             bath_bath = np.array(
-                [[_as_complex(x, f"bath.bath_bath[{i}][{j}]")
-                  for j, x in enumerate(row)]
-                 for i, row in enumerate(bath_bath_raw)])
+                [[_value(x, f"bath.bath_bath[{i}][{j}]", complex) for j, x in enumerate(row)]
+                 for i, row in enumerate(_items(bath, "bath.bath_bath", list))])
+        elif bath_bath == "zero":
+            bath_bath = None
         else:
             raise ConfigError("bath.bath_bath must be \"zero\" or a matrix")
 
         if stype == "linear":
-            omega_min = float(_get(spectrum, "omega_min", "bath.spectrum.omega_min",
-                                   (int, float)))
-            omega_max = float(_get(spectrum, "omega_max", "bath.spectrum.omega_max",
-                                   (int, float)))
-            spec = preset_linear_bath(n, omega_min, omega_max, omega, gs,
-                                      self_shift=v_self, mass=mass, bath_bath=bath_bath)
+            spec = preset_linear_bath(n, _get(spectrum, "bath.spectrum.omega_min", float),
+                                      _get(spectrum, "bath.spectrum.omega_max", float),
+                                      omega, gs, self_shift=v_self, mass=mass,
+                                      bath_bath=bath_bath)
         elif stype == "explicit":
-            raw_omegas = _get(spectrum, "omegas", "bath.spectrum.omegas", list)
-            if len(raw_omegas) != n:
-                raise ConfigError(
-                    f"bath.spectrum.omegas has {len(raw_omegas)} entries, expected {n}")
-            spec = ModelSpec(omega=omega, bath_frequencies=np.asarray(raw_omegas, float),
-                             couplings=gs, self_shift=v_self, bath_bath=bath_bath,
-                             mass=mass)
+            omegas = _items(spectrum, "bath.spectrum.omegas", float, n)
+            spec = ModelSpec(omega=omega, bath_frequencies=omegas, couplings=gs,
+                             self_shift=v_self, bath_bath=bath_bath, mass=mass)
         else:
             raise ConfigError(f"unknown bath.spectrum.type '{stype}'")
 
-    initial = _get(data, "initial", "initial", dict)
-    itype = _get(initial, "type", "initial.type", str)
+    initial = _get(data, "initial", dict)
+    itype = _get(initial, "initial.type", str)
     if itype == "thermal":
-        beta = float(_get(initial, "beta", "initial.beta", (int, float)))
-        occ0 = float(initial.get("system_occupation", 1.0))
-        init = thermal_populations(spec, beta, system_occupation=occ0)
+        init = thermal_populations(
+            spec, _get(initial, "initial.beta", float),
+            system_occupation=_get(initial, "initial.system_occupation", float, 1.0))
     elif itype == "explicit":
-        init = explicit_populations(
-            spec, _get(initial, "occupations", "initial.occupations", list))
+        init = explicit_populations(spec, _items(initial, "initial.occupations", float))
     else:
         raise ConfigError(f"unknown initial.type '{itype}'")
 
-    time = _get(data, "time", "time", dict)
-    t_max = float(_get(time, "t_max", "time.t_max", (int, float)))
-    dt = float(_get(time, "dt", "time.dt", (int, float)))
+    time = _get(data, "time", dict)
+    t_max = _get(time, "time.t_max", float)
+    dt = _get(time, "time.dt", float)
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in data.get("tolerances", {}).items():
+    for key, val in _get(data, "tolerances", dict, {}).items():
         if key not in tolerances:
             raise ConfigError(f"unknown tolerance '{key}'")
-        if not (isinstance(val, (int, float)) and val > 0):
+        tolerances[key] = _value(val, f"tolerances.{key}", float)
+        if not tolerances[key] > 0:
             raise ConfigError(f"tolerances.{key} must be a positive number")
-        tolerances[key] = float(val)
 
-    fit_window = None
-    if "fit_window" in data:
-        fw = data["fit_window"]
-        if not (isinstance(fw, list) and len(fw) == 2):
-            raise ConfigError("fit_window must be a list [t1, t2]")
-        fit_window = (float(fw[0]), float(fw[1]))
+    fit_window = tuple(_items(data, "fit_window", float, 2)) if "fit_window" in data else None
 
     return RunConfig(spec=spec, initial=init, t_max=t_max, dt=dt,
                      tolerances=tolerances, fit_window=fit_window)

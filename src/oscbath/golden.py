@@ -27,7 +27,6 @@ class PerturbativePrediction:
 
 @dataclass(frozen=True)
 class ExponentialFit:
-    window: tuple
     gamma_fit: float    # decay rate of |A00|^2 (twice the |A00| slope)
     omega_fit: float    # phase slope
     goodness: float     # max |log|A| - fit| / total fitted drop; nan if no drop
@@ -102,24 +101,19 @@ def perturbative_prediction(spec):
     return PerturbativePrediction(delta_omega=delta_omega, gamma=0.0, density_of_states=0.0)
 
 
-def fit_exponential(times, survival, window):
-    """Least-squares exponential fit of the survival amplitude on a window.
+def fit_exponential(times, survival):
+    """Least-squares exponential fit of the survival amplitude at every
+    given time (the fit window's samples, in increasing order).
 
     Fits a line to log|A00(t)| (slope = -gamma_fit/2) and to the unwrapped
     phase (slope = -omega_fit).  Goodness is the max deviation of log|A00|
-    from the line, relative to the total fitted drop across the window, or
+    from the line, relative to the total fitted drop across the samples, or
     nan when that drop is at rounding level (<= 1e-12: no decay to measure).
     """
-    times = np.asarray(times, dtype=np.float64)
-    survival = np.asarray(survival, dtype=np.complex128)
-    t1, t2 = window
-    if not t1 < t2:
-        raise ValueError(f"bad fit window [{t1}, {t2}]")
-    mask = (times >= t1) & (times <= t2)
-    if mask.sum() < 2:
-        raise ValueError(f"fit window [{t1}, {t2}] contains fewer than 2 samples")
-    t = times[mask]
-    s = survival[mask]
+    t = np.asarray(times, dtype=np.float64)
+    s = np.asarray(survival, dtype=np.complex128)
+    if t.size < 2:
+        raise ValueError(f"an exponential fit needs 2 samples, got {t.size}")
     mags = np.abs(s)
     if mags.min() < 1e-12:
         raise NumericalError("survival amplitude below 1e-12 in the fit window "
@@ -131,8 +125,7 @@ def fit_exponential(times, survival, window):
     fitline = slope * t + intercept
     drop = abs(slope) * (t[-1] - t[0])
     goodness = float(np.abs(logmag - fitline).max() / drop) if drop > 1e-12 else float("nan")
-    return ExponentialFit(window=(float(t1), float(t2)),
-                          gamma_fit=float(-2.0 * slope),
+    return ExponentialFit(gamma_fit=float(-2.0 * slope),
                           omega_fit=float(-pslope),
                           goodness=goodness)
 

@@ -76,26 +76,18 @@ class ModelSpec:
         gaps = np.diff(np.unique(self.bath_frequencies))
         return gaps.min() if gaps.size else 0.0
 
-    def bare_frequencies(self):
-        """Diagonal of the uncoupled Hamiltonian: (Omega, omega_1..omega_N)."""
-        return np.concatenate(([self.omega], self.bath_frequencies))
-
-    def coupling_matrix(self):
-        """The interaction v as a dense Hermitian (N+1, N+1) matrix."""
-        n = self.n_bath
-        v = np.zeros((n + 1, n + 1), dtype=np.complex128)
-        v[0, 0] = self.self_shift
-        v[1:, 0] = self.couplings
-        v[0, 1:] = self.couplings.conj()
-        if self.bath_bath is not None:
-            v[1:, 1:] = self.bath_bath
-        return v
-
 
 def build_hamiltonian(spec):
-    """Dense one-particle Hamiltonian h = h0 + v, exactly Hermitian."""
-    h = spec.coupling_matrix()
-    h[np.diag_indices(spec.dim)] += spec.bare_frequencies()
+    """Dense one-particle Hamiltonian h = h0 + v, exactly Hermitian: the
+    coupling v plus the bare frequencies (Omega, omega_1..omega_N) on the
+    diagonal."""
+    h = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
+    h[0, 0] = spec.self_shift
+    h[1:, 0] = spec.couplings
+    h[0, 1:] = spec.couplings.conj()
+    if spec.bath_bath is not None:
+        h[1:, 1:] = spec.bath_bath
+    h[np.diag_indices(spec.dim)] += np.concatenate(([spec.omega], spec.bath_frequencies))
     return h
 
 

@@ -91,8 +91,8 @@ def test_criterion_3_exact_langevin_coefficients(two_osc_sd, bath51_sd):
 def test_criterion_4_golden_rule_regime(bath201_sd, bath201_spec):
     pred = ob.perturbative_prediction(bath201_spec)
     times = np.arange(0, 100.0001, 0.1)
-    fit = ob.fit_exponential(times, ob.survival_series(bath201_sd, times)[0],
-                             (10, 100))
+    times = times[(times >= 10) & (times <= 100)]
+    fit = ob.fit_exponential(times, ob.survival_series(bath201_sd, times)[0])
     gamma_ok = abs(fit.gamma_fit - pred.gamma) <= 0.10 * pred.gamma
 
     series = ob.langevin_series(bath201_sd, np.arange(20.0, 80.001, 0.5))
@@ -102,8 +102,7 @@ def test_criterion_4_golden_rule_regime(bath201_sd, bath201_spec):
     # shifted variant: v_self = 0.05, symmetric bath => delta_omega = 0.05
     spec_shift = ob.preset_linear_bath(201, 0.0, 2.0, 1.0, 0.01, self_shift=0.05)
     sd_shift = ob.eigendecompose(ob.build_hamiltonian(spec_shift))
-    fit_shift = ob.fit_exponential(
-        times, ob.survival_series(sd_shift, times)[0], (10, 100))
+    fit_shift = ob.fit_exponential(times, ob.survival_series(sd_shift, times)[0])
     freq_ok = abs(fit_shift.omega_fit - 1.05) <= 0.02 * 1.05
 
     ok = gamma_ok and plateau_ok and freq_ok

@@ -500,6 +500,18 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("config error: ")
 
+    @pytest.mark.parametrize("section, key, value", [("bath", "n", True),
+                                                     ("system", "mass", "2")])
+    def test_boolean_or_quoted_number(self, tmp_path, capsys, section, key, value):
+        # once read as n = 1 and mass = 2.0, which built a model and exited 0
+        doc = json.loads(open(TWO_OSC).read())
+        doc[section][key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["amplitudes", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"key '{section}.{key}' must be" in err
+
     def test_time_grid_too_long(self, tmp_path, capsys):
         # t_max/dt ~ 5e300 points: numpy refuses the size before allocating
         assert main(["master", "--config", TWO_OSC, "--out", str(tmp_path),
