@@ -7,9 +7,9 @@ Unix line endings, singular time points written as nan plus a sidecar
 ``master.time_blocks`` as it arrives, the survival sums are formed block by
 block, and every per-time CSV column is formatted one block at a time, so
 memory is bounded by one block plus a few per-time vectors.
-Each command asks the engine for only the rows of Pdot and W it reads:
-``golden`` for row 0 (its W[0, 0] loss rate), ``amplitudes`` for none and
-``master`` for all.
+Each command asks the engine for only the rows of Pdot and W it reads, and
+the engine solves just those rows of W: ``golden`` reads row 0 (its W[0, 0]
+loss rate), ``amplitudes`` none and ``master`` all of them.
 
 Exit codes: 0 success, 1 validation failure, 2 config or I/O error
 (including a time grid or fit window that is not usable), 3 numerical
@@ -139,14 +139,13 @@ def cmd_master(args):
           _open_csv(os.path.join(args.out, "w_coeffs.csv"), "t,n,k,W") as w_fh,
           _open_csv(os.path.join(args.out, "master_residual.csv"),
                     "t,residual,residual_balance") as res_fh):
-        for blk in master.time_blocks(sd, times):
-            w, _, sing = master.master_coefficients(blk.p, blk.pdot,
-                                                    cfg.tolerances["condition_cap"])
-            res, bal = master.master_residual(blk, w, cfg.initial)
+        for blk in master.time_blocks(sd, times,
+                                      condition_cap=cfg.tolerances["condition_cap"]):
+            res, bal = master.master_residual(blk, cfg.initial)
             occ_fh.writelines(_grid_lines(blk.times, blk.p @ cfg.initial))
-            w_fh.writelines(_grid_lines(blk.times, w))
+            w_fh.writelines(_grid_lines(blk.times, blk.w))
             res_fh.writelines(_lines("%.17g,%.17g,%.17g\n", blk.times, res, bal))
-            singular.extend(blk.times[sing].tolist())
+            singular.extend(blk.times[blk.singular].tolist())
 
     _write_singular_report(args.out, np.array(singular))
     return 0
@@ -193,12 +192,9 @@ def cmd_golden(args):
         print(f"warning: {warning.message}", file=sys.stderr)
 
     wtimes = _subsample(times, MAX_W00_POINTS)
-    w00 = []
-    for blk in master.time_blocks(sd, wtimes, rows=1):
-        w, _, _ = master.master_coefficients(blk.p, blk.pdot, cfg.tolerances["condition_cap"])
-        # copied, since a view of W[:, 0, 0] would keep the block's whole W alive
-        w00.append(w[:, 0, 0].copy())
-    w00 = np.concatenate(w00)
+    blocks = master.time_blocks(sd, wtimes, 1, cfg.tolerances["condition_cap"])
+    # copied, since a view of W[:, 0, 0] would keep the block's whole W alive
+    w00 = np.concatenate([blk.w[:, 0, 0].copy() for blk in blocks])
     w_dev = golden.compare_exact_vs_golden(wtimes, w00, cfg.spec)
 
     report = {

@@ -22,7 +22,6 @@ from .linalg import NumericalError
 class PerturbativePrediction:
     delta_omega: float
     gamma: float
-    density_of_states: float
 
 
 @dataclass(frozen=True)
@@ -47,10 +46,7 @@ def delta_t(alpha, t):
     with np.errstate(divide="ignore", invalid="ignore"):
         val = 2.0 * np.sin(alpha * t / 2.0) ** 2 / (np.pi * alpha ** 2 * t)
     # both limits are the peak: alpha -> 0 at fixed t, and t -> 0+ (peak 0)
-    val = np.where((alpha == 0.0) | (t == 0.0), peak, val)
-    if val.ndim == 0:
-        return float(val)
-    return val
+    return np.where((alpha == 0.0) | (t == 0.0), peak, val)
 
 
 def golden_rule_rate_00(spec, times):
@@ -95,10 +91,9 @@ def perturbative_prediction(spec):
         nearest = int(np.argmin(np.abs(gaps)))
         rho = spec.density_of_states if spec.density_of_states is not None else 1.0 / spacing
         gamma = 2.0 * np.pi * abs(spec.couplings[nearest]) ** 2 * rho
-        return PerturbativePrediction(delta_omega=delta_omega, gamma=gamma,
-                                      density_of_states=rho)
+        return PerturbativePrediction(delta_omega=delta_omega, gamma=gamma)
     warnings.warn(f"{reason}, gamma = 0")
-    return PerturbativePrediction(delta_omega=delta_omega, gamma=0.0, density_of_states=0.0)
+    return PerturbativePrediction(delta_omega=delta_omega, gamma=0.0)
 
 
 def fit_exponential(times, survival):

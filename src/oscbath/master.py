@@ -10,8 +10,8 @@ Everything dense is computed by one engine, ``time_blocks``, which walks a
 time grid in blocks of consecutive times and stacks each block's matrices
 along a leading time axis.  A consumer names the leading rows of Pdot it
 reads, and only those rows of Adot, Pdot and W are computed: ``golden``
-reads row 0, ``amplitudes`` and a cap-less ``grid_invariants`` read none,
-and ``master`` and ``validate`` read all of them.
+reads row 0, ``amplitudes`` and a cap-less ``grid_invariants`` read none
+(so no W is solved), and ``master`` and ``validate`` read all of them.
 """
 
 from dataclasses import dataclass
@@ -32,6 +32,8 @@ class TimeBlock:
     a: np.ndarray           # (K, dim, dim) complex, unitary
     p: np.ndarray           # (K, dim, dim) real, doubly stochastic
     pdot: np.ndarray        # (K, rows, dim) leading rows of d|A|^2/dt = 2 Re(conj(A) Adot)
+    w: np.ndarray | None    # (K, rows, dim) the same rows of W, nan where singular
+    singular: np.ndarray | None  # (K,) bool, P singular to the condition cap
 
 
 def transition_probabilities(a, adot):
@@ -76,27 +78,32 @@ def master_coefficients(p, pdot, condition_cap=DEFAULT_CONDITION_CAP):
     return w, condition, singular
 
 
-def time_blocks(sd, times, rows=None):
+def time_blocks(sd, times, rows=None, condition_cap=DEFAULT_CONDITION_CAP):
     """Yield a TimeBlock for each run of consecutive ``times``.
 
-    Each block's Pdot holds the leading ``rows`` rows (all if None, none for
-    0), and only those rows of Adot are formed.  The blocks are
+    Each block's Pdot and W hold the leading ``rows`` rows (all if None),
+    and only those rows of Adot are formed; W and its singular mask come
+    from ``master_coefficients`` with ``condition_cap``.  For ``rows=0`` no
+    W is solved, and ``w`` and ``singular`` are None.  The blocks are
     ``amplitudes.block_slices(len(times), dim**2)``, so each (times, dim,
     dim) array is about ``BLOCK_ENTRIES`` entries and memory stays bounded
-    however long the grid is.  No W is solved here: the consumers that need
-    it call ``master_coefficients`` on a block.
+    however long the grid is.
     """
     times = np.asarray(times, dtype=np.float64)
     for s in block_slices(len(times), sd.dim ** 2):
         t = times[s]
         a, adot = amplitudes_at(sd, t, rows)
         p, pdot = transition_probabilities(a, adot)
-        yield TimeBlock(times=t, a=a, p=p, pdot=pdot)
+        del adot  # freed before the solve: the caller still holds the previous block
+        w = singular = None
+        if pdot.shape[-2]:
+            w, _, singular = master_coefficients(p, pdot, condition_cap)
+        yield TimeBlock(times=t, a=a, p=p, pdot=pdot, w=w, singular=singular)
 
 
-def master_residual(block, w, initial):
-    """Residuals of the master equation at each time of a block, given the
-    block's W from ``master_coefficients``.
+def master_residual(block, initial):
+    """Residuals of the master equation at each time of a block with every
+    row of W.
 
     Returns ``(gain_loss, balance)``: max_n |dN_n/dt - sum_k W_nk N_k| for
     the matrix form, and the same for the explicit gain-minus-loss form
@@ -106,8 +113,8 @@ def master_residual(block, w, initial):
     initial = np.asarray(initial, dtype=np.float64)
     occ = block.p @ initial
     dndt = block.pdot @ initial
-    res_matrix = np.abs(dndt - (w @ occ[..., None])[..., 0]).max(axis=-1)
-    w_off = w.copy()
+    res_matrix = np.abs(dndt - (block.w @ occ[..., None])[..., 0]).max(axis=-1)
+    w_off = block.w.copy()
     idx = np.arange(w_off.shape[-1])
     w_off[..., idx, idx] = 0.0
     gain = (w_off @ occ[..., None])[..., 0]

@@ -29,18 +29,19 @@ def grid_invariants(sd, times, initial, condition_cap=None):
     Returns a dict: ``unitarity`` max |A A^H - I|, ``rows`` and ``cols``
     the double-stochasticity defects of P, ``positivity`` the most negative
     occupation (0 if none) and ``conservation`` the relative drift of the
-    total quantum number.  Given a ``condition_cap``, it also solves W on
-    each block and adds ``master_residual``, the largest finite
-    master-equation residual (0 if every point is singular); without one, no
-    W is solved.  A nan defect stays nan.
+    total quantum number (the absolute drift if the initial total is 0).
+    Given a ``condition_cap``, the engine also solves W on each block and
+    this adds ``master_residual``, the largest finite master-equation
+    residual (0 if every point is singular); without one, no W is solved.
+    A nan defect stays nan.
     """
     initial = np.asarray(initial, dtype=np.float64)
     worst = {}
     total0 = None
     eye = np.eye(sd.dim)
-    # Pdot is read only to solve W
+    # Pdot and W are read only for the master-equation residual
     rows = None if condition_cap is not None else 0
-    for blk in master.time_blocks(sd, times, rows):
+    for blk in master.time_blocks(sd, times, rows, condition_cap):
         gram = blk.a @ blk.a.conj().swapaxes(-1, -2)
         occ = blk.p @ initial
         totals = occ.sum(axis=-1)
@@ -54,12 +55,11 @@ def grid_invariants(sd, times, initial, condition_cap=None):
             "drift": np.abs(totals - total0).max(),
         }
         if condition_cap is not None:
-            w, _, _ = master.master_coefficients(blk.p, blk.pdot, condition_cap)
-            res, _ = master.master_residual(blk, w, initial)
+            res, _ = master.master_residual(blk, initial)
             block_worst["master_residual"] = res[np.isfinite(res)].max(initial=0.0)
         for key, value in block_worst.items():
             worst[key] = float(np.maximum(worst.get(key, 0.0), value))
-    worst["conservation"] = worst.pop("drift") / abs(total0)
+    worst["conservation"] = worst.pop("drift") / (abs(total0) or 1.0)
     return worst
 
 
@@ -111,7 +111,7 @@ def two_mode_oracle():
     a00, w = [], []
     for blk in master.time_blocks(sd, times):
         a00.append(blk.a[:, 0, 0])
-        w.append(master.master_coefficients(blk.p, blk.pdot)[0])
+        w.append(blk.w)
     a00, w = np.concatenate(a00), np.concatenate(w)
     worst_a = np.abs(a00 - np.exp(-1j * times) * np.cos(g * times)).max()
     w_exact = (g * np.tan(2 * g * times))[:, None, None] * np.array([[-1.0, 1.0],

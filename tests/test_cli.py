@@ -19,6 +19,10 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 TWO_OSC = os.path.join(CONFIG_DIR, "two_oscillator.json")
 N51 = os.path.join(CONFIG_DIR, "linear_bath_n51.json")
 N201 = os.path.join(CONFIG_DIR, "linear_bath_n201.json")
+# |A00| = |cos(0.1 t)| of two_oscillator.json is zero to rounding at t = 5 pi,
+# a grid point of these flags, so a golden fit window around it underflows
+UNDERFLOW_FLAGS = ["--dt", repr(np.pi / (2 * 0.1) / 100), "--t-max", repr(10 * np.pi),
+                   "--window", "15,16.5"]
 
 
 def read_csv(path):
@@ -37,15 +41,28 @@ def write_bare_config(tmp_path, t_max=1.0, dt=0.5):
     return str(path)
 
 
-def test_package_imports_without_scipy():
-    # scipy is a test dependency only: the package's linear algebra is numpy's
+def write_strict_config(tmp_path):
+    """two_oscillator.json with a master-equation tolerance no run meets."""
+    doc = json.loads(open(TWO_OSC).read())
+    doc["tolerances"] = {"master_residual": 1e-300}
+    path = tmp_path / "strict.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def run_python(*args):
+    """``python *args`` in a new process that imports this tree's package."""
     src = os.path.dirname(os.path.dirname(oscbath.cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_package_imports_without_scipy():
+    # scipy is a test dependency only: the package's linear algebra is numpy's
     code = "import sys, oscbath, oscbath.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "False\n"
+    proc = run_python("-c", code)
+    assert proc.stdout == "False\n", proc.stderr
 
 
 class TestAmplitudesCommand:
@@ -387,12 +404,24 @@ class TestValidateCommand:
 
     def test_failure_exit_code(self, tmp_path, capsys):
         # unreachable tolerance forces a failing check and exit 1
-        doc = json.loads(open(TWO_OSC).read())
-        doc["tolerances"] = {"master_residual": 1e-300}
-        cfg = tmp_path / "strict.json"
-        cfg.write_text(json.dumps(doc))
-        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        cfg = write_strict_config(tmp_path)
+        assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("initial", [
+        {"type": "explicit", "occupations": [0.0, 0.0]},
+        {"type": "thermal", "beta": 1e4, "system_occupation": 0.0},
+    ], ids=["explicit", "cold thermal"])
+    def test_vacuum_passes(self, tmp_path, capsys, initial):
+        # no quanta at all: conservation is the absolute drift, 0
+        doc = json.loads(open(TWO_OSC).read())
+        doc["initial"] = initial
+        cfg = tmp_path / "vacuum.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert "PASS  total quanta conservation" in out and "value=0.000e+00" in out
+        assert err == ""
 
     def test_one_eigensolve_per_model(self, tmp_path, monkeypatch):
         # the configured model is decomposed once and the suite reuses it;
@@ -545,14 +574,29 @@ class TestErrorPaths:
 
 
     def test_survival_underflow_in_fit_window(self, tmp_path, capsys, recwarn):
-        # |A00| = |cos(0.1 t)| is zero to rounding at t = 5 pi, a grid point
         assert main(["golden", "--config", TWO_OSC, "--out", str(tmp_path),
-                     "--dt", repr(np.pi / (2 * 0.1) / 100), "--t-max", repr(10 * np.pi),
-                     "--window", "15,16.5"]) == 3
+                     *UNDERFLOW_FLAGS]) == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "numerical failure" in err
         # a warning would reach stderr as more lines outside pytest
         assert not recwarn.list
+
+
+@pytest.mark.parametrize("code, argv", [
+    (0, lambda tmp: ["validate", "--config", TWO_OSC]),
+    (1, lambda tmp: ["validate", "--config", write_strict_config(tmp)]),
+    (2, lambda tmp: ["master", "--config", str(tmp / "nope.json")]),
+    (2, lambda tmp: ["master", "--config", TWO_OSC, "--window", "1,2"]),
+    (3, lambda tmp: ["golden", "--config", TWO_OSC, *UNDERFLOW_FLAGS]),
+], ids=["validate passes", "validate fails", "missing config", "usage error",
+        "survival underflow"])
+def test_exit_code_of_the_process(tmp_path, code, argv):
+    # the exit status and stderr a shell sees, interpreter start-up included;
+    # a validation failure reports on stdout, every error in one stderr line
+    proc = run_python("-m", "oscbath.cli", *argv(tmp_path), "--out", str(tmp_path))
+    assert proc.returncode == code
+    assert len(proc.stderr.splitlines()) == (code >= 2), proc.stderr
+    assert ("FAIL" in proc.stdout) == (code == 1)
 
 
 class TestGoldenFiles:

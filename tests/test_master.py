@@ -13,16 +13,11 @@ G = 0.1
 
 
 def grid(sd, times):
-    """One TimeBlock over the whole grid, joined from the engine's blocks."""
+    """One TimeBlock over the whole grid, joined from the engine's blocks,
+    with every row of Pdot and W."""
     blocks = list(time_blocks(sd, times))
     return TimeBlock(*(np.concatenate([getattr(b, f.name) for b in blocks])
                        for f in dataclasses.fields(TimeBlock)))
-
-
-def solved(sd, times):
-    """The joined TimeBlock and its ``(w, condition, singular)``."""
-    blk = grid(sd, times)
-    return (blk, *master_coefficients(blk.p, blk.pdot))
 
 
 def uncoupled_sd(bath=0.5):
@@ -45,17 +40,22 @@ class TestTimeBlocks:
         assert [len(b.times) for b in blocks] == [1, 1]
 
     def test_blocked_equals_single_times(self, bath51_sd):
-        # the stacked matmuls must give the bytes of one time at a time
+        # the stacked matmuls and solves must give the bytes of one time at
+        # a time
         times = np.linspace(0, 50, 31)
-        joined = solved(bath51_sd, times)
+        joined = grid(bath51_sd, times)
+        condition = master_coefficients(joined.p, joined.pdot)[1]
         for i, t in enumerate(times):
-            one = solved(bath51_sd, [t])
+            one = grid(bath51_sd, [t])
             for f in dataclasses.fields(TimeBlock):
-                assert np.array_equal(getattr(joined[0], f.name)[i],
-                                      getattr(one[0], f.name)[0]), f.name
-            for name, stacked, single in zip(("w", "condition", "singular"),
-                                             joined[1:], one[1:]):
-                assert np.array_equal(stacked[i], single[0], equal_nan=True), name
+                assert np.array_equal(getattr(joined, f.name)[i],
+                                      getattr(one, f.name)[0], equal_nan=True), f.name
+            assert condition[i] == master_coefficients(one.p, one.pdot)[1][0]
+
+    def test_no_rows_solves_nothing(self, two_osc_sd):
+        (blk,) = time_blocks(two_osc_sd, [1.0, 2.0], rows=0)
+        assert blk.pdot.shape == (2, 0, 2)
+        assert blk.w is None and blk.singular is None
 
 
 class TestTransitionProbabilities:
@@ -82,22 +82,22 @@ class TestTransitionProbabilities:
 
 class TestMasterCoefficients:
     def test_uncoupled_w_vanishes(self):
-        assert np.abs(solved(uncoupled_sd(), [3.0])[1]).max() <= 1e-12
+        assert np.abs(grid(uncoupled_sd(), [3.0]).w).max() <= 1e-12
 
     def test_resonant_closed_form(self, two_osc_sd):
         times = np.linspace(0.2, 0.9 * np.pi / (4 * G), 12)
-        _, w, _, singular = solved(two_osc_sd, times)
+        blk = grid(two_osc_sd, times)
         expected = (G * np.tan(2 * G * times))[:, None, None] * np.array(
             [[-1.0, 1.0], [1.0, -1.0]])
-        assert not singular.any()
-        assert np.abs(w - expected).max() <= 1e-8
+        assert not blk.singular.any()
+        assert np.abs(blk.w - expected).max() <= 1e-8
 
     def test_singularity_flagged(self, two_osc_sd):
         t_sing = np.pi / (4 * G)
-        blk, w, condition, singular = solved(two_osc_sd, [1.0, t_sing])
-        assert singular.tolist() == [False, True]
-        assert condition[1] > 1e10
-        assert np.isnan(w[1]).all() and np.isfinite(w[0]).all()
+        blk = grid(two_osc_sd, [1.0, t_sing])
+        assert blk.singular.tolist() == [False, True]
+        assert master_coefficients(blk.p, blk.pdot)[1][1] > 1e10
+        assert np.isnan(blk.w[1]).all() and np.isfinite(blk.w[0]).all()
         # P(pi/(4g)) is exactly singular, so even an infinite cap flags it
         assert master_coefficients(blk.p, blk.pdot, condition_cap=np.inf)[2].tolist() == [
             False, True]
@@ -106,7 +106,11 @@ class TestMasterCoefficients:
         # P(pi/(4g)) has every entry exactly 1/2, so numpy rejects the whole
         # stacked solve and the times are solved one at a time
         times = np.array([1.0, 2.0, np.pi / (4 * G), 9.0])
-        blk, w, condition, singular = solved(two_osc_sd, times)
+        (blk,) = time_blocks(two_osc_sd, times)
+        w, condition, singular = master_coefficients(blk.p, blk.pdot)
+        # the block's W and mask are that stack's
+        assert np.array_equal(blk.w, w, equal_nan=True)
+        assert np.array_equal(blk.singular, singular)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(blk.p, blk.pdot)
         assert singular.tolist() == [False, False, True, False]
@@ -131,17 +135,19 @@ class TestMasterCoefficients:
             assert np.allclose(w_0[:, 0], w[:, 0], rtol=1e-13, atol=0, equal_nan=True)
             assert np.array_equal(condition_0, condition)
             assert np.array_equal(singular_0, singular)
+        assert np.array_equal(row_blk.w, w_0, equal_nan=True)
+        assert np.array_equal(row_blk.singular, singular)
 
     def test_w_equals_pdot_at_t_zero(self, bath51_sd):
-        blk, w, _, _ = solved(bath51_sd, [0.0])
-        assert np.abs(w - blk.pdot).max() <= 1e-12
+        blk = grid(bath51_sd, [0.0])
+        assert np.abs(blk.w - blk.pdot).max() <= 1e-12
         # off-diagonal Pdot(0) vanishes: |A_nm|^2 has a double zero
         pdot = blk.pdot[0]
         assert np.abs(pdot - np.diag(np.diag(pdot))).max() <= 1e-14
 
     @pytest.mark.parametrize("t", [0.5, 5.0, 30.0])
     def test_column_sums_vanish(self, bath51_sd, t):
-        assert np.abs(solved(bath51_sd, [t])[1].sum(axis=-2)).max() <= 1e-8
+        assert np.abs(grid(bath51_sd, [t]).w.sum(axis=-2)).max() <= 1e-8
 
 
 class TestEvolvePopulations:
@@ -181,8 +187,7 @@ class TestEvolvePopulations:
 class TestMasterResidual:
     @staticmethod
     def residual(sd, times, initial):
-        blk, w, _, _ = solved(sd, times)
-        return master_residual(blk, w, initial)
+        return master_residual(grid(sd, times), initial)
 
     def test_uncoupled_zero(self):
         res, bal = self.residual(uncoupled_sd(), [1.0, 2.0], [1.0, 0.0])
@@ -207,9 +212,9 @@ class TestMasterResidual:
 
     def test_equals_per_time_reference(self, bath51_sd, bath51_spec):
         init = ob.thermal_populations(bath51_spec, beta=1.0)
-        blk, w_all, _, _ = solved(bath51_sd, np.linspace(0, 50, 31))
-        res, bal = master_residual(blk, w_all, init)
-        for i, (p, pdot, w) in enumerate(zip(blk.p, blk.pdot, w_all)):
+        blk = grid(bath51_sd, np.linspace(0, 50, 31))
+        res, bal = master_residual(blk, init)
+        for i, (p, pdot, w) in enumerate(zip(blk.p, blk.pdot, blk.w)):
             occ = p @ init
             dndt = pdot @ init
             w_off = w - np.diag(np.diag(w))

@@ -106,11 +106,10 @@ def test_resonant_two_mode_closed_forms(omega, g, fractions):
     sd = ob.eigendecompose(ob.build_hamiltonian(spec))
     times = 0.9 * np.pi / (4 * g) * np.array(fractions)
     (blk,) = time_blocks(sd, times)
-    w, _, singular = master_coefficients(blk.p, blk.pdot)
-    assert not singular.any()
+    assert not blk.singular.any()
     assert np.abs(blk.a[:, 0, 0] - np.exp(-1j * omega * times) * np.cos(g * times)).max() <= 1e-12
     w_exact = (g * np.tan(2 * g * times))[:, None, None] * np.array([[-1.0, 1.0], [1.0, -1.0]])
-    assert np.abs(w - w_exact).max() <= 1e-8
+    assert np.abs(blk.w - w_exact).max() <= 1e-8
     series = langevin_series(sd, times)
     assert not series.singular.any()
     assert np.abs(series.gamma - 2 * g * np.tan(g * times)).max() <= 1e-8
