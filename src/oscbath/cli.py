@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands: amplitudes | master | langevin | golden | validate.
-Outputs are deterministic: fixed column order, 17-significant-digit floats,
-Unix line endings, singular time points written as nan plus a sidecar
-``singular_points.txt``.  ``amplitudes`` and ``master`` write each block of
-``master.time_blocks`` as it arrives, the survival sums are formed block by
-block, and every per-time CSV column is formatted one block at a time, so
-memory is bounded by one block plus a few per-time vectors.
+Outputs are deterministic: fixed column order, every float written as the
+exact bytes of Python's ``'%.17g' % x`` (``floatfmt``), Unix line endings,
+singular time points written as nan plus a sidecar ``singular_points.txt``.
+``amplitudes`` and ``master`` write each block of ``master.time_blocks`` as
+it arrives, the survival sums are formed block by block, and every CSV
+writer turns its lines into text through one vectorized formatter, about
+``BLOCK_ENTRIES // TEXT_ENTRIES`` numbers per call (whole rows of a grid's
+last axis), so memory is bounded by one block plus a few per-time vectors.
 Each command asks the engine for only the rows of Pdot and W it reads, and
 the engine solves just those rows of W: ``golden`` reads row 0 (its W[0, 0]
 loss rate), ``amplitudes`` none and ``master`` all of them.
@@ -29,12 +31,16 @@ import warnings
 
 import numpy as np
 
-from . import amplitudes, golden, langevin, master, model, validation
+from . import amplitudes, floatfmt, golden, langevin, master, model, validation
 from .config import ConfigError, load_config
 from .linalg import NumericalError, eigendecompose
 
 MAX_COV_POINTS = 101  # per axis in noise_cov.csv
 MAX_W00_POINTS = 201  # fit-window times at which golden solves W
+# block entries charged to each number turned into text: one call of the
+# formatter takes BLOCK_ENTRIES // TEXT_ENTRIES numbers, whose text and
+# temporaries peak near 40 BLOCK_ENTRIES bytes, 2.5 complex block arrays
+TEXT_ENTRIES = 8
 
 
 def _subsample(times, points):
@@ -42,41 +48,63 @@ def _subsample(times, points):
     return times[::max(1, -(-(len(times) - 1) // (points - 1)))]
 
 
-def _lines(template, *columns):
-    """``template % row`` for each row of equal-length 1-D array columns.
+def _join(*fields):
+    """CSV text of equal-length rows of fields, each an (n, width) uint8
+    matrix of text and NUL bytes whose last column is NUL: a ',' goes
+    there after each field and a newline after the last, then every NUL
+    byte is dropped.  Returns a bytearray."""
+    ends = np.cumsum([f.shape[1] for f in fields]) - 1
+    text = bytearray(len(fields[0]) * (ends[-1] + 1))
+    lines = np.frombuffer(text, dtype=np.uint8).reshape(len(fields[0]), -1)
+    np.concatenate(fields, axis=1, out=lines)
+    lines[:, ends] = ord(",")
+    lines[:, ends[-1]] = ord("\n")
+    return text.translate(None, b"\0")
 
-    The columns become Python values one block of
-    ``amplitudes.block_slices`` rows at a time, never the whole grid at
-    once, so a long grid costs no more than one block of Python objects."""
-    for s in amplitudes.block_slices(len(columns[0]), len(columns)):
-        for row in zip(*(c[s].tolist() for c in columns)):
-            yield template % row
+
+def _lines(*columns):
+    """CSV text of equal-length 1-D columns, one bytearray per block of rows
+    cut by ``amplitudes.block_slices``.  A boolean column is written as the
+    numbers 0 and 1."""
+    for s in amplitudes.block_slices(len(columns[0]), TEXT_ENTRIES * len(columns)):
+        yield _join(*(floatfmt.format_floats(c[s]) for c in columns))
 
 
 @functools.cache
-def _grid_template(shape, is_complex):
-    """One time's lines of a ``shape`` array, index columns in C order."""
-    value = "%.17g,%.17g\n" if is_complex else "%.17g\n"
-    # "\0" marks where a line's time goes
-    return "".join("\0" + "".join(f"{i}," for i in idx) + value
-                   for idx in np.ndindex(shape))
+def _index_field(shape):
+    """The "i,j,..." text of each index of a ``shape`` array, C order, as a
+    read-only field."""
+    text = [",".join(map(str, idx)).encode() for idx in np.ndindex(shape)]
+    width = 1 + max(map(len, text))
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in text),
+                         dtype=np.uint8).reshape(len(text), width)
 
 
 def _grid_lines(times, values):
     """The (t, index..., value) lines of an array whose leading axis runs
-    over ``times``, one string per time; a complex value gives re, im."""
-    body = _grid_template(values.shape[1:], np.iscomplexobj(values))
-    if np.iscomplexobj(values):
-        values = np.stack((values.real, values.imag), axis=-1)
-    for t, row in zip(times.tolist(), values.reshape(len(times), -1).tolist()):
-        yield body.replace("\0", "%.17g," % t) % tuple(row)
+    over ``times``, in bytearrays of whole rows of its last axis, cut by
+    ``amplitudes.block_slices``; a complex value gives re, im."""
+    index = _index_field(values.shape[1:])
+    lines = len(times) * len(index)
+    # one number per line, or two for a complex value: re and im
+    numbers = values.reshape(lines, -1).view(np.float64)
+    # a time repeats on many lines, so its text is formed once
+    t_text = floatfmt.format_floats(times)
+    row = values.shape[-1]
+    for s in amplitudes.block_slices(lines // row, TEXT_ENTRIES * numbers.shape[1] * row):
+        first = s.start * row
+        chunk = numbers[first:s.stop * row]
+        t_index, i_index = np.divmod(np.arange(first, first + len(chunk)), len(index))
+        text = floatfmt.format_floats(chunk).reshape(len(chunk), numbers.shape[1], -1)
+        yield _join(t_text.take(t_index, axis=0), index.take(i_index, axis=0),
+                    *text.swapaxes(0, 1))
 
 
 @contextlib.contextmanager
 def _open_csv(path, header):
-    """``path`` open for writing with Unix line endings, ``header`` written."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
+    """``path`` open for writing bytes, ``header`` and a newline written."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         yield fh
 
 
@@ -90,7 +118,7 @@ def _write_singular_report(out_dir, singular_times):
               "values written as nan" if singular_times.size
               else "# no singular time points")
     _write_csv(os.path.join(out_dir, "singular_points.txt"), header,
-               _lines("%.17g\n", singular_times))
+               _lines(singular_times))
 
 
 def _prepare(args):
@@ -125,7 +153,7 @@ def cmd_amplitudes(args):
 
     a00, _, _ = amplitudes.survival_series(sd, times)
     _write_csv(os.path.join(args.out, "survival.csv"), "t,re,im,abs",
-               _lines("%.17g,%.17g,%.17g,%.17g\n", times, a00.real, a00.imag,
+               _lines(times, a00.real, a00.imag,
                       np.hypot(a00.real, a00.imag)))
     return 0
 
@@ -144,7 +172,7 @@ def cmd_master(args):
             res, bal = master.master_residual(blk, cfg.initial)
             occ_fh.writelines(_grid_lines(blk.times, blk.p @ cfg.initial))
             w_fh.writelines(_grid_lines(blk.times, blk.w))
-            res_fh.writelines(_lines("%.17g,%.17g,%.17g\n", blk.times, res, bal))
+            res_fh.writelines(_lines(blk.times, res, bal))
             singular.extend(blk.times[blk.singular].tolist())
 
     _write_singular_report(args.out, np.array(singular))
@@ -157,17 +185,16 @@ def cmd_langevin(args):
 
     series = langevin.langevin_series(sd, times)
     _write_csv(os.path.join(args.out, "langevin.csv"), "t,a,b,omega_sq,gamma,singular",
-               _lines("%.17g,%.17g,%.17g,%.17g,%.17g,%d\n", times, series.a00.real,
+               _lines(times, series.a00.real,
                       series.a00.imag, series.omega_sq, series.gamma, series.singular))
 
     tsub = _subsample(times, MAX_COV_POINTS)
     cov = langevin.noise_covariance_grid(sd, tsub, cfg.initial, cfg.spec)
     _write_csv(os.path.join(args.out, "noise_cov.csv"), "t,t_prime,c_ff",
-               _lines("%.17g,%.17g,%.17g\n", np.repeat(tsub, len(tsub)),
-                      np.tile(tsub, len(tsub)), cov.ravel()))
+               _lines(np.repeat(tsub, len(tsub)), np.tile(tsub, len(tsub)), cov.ravel()))
 
     _write_csv(os.path.join(args.out, "langevin_residual.csv"), "t,residual",
-               _lines("%.17g,%.17g\n", times, langevin.langevin_residual(series)))
+               _lines(times, langevin.langevin_residual(series)))
 
     _write_singular_report(args.out, times[series.singular])
     return 0

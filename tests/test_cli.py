@@ -13,6 +13,9 @@ import oscbath.cli
 import oscbath.master
 import oscbath.validation
 from oscbath.cli import main
+from oscbath.config import load_config
+from oscbath.linalg import eigendecompose
+from oscbath.model import build_hamiltonian
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -159,18 +162,46 @@ def test_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, command, names
         assert all((out / name).read_bytes() == expected for out in outs[1:]), name
 
 
-def test_lines_are_converted_one_block_at_a_time():
-    # 100,000 rows of three columns as Python floats would be 9.6 MB; one
-    # block of BLOCK_ENTRIES values is about 1 MB
-    columns = [np.arange(100_000.0) + k for k in range(3)]
+@pytest.mark.parametrize("lines, count", [
+    # 100,000 rows of three columns, and a (20, 100, 100) complex grid:
+    # 200,000 lines of 400,000 numbers
+    (lambda: oscbath.cli._lines(*(np.arange(100_000.0) * np.pi + k for k in range(3))),
+     100_000),
+    (lambda: oscbath.cli._grid_lines(
+        np.arange(20) * 0.1,
+        np.arange(200_000.0).reshape(20, 100, 100) * (np.e + 1j * np.pi)), 200_000),
+], ids=["columns", "complex grid"])
+def test_text_is_formed_one_block_at_a_time(lines, count):
+    # as text the whole input would be 8 MB or more; a formatter call takes
+    # BLOCK_ENTRIES // TEXT_ENTRIES numbers, which peak near 40
+    # BLOCK_ENTRIES bytes (1.3 MB)
+    oscbath.cli._index_field((100, 100))  # cached, and not counted
+    lines = lines()
     tracemalloc.start()
     try:
-        count = sum(1 for _ in oscbath.cli._lines("%.17g,%.17g,%.17g\n", *columns))
+        assert sum(text.count(b"\n") for text in lines) == count
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert count == 100_000
     assert peak <= 64 * oscbath.amplitudes.BLOCK_ENTRIES, peak
+
+
+def test_w_coeffs_lines_match_python_formatting(tmp_path):
+    # n51's first and last blocks of W with their "t,n,k," prefixes, written
+    # by Python's own %-formatting, are the first and last lines of the file
+    assert main(["master", "--config", N51, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "w_coeffs.csv").read_text().splitlines(keepends=True)
+    cfg = load_config(N51)
+    blocks = list(oscbath.master.time_blocks(eigendecompose(build_hamiltonian(cfg.spec)),
+                                             cfg.time_grid(),
+                                             condition_cap=cfg.tolerances["condition_cap"]))
+    first, last = (["%.17g,%d,%d,%.17g\n" % (t, *nk, w)
+                    for t, w_t in zip(blk.times.tolist(), blk.w)
+                    for nk, w in np.ndenumerate(w_t)]
+                   for blk in (blocks[0], blocks[-1]))
+    assert lines[0] == "t,n,k,W\n"
+    assert lines[1:1 + len(first)] == first
+    assert lines[-len(last):] == last
 
 
 def singular_report_times(out):
@@ -422,6 +453,18 @@ class TestValidateCommand:
         out, err = capsys.readouterr()
         assert "PASS  total quanta conservation" in out and "value=0.000e+00" in out
         assert err == ""
+
+    def test_spectral_bound_scales_with_dim(self):
+        # c dim eps, at no shipped size looser than the former absolute 1e-12
+        c, eps = oscbath.validation.SPECTRAL_DIM_EPS, np.finfo(np.float64).eps
+        for config in (TWO_OSC, N51, N201):
+            assert c * len(build_hamiltonian(load_config(config).spec)) * eps <= 1e-12
+        for config, dim in ((TWO_OSC, 2), (N51, 52)):
+            cfg = load_config(config)
+            rows = oscbath.validation.run_suite(cfg, eigendecompose(build_hamiltonian(cfg.spec)))
+            tolerances = {name: tol for name, _, tol, _ in rows}
+            assert (tolerances["spectral reconstruction"] == tolerances["eigenvector unitarity"]
+                    == c * dim * eps)
 
     def test_one_eigensolve_per_model(self, tmp_path, monkeypatch):
         # the configured model is decomposed once and the suite reuses it;
