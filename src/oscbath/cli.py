@@ -2,27 +2,26 @@
 
 Subcommands: amplitudes | master | langevin | golden | validate.
 Outputs are deterministic: fixed column order, every float written as the
-exact bytes of Python's ``'%.17g' % x`` (``floatfmt``), Unix line endings,
-singular time points written as nan plus a sidecar ``singular_points.txt``.
-``amplitudes`` and ``master`` write each block of ``master.time_blocks`` as
-it arrives, the survival sums are formed block by block, and every CSV
-writer turns its lines into text through one vectorized formatter, about
-``BLOCK_ENTRIES // TEXT_ENTRIES`` numbers per call (whole rows of a grid's
-last axis), so memory is bounded by one block plus a few per-time vectors.
+exact bytes of Python's ``'%.17g' % x``, Unix line endings, singular time
+points written as nan plus a sidecar ``singular_points.txt``.  This module
+opens the files and writes their headers; ``floatfmt`` builds every CSV
+line from the arrays it is handed, block by block.  ``amplitudes`` and
+``master`` write each block of ``master.time_blocks`` as it arrives, so
+memory is bounded by one block plus a few per-time vectors.
 Each command asks the engine for only the rows of Pdot and W it reads, and
 the engine solves just those rows of W: ``golden`` reads row 0 (its W[0, 0]
 loss rate), ``amplitudes`` none and ``master`` all of them.
 
 Exit codes: 0 success, 1 validation failure, 2 config or I/O error
-(including a time grid or fit window that is not usable), 3 numerical
-failure (LAPACK eigensolver non-convergence, a survival amplitude too small
-to fit).  Errors print one line on stderr, and so does each warning.
+(including a time grid or fit window that is not usable) or running out of
+memory, 3 numerical failure (LAPACK eigensolver non-convergence, a survival
+amplitude too small to fit).  Errors print one line on stderr, as does each
+warning.
 """
 
 import argparse
 import contextlib
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -37,67 +36,11 @@ from .linalg import NumericalError, eigendecompose
 
 MAX_COV_POINTS = 101  # per axis in noise_cov.csv
 MAX_W00_POINTS = 201  # fit-window times at which golden solves W
-# block entries charged to each number turned into text: one call of the
-# formatter takes BLOCK_ENTRIES // TEXT_ENTRIES numbers, whose text and
-# temporaries peak near 40 BLOCK_ENTRIES bytes, 2.5 complex block arrays
-TEXT_ENTRIES = 8
 
 
 def _subsample(times, points):
     """Every k-th time, k the smallest stride that keeps at most ``points``."""
     return times[::max(1, -(-(len(times) - 1) // (points - 1)))]
-
-
-def _join(*fields):
-    """CSV text of equal-length rows of fields, each an (n, width) uint8
-    matrix of text and NUL bytes whose last column is NUL: a ',' goes
-    there after each field and a newline after the last, then every NUL
-    byte is dropped.  Returns a bytearray."""
-    ends = np.cumsum([f.shape[1] for f in fields]) - 1
-    text = bytearray(len(fields[0]) * (ends[-1] + 1))
-    lines = np.frombuffer(text, dtype=np.uint8).reshape(len(fields[0]), -1)
-    np.concatenate(fields, axis=1, out=lines)
-    lines[:, ends] = ord(",")
-    lines[:, ends[-1]] = ord("\n")
-    return text.translate(None, b"\0")
-
-
-def _lines(*columns):
-    """CSV text of equal-length 1-D columns, one bytearray per block of rows
-    cut by ``amplitudes.block_slices``.  A boolean column is written as the
-    numbers 0 and 1."""
-    for s in amplitudes.block_slices(len(columns[0]), TEXT_ENTRIES * len(columns)):
-        yield _join(*(floatfmt.format_floats(c[s]) for c in columns))
-
-
-@functools.cache
-def _index_field(shape):
-    """The "i,j,..." text of each index of a ``shape`` array, C order, as a
-    read-only field."""
-    text = [",".join(map(str, idx)).encode() for idx in np.ndindex(shape)]
-    width = 1 + max(map(len, text))
-    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in text),
-                         dtype=np.uint8).reshape(len(text), width)
-
-
-def _grid_lines(times, values):
-    """The (t, index..., value) lines of an array whose leading axis runs
-    over ``times``, in bytearrays of whole rows of its last axis, cut by
-    ``amplitudes.block_slices``; a complex value gives re, im."""
-    index = _index_field(values.shape[1:])
-    lines = len(times) * len(index)
-    # one number per line, or two for a complex value: re and im
-    numbers = values.reshape(lines, -1).view(np.float64)
-    # a time repeats on many lines, so its text is formed once
-    t_text = floatfmt.format_floats(times)
-    row = values.shape[-1]
-    for s in amplitudes.block_slices(lines // row, TEXT_ENTRIES * numbers.shape[1] * row):
-        first = s.start * row
-        chunk = numbers[first:s.stop * row]
-        t_index, i_index = np.divmod(np.arange(first, first + len(chunk)), len(index))
-        text = floatfmt.format_floats(chunk).reshape(len(chunk), numbers.shape[1], -1)
-        yield _join(t_text.take(t_index, axis=0), index.take(i_index, axis=0),
-                    *text.swapaxes(0, 1))
 
 
 @contextlib.contextmanager
@@ -118,16 +61,12 @@ def _write_singular_report(out_dir, singular_times):
               "values written as nan" if singular_times.size
               else "# no singular time points")
     _write_csv(os.path.join(out_dir, "singular_points.txt"), header,
-               _lines(singular_times))
+               floatfmt.lines(singular_times))
 
 
 def _prepare(args):
     cfg = load_config(args.config)
-    overrides = {}
-    if args.t_max is not None:
-        overrides["t_max"] = args.t_max
-    if args.dt is not None:
-        overrides["dt"] = args.dt
+    overrides = {k: v for k, v in (("t_max", args.t_max), ("dt", args.dt)) if v is not None}
     window = getattr(args, "window", None)  # only golden has the flag
     if window is not None:
         try:
@@ -148,13 +87,12 @@ def cmd_amplitudes(args):
 
     # lines are formatted block by block while the file is written
     lines = (line for blk in master.time_blocks(sd, times, rows=0)
-             for line in _grid_lines(blk.times, blk.a))
+             for line in floatfmt.grid_lines(blk.times, blk.a))
     _write_csv(os.path.join(args.out, "amplitudes.csv"), "t,n,m,re,im", lines)
 
     a00, _, _ = amplitudes.survival_series(sd, times)
     _write_csv(os.path.join(args.out, "survival.csv"), "t,re,im,abs",
-               _lines(times, a00.real, a00.imag,
-                      np.hypot(a00.real, a00.imag)))
+               floatfmt.lines(times, a00.real, a00.imag, np.hypot(a00.real, a00.imag)))
     return 0
 
 
@@ -170,9 +108,9 @@ def cmd_master(args):
         for blk in master.time_blocks(sd, times,
                                       condition_cap=cfg.tolerances["condition_cap"]):
             res, bal = master.master_residual(blk, cfg.initial)
-            occ_fh.writelines(_grid_lines(blk.times, blk.p @ cfg.initial))
-            w_fh.writelines(_grid_lines(blk.times, blk.w))
-            res_fh.writelines(_lines(blk.times, res, bal))
+            occ_fh.writelines(floatfmt.grid_lines(blk.times, blk.p @ cfg.initial))
+            w_fh.writelines(floatfmt.grid_lines(blk.times, blk.w))
+            res_fh.writelines(floatfmt.lines(blk.times, res, bal))
             singular.extend(blk.times[blk.singular].tolist())
 
     _write_singular_report(args.out, np.array(singular))
@@ -185,24 +123,24 @@ def cmd_langevin(args):
 
     series = langevin.langevin_series(sd, times)
     _write_csv(os.path.join(args.out, "langevin.csv"), "t,a,b,omega_sq,gamma,singular",
-               _lines(times, series.a00.real,
-                      series.a00.imag, series.omega_sq, series.gamma, series.singular))
+               floatfmt.lines(times, series.a00.real, series.a00.imag,
+                              series.omega_sq, series.gamma, series.singular))
 
     tsub = _subsample(times, MAX_COV_POINTS)
     cov = langevin.noise_covariance_grid(sd, tsub, cfg.initial, cfg.spec)
     _write_csv(os.path.join(args.out, "noise_cov.csv"), "t,t_prime,c_ff",
-               _lines(np.repeat(tsub, len(tsub)), np.tile(tsub, len(tsub)), cov.ravel()))
+               floatfmt.lines(np.repeat(tsub, len(tsub)), np.tile(tsub, len(tsub)),
+                              cov.ravel()))
 
     _write_csv(os.path.join(args.out, "langevin_residual.csv"), "t,residual",
-               _lines(times, langevin.langevin_residual(series)))
+               floatfmt.lines(times, langevin.langevin_residual(series)))
 
     _write_singular_report(args.out, times[series.singular])
     return 0
 
 
 def _json_number(x):
-    """``x``, or None (JSON null) if it is not finite: strict JSON has no
-    nan or inf."""
+    """``x``, or None (JSON null) if it is not finite: strict JSON has no nan or inf."""
     return x if math.isfinite(x) else None
 
 
@@ -243,14 +181,12 @@ def cmd_validate(args):
     cfg, sd = _prepare(args)
     results = validation.run_suite(cfg, sd)
     width = max(len(name) for name, _, _, _ in results)
-    failed = 0
     for name, value, tolerance, ok in results:
         status = "PASS" if ok else "FAIL"
         print(f"{status}  {name:<{width}}  value={value:.3e}  tol={tolerance:.1e}")
-        if not ok:
-            failed += 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
+    passed = sum(ok for _, _, _, ok in results)
+    print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -291,14 +227,15 @@ def main(argv=None):
     try:
         return args.handler(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"config error: {exc}", 2
     except (np.linalg.LinAlgError, NumericalError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        message, code = f"numerical failure: {exc}", 3
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"i/o error: {exc}", 2
+    except MemoryError as exc:  # numpy's names the allocation, Python's is bare
+        message, code = "out of memory" + (f": {exc}" if str(exc) else ""), 2
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

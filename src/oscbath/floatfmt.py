@@ -1,13 +1,18 @@
-"""Byte-exact ``'%.17g' % x`` for whole float64 arrays.
+"""CSV text of float64 arrays, every number the exact bytes of ``'%.17g' % x``.
+
+``lines(*columns)`` and ``grid_lines(times, values)`` yield the CSV lines of
+equal-length columns and of an array over a time grid, cut by
+``amplitudes.block_slices`` into formatter calls of ``BLOCK_ENTRIES //
+TEXT_ENTRIES`` numbers, whose text and temporaries peak near 40
+``BLOCK_ENTRIES`` bytes (2.5 complex block arrays) whatever the input size.
 
 ``format_floats(x)`` turns an array into an (x.size, ``WIDTH``) uint8 matrix
 whose row i holds the bytes of ``'%.17g' % x[i]`` with NUL bytes in between
 and after: the C ``%g`` rules at precision 17 (exponent form when the
 decimal exponent E is below -4 or at least 17, with a signed exponent of at
 least two digits; trailing zeros after the point stripped and a bare point
-dropped; ``-`` for a negative value, ``-0`` included).  A caller that drops
-every NUL byte gets the text.  The last byte of each row is always NUL, so a
-caller may put a separator there.
+dropped; ``-`` for a negative value, ``-0`` included).  Dropping every NUL
+byte gives the text.
 
 Fast path, vectorized: E = floor(log10|x|), then |x| 10^(16-E) in
 double-double arithmetic: Dekker's exact two-product of |x| with hi, plus
@@ -27,9 +32,11 @@ import functools
 
 import numpy as np
 
+from . import amplitudes
+
 # a row: byte 0 the sign, 1-22 "0000" and 17 digits with the point among
-# them, 24-28 'e', the exponent's sign and three exponent digits; each
-# 8-byte word of it is a uint64
+# them, 24-28 'e', the exponent's sign and three exponent digits, 31 NUL for
+# ``_join``'s separator; each 8-byte word of it is a uint64
 WIDTH = 32
 _WORDS = WIDTH // 8
 _FAST_RANGE = (1e-270, 1e270)
@@ -40,6 +47,13 @@ _SPLIT = 2.0 ** 27 + 1  # Dekker's splitter for 53-bit doubles
 _EXPONENTS = range(-271, 272)
 _U = np.uint64
 _ZEROS = 0x3030303030303030  # eight ASCII '0'
+TEXT_ENTRIES = 8  # block entries charged to each number turned into text
+
+
+def _padded(texts, width):
+    """Byte strings NUL-padded to ``width``, as a read-only uint8 matrix."""
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts),
+                         dtype=np.uint8).reshape(-1, width)
 
 
 @functools.cache
@@ -137,7 +151,7 @@ def _exponent_words():
     ``%g`` writes the value without an exponent, else 'e', the exponent's
     sign and at least two of its digits."""
     text = [b"" if -4 <= e < 17 else b"e%+03d" % e for e in _EXPONENTS]
-    return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in text), dtype=_U)
+    return _padded(text, 8).view(_U).ravel()
 
 
 def _layout(negative, q, e):
@@ -176,7 +190,7 @@ def _layout(negative, q, e):
 
 def format_floats(x):
     """``'%.17g' % v`` for each value v of ``x``, as an (x.size, WIDTH)
-    uint8 matrix of text and NUL bytes whose last column is NUL."""
+    uint8 matrix of text and NUL bytes."""
     x = np.asarray(x, dtype=np.float64).ravel()
     a = np.abs(x)
     fast = (a >= _FAST_RANGE[0]) & (a <= _FAST_RANGE[1])
@@ -187,6 +201,54 @@ def format_floats(x):
     q[slow] = 10 ** 16
     out = _layout(np.signbit(x), q, e)
     if slow.any():
-        text = b"".join((b"%.17g" % v).ljust(WIDTH, b"\0") for v in x[slow].tolist())
-        out[slow] = np.frombuffer(text, dtype=np.uint8).reshape(-1, WIDTH)
+        out[slow] = _padded([b"%.17g" % v for v in x[slow].tolist()], WIDTH)
     return out
+
+
+def _join(*fields):
+    """CSV text, a bytearray, of fields that are (n, width) uint8 matrices of
+    text and NUL bytes: each field's last column, always NUL, becomes a ','
+    or, after the last field, a newline, and then every NUL byte is dropped."""
+    ends = np.cumsum([f.shape[1] for f in fields]) - 1
+    text = bytearray(len(fields[0]) * (ends[-1] + 1))
+    rows = np.frombuffer(text, dtype=np.uint8).reshape(len(fields[0]), -1)
+    np.concatenate(fields, axis=1, out=rows)
+    rows[:, ends] = ord(",")
+    rows[:, ends[-1]] = ord("\n")
+    return text.translate(None, b"\0")
+
+
+def lines(*columns):
+    """CSV text of equal-length 1-D columns, one bytearray per block of rows
+    cut by ``amplitudes.block_slices``.  A boolean column is written as the
+    numbers 0 and 1."""
+    for s in amplitudes.block_slices(len(columns[0]), TEXT_ENTRIES * len(columns)):
+        yield _join(*(format_floats(c[s]) for c in columns))
+
+
+@functools.cache
+def _index_field(shape):
+    """The "i,j,..." text of each index of a ``shape`` array, C order, as a
+    read-only field."""
+    text = [",".join(map(str, idx)).encode() for idx in np.ndindex(shape)]
+    return _padded(text, 1 + max(map(len, text)))
+
+
+def grid_lines(times, values):
+    """The (t, index..., value) lines of an array whose leading axis runs
+    over ``times``, in bytearrays of whole rows of its last axis, cut by
+    ``amplitudes.block_slices``; a complex value gives re, im."""
+    index = _index_field(values.shape[1:])
+    count = len(times) * len(index)
+    # one number per line, or two for a complex value: re and im
+    numbers = values.reshape(count, -1).view(np.float64)
+    # a time repeats on many lines, so its text is formed once
+    t_text = format_floats(times)
+    row = values.shape[-1]
+    for s in amplitudes.block_slices(count // row, TEXT_ENTRIES * numbers.shape[1] * row):
+        first = s.start * row
+        chunk = numbers[first:s.stop * row]
+        t_index, i_index = np.divmod(np.arange(first, first + len(chunk)), len(index))
+        text = format_floats(chunk).reshape(len(chunk), numbers.shape[1], -1)
+        yield _join(t_text.take(t_index, axis=0), index.take(i_index, axis=0),
+                    *text.swapaxes(0, 1))

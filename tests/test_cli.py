@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import resource
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -10,14 +12,17 @@ import pytest
 
 import oscbath.amplitudes
 import oscbath.cli
+import oscbath.floatfmt
 import oscbath.master
+import oscbath.model
 import oscbath.validation
 from oscbath.cli import main
 from oscbath.config import load_config
 from oscbath.linalg import eigendecompose
 from oscbath.model import build_hamiltonian
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+REPO_ROOT = os.path.join(os.path.dirname(__file__), "..")
+CONFIG_DIR = os.path.join(REPO_ROOT, "configs")
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 TWO_OSC = os.path.join(CONFIG_DIR, "two_oscillator.json")
 N51 = os.path.join(CONFIG_DIR, "linear_bath_n51.json")
@@ -53,12 +58,30 @@ def write_strict_config(tmp_path):
     return str(path)
 
 
-def run_python(*args):
+def write_huge_bath_config(tmp_path):
+    """linear_bath_n51.json with a million bath modes: H alone would take
+    14.6 TiB."""
+    doc = json.loads(open(N51).read())
+    doc["bath"]["n"] = 1_000_000
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def run_python(*args, **kwargs):
     """``python *args`` in a new process that imports this tree's package."""
     src = os.path.dirname(os.path.dirname(oscbath.cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          **kwargs)
+
+
+def limit_address_space():
+    """Cap the calling process at 4 GiB of address space, so that a host which
+    overcommits memory refuses a huge array at once instead of filling it."""
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (4 * 2 ** 30, hard))
 
 
 def test_package_imports_without_scipy():
@@ -165,9 +188,9 @@ def test_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, command, names
 @pytest.mark.parametrize("lines, count", [
     # 100,000 rows of three columns, and a (20, 100, 100) complex grid:
     # 200,000 lines of 400,000 numbers
-    (lambda: oscbath.cli._lines(*(np.arange(100_000.0) * np.pi + k for k in range(3))),
+    (lambda: oscbath.floatfmt.lines(*(np.arange(100_000.0) * np.pi + k for k in range(3))),
      100_000),
-    (lambda: oscbath.cli._grid_lines(
+    (lambda: oscbath.floatfmt.grid_lines(
         np.arange(20) * 0.1,
         np.arange(200_000.0).reshape(20, 100, 100) * (np.e + 1j * np.pi)), 200_000),
 ], ids=["columns", "complex grid"])
@@ -175,7 +198,7 @@ def test_text_is_formed_one_block_at_a_time(lines, count):
     # as text the whole input would be 8 MB or more; a formatter call takes
     # BLOCK_ENTRIES // TEXT_ENTRIES numbers, which peak near 40
     # BLOCK_ENTRIES bytes (1.3 MB)
-    oscbath.cli._index_field((100, 100))  # cached, and not counted
+    oscbath.floatfmt._index_field((100, 100))  # cached, and not counted
     lines = lines()
     tracemalloc.start()
     try:
@@ -188,7 +211,8 @@ def test_text_is_formed_one_block_at_a_time(lines, count):
 
 def test_w_coeffs_lines_match_python_formatting(tmp_path):
     # n51's first and last blocks of W with their "t,n,k," prefixes, written
-    # by Python's own %-formatting, are the first and last lines of the file
+    # by Python's own %-formatting, are the first and last lines of the file,
+    # and the lines that floatfmt.grid_lines makes of each block
     assert main(["master", "--config", N51, "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "w_coeffs.csv").read_text().splitlines(keepends=True)
     cfg = load_config(N51)
@@ -202,6 +226,9 @@ def test_w_coeffs_lines_match_python_formatting(tmp_path):
     assert lines[0] == "t,n,k,W\n"
     assert lines[1:1 + len(first)] == first
     assert lines[-len(last):] == last
+    for blk, expected in ((blocks[0], first), (blocks[-1], last)):
+        written = b"".join(oscbath.floatfmt.grid_lines(blk.times, blk.w)).decode()
+        assert written.splitlines(keepends=True) == expected
 
 
 def singular_report_times(out):
@@ -607,6 +634,18 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.splitlines() == ["oscbath: error: unrecognized arguments: --bogus 1"]
 
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 14.6 TiB for an array"),
+         "out of memory: Unable to allocate 14.6 TiB for an array"),
+        (MemoryError(), "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch, error, line):
+        def no_memory(spec):
+            raise error
+        monkeypatch.setattr(oscbath.model, "build_hamiltonian", no_memory)
+        assert main(["master", "--config", N51, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+
     def test_eigensolver_failure(self, tmp_path, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("eigenvalue iteration did not converge")
@@ -631,12 +670,15 @@ class TestErrorPaths:
     (2, lambda tmp: ["master", "--config", str(tmp / "nope.json")]),
     (2, lambda tmp: ["master", "--config", TWO_OSC, "--window", "1,2"]),
     (3, lambda tmp: ["golden", "--config", TWO_OSC, *UNDERFLOW_FLAGS]),
+    (2, lambda tmp: ["master", "--config", write_huge_bath_config(tmp)]),
 ], ids=["validate passes", "validate fails", "missing config", "usage error",
-        "survival underflow"])
+        "survival underflow", "out of memory"])
 def test_exit_code_of_the_process(tmp_path, code, argv):
     # the exit status and stderr a shell sees, interpreter start-up included;
-    # a validation failure reports on stdout, every error in one stderr line
-    proc = run_python("-m", "oscbath.cli", *argv(tmp_path), "--out", str(tmp_path))
+    # a validation failure reports on stdout, every error in one stderr line.
+    # Never run without the address-space cap: the huge bath asks for 14.6 TiB
+    proc = run_python("-m", "oscbath.cli", *argv(tmp_path), "--out", str(tmp_path),
+                      preexec_fn=limit_address_space)
     assert proc.returncode == code
     assert len(proc.stderr.splitlines()) == (code >= 2), proc.stderr
     assert ("FAIL" in proc.stdout) == (code == 1)
@@ -653,3 +695,43 @@ class TestGoldenFiles:
         for name in names:
             expected = os.path.join(GOLDEN_DIR, name)
             assert (tmp_path / name).read_bytes() == open(expected, "rb").read(), name
+
+    @pytest.mark.parametrize("config, name, err", [
+        (TWO_OSC, "golden_report.json",
+         ["warning: fewer than two distinct bath frequencies: no density of states, "
+          "gamma = 0"]),
+        (N51, os.path.join("linear_bath_n51", "golden_report.json"), []),
+    ], ids=["two_oscillator", "linear_bath_n51"])
+    def test_golden_report_frozen(self, tmp_path, capsys, config, name, err):
+        # two_oscillator.json has no density of states; n51 takes the
+        # default decay window
+        assert main(["golden", "--config", config, "--out", str(tmp_path)]) == 0
+        expected = open(os.path.join(GOLDEN_DIR, name), "rb").read()
+        assert (tmp_path / "golden_report.json").read_bytes() == expected
+        assert capsys.readouterr().err.splitlines() == err
+
+    def test_validate_table_frozen(self, tmp_path, capsys):
+        assert main(["validate", "--config", TWO_OSC, "--out", str(tmp_path)]) == 0
+        expected = open(os.path.join(GOLDEN_DIR, "validate.txt")).read()
+        assert capsys.readouterr().out == expected
+
+
+def readme_cli_lines():
+    """The ``oscbath ...`` lines of the sh block under README's ``## CLI``."""
+    text = open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8").read()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("oscbath ")]
+
+
+def test_readme_cli_block(tmp_path, capsys, monkeypatch):
+    # every documented command runs as written, from the repository root its
+    # config paths are relative to, with its output in a temporary directory
+    lines = readme_cli_lines()
+    assert lines
+    monkeypatch.chdir(REPO_ROOT)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        if "--out" in argv:
+            del argv[argv.index("--out"):argv.index("--out") + 2]
+        assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0, line
+        assert capsys.readouterr().err == "", line

@@ -1,5 +1,6 @@
-"""``floatfmt.format_floats`` and the CSV writers built on it, against
-Python's own ``'%.17g' % x`` as the oracle."""
+"""``floatfmt.format_floats`` and the CSV writers ``floatfmt.lines`` and
+``floatfmt.grid_lines`` built on it, against Python's own ``'%.17g' % x`` as
+the oracle."""
 
 from decimal import Decimal
 
@@ -7,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscbath import cli, floatfmt
+from oscbath import floatfmt
 
 # derandomized: the same examples on every run, and no example database
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -109,7 +110,7 @@ def test_last_column_is_free():
 def test_complex_grid(values, times):
     # the lines of a (3, 2) complex grid, "t,n,re,im", as Python writes them
     grid = np.array(values).reshape(3, 2)
-    lines = b"".join(cli._grid_lines(np.array(times), grid)).decode()
+    lines = b"".join(floatfmt.grid_lines(np.array(times), grid)).decode()
     expected = "".join("%.17g,%d,%.17g,%.17g\n" % (t, n, v.real, v.imag)
                        for t, row in zip(times, grid.tolist()) for n, v in enumerate(row))
     assert lines == expected
@@ -120,5 +121,5 @@ def test_complex_grid(values, times):
                 min_size=1, max_size=20))
 def test_columns_and_flags(rows):
     t, x, flag = (np.array(c) for c in zip(*rows))
-    lines = b"".join(cli._lines(t, x, flag)).decode()
+    lines = b"".join(floatfmt.lines(t, x, flag)).decode()
     assert lines == "".join("%.17g,%.17g,%d\n" % row for row in rows)
