@@ -1,22 +1,24 @@
 """Command-line front end.
 
-Subcommands: amplitudes | master | langevin | golden | validate.
+Subcommands: amplitudes | master | langevin | golden | validate.  ``main``
+runs each one: it reads the config, applies ``--t-max``, ``--dt`` and
+``--window``, creates ``--out``, eigensolves once and calls
+``cmd_<name>(cfg, sd, out)``, which reduces engine blocks and writes its
+files.  ``main`` prints every stderr line: one per error, and one
+``warning: <message>`` per UserWarning a command raises.
 Outputs are deterministic: fixed column order, every float written as the
 exact bytes of Python's ``'%.17g' % x``, Unix line endings, singular time
-points written as nan plus a sidecar ``singular_points.txt``.  This module
-opens the files and writes their headers; ``floatfmt`` builds every CSV
-line from the arrays it is handed, block by block.  ``amplitudes`` and
-``master`` write each block of ``master.time_blocks`` as it arrives, so
-memory is bounded by one block plus a few per-time vectors.
-Each command asks the engine for only the rows of Pdot and W it reads, and
-the engine solves just those rows of W: ``golden`` reads row 0 (its W[0, 0]
-loss rate), ``amplitudes`` none and ``master`` all of them.
+points written as nan plus a sidecar ``singular_points.txt``.  ``floatfmt``
+builds every CSV line; ``amplitudes`` and ``master`` write each block of
+``master.time_blocks`` as it arrives, so memory is bounded by one block
+plus a few per-time vectors.  Each command asks the engine for only the
+rows of Pdot and W it reads: ``golden`` row 0 (its W[0, 0] loss rate),
+``amplitudes`` none and ``master`` all of them.
 
 Exit codes: 0 success, 1 validation failure, 2 config or I/O error
 (including a time grid or fit window that is not usable) or running out of
 memory, 3 numerical failure (LAPACK eigensolver non-convergence, a survival
-amplitude too small to fit).  Errors print one line on stderr, as does each
-warning.
+amplitude too small to fit).
 """
 
 import argparse
@@ -64,46 +66,25 @@ def _write_singular_report(out_dir, singular_times):
                floatfmt.lines(singular_times))
 
 
-def _prepare(args):
-    cfg = load_config(args.config)
-    overrides = {k: v for k, v in (("t_max", args.t_max), ("dt", args.dt)) if v is not None}
-    window = getattr(args, "window", None)  # only golden has the flag
-    if window is not None:
-        try:
-            t1, t2 = (float(x) for x in window.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad --window '{window}': expected t1,t2") from exc
-        overrides["fit_window"] = (t1, t2)
-    # replace() re-runs RunConfig's time-grid and fit-window checks
-    cfg = dataclasses.replace(cfg, **overrides)
-    os.makedirs(args.out, exist_ok=True)
-    sd = eigendecompose(model.build_hamiltonian(cfg.spec))
-    return cfg, sd
-
-
-def cmd_amplitudes(args):
-    cfg, sd = _prepare(args)
+def cmd_amplitudes(cfg, sd, out):
     times = cfg.time_grid()
-
     # lines are formatted block by block while the file is written
     lines = (line for blk in master.time_blocks(sd, times, rows=0)
              for line in floatfmt.grid_lines(blk.times, blk.a))
-    _write_csv(os.path.join(args.out, "amplitudes.csv"), "t,n,m,re,im", lines)
+    _write_csv(os.path.join(out, "amplitudes.csv"), "t,n,m,re,im", lines)
 
     a00, _, _ = amplitudes.survival_series(sd, times)
-    _write_csv(os.path.join(args.out, "survival.csv"), "t,re,im,abs",
+    _write_csv(os.path.join(out, "survival.csv"), "t,re,im,abs",
                floatfmt.lines(times, a00.real, a00.imag, np.hypot(a00.real, a00.imag)))
     return 0
 
 
-def cmd_master(args):
-    cfg, sd = _prepare(args)
+def cmd_master(cfg, sd, out):
     times = cfg.time_grid()
-
     singular = []
-    with (_open_csv(os.path.join(args.out, "populations.csv"), "t,n,population") as occ_fh,
-          _open_csv(os.path.join(args.out, "w_coeffs.csv"), "t,n,k,W") as w_fh,
-          _open_csv(os.path.join(args.out, "master_residual.csv"),
+    with (_open_csv(os.path.join(out, "populations.csv"), "t,n,population") as occ_fh,
+          _open_csv(os.path.join(out, "w_coeffs.csv"), "t,n,k,W") as w_fh,
+          _open_csv(os.path.join(out, "master_residual.csv"),
                     "t,residual,residual_balance") as res_fh):
         for blk in master.time_blocks(sd, times,
                                       condition_cap=cfg.tolerances["condition_cap"]):
@@ -113,29 +94,27 @@ def cmd_master(args):
             res_fh.writelines(floatfmt.lines(blk.times, res, bal))
             singular.extend(blk.times[blk.singular].tolist())
 
-    _write_singular_report(args.out, np.array(singular))
+    _write_singular_report(out, np.array(singular))
     return 0
 
 
-def cmd_langevin(args):
-    cfg, sd = _prepare(args)
+def cmd_langevin(cfg, sd, out):
     times = cfg.time_grid()
-
     series = langevin.langevin_series(sd, times)
-    _write_csv(os.path.join(args.out, "langevin.csv"), "t,a,b,omega_sq,gamma,singular",
+    _write_csv(os.path.join(out, "langevin.csv"), "t,a,b,omega_sq,gamma,singular",
                floatfmt.lines(times, series.a00.real, series.a00.imag,
                               series.omega_sq, series.gamma, series.singular))
 
     tsub = _subsample(times, MAX_COV_POINTS)
     cov = langevin.noise_covariance_grid(sd, tsub, cfg.initial, cfg.spec)
-    _write_csv(os.path.join(args.out, "noise_cov.csv"), "t,t_prime,c_ff",
+    _write_csv(os.path.join(out, "noise_cov.csv"), "t,t_prime,c_ff",
                floatfmt.lines(np.repeat(tsub, len(tsub)), np.tile(tsub, len(tsub)),
                               cov.ravel()))
 
-    _write_csv(os.path.join(args.out, "langevin_residual.csv"), "t,residual",
+    _write_csv(os.path.join(out, "langevin_residual.csv"), "t,residual",
                floatfmt.lines(times, langevin.langevin_residual(series)))
 
-    _write_singular_report(args.out, times[series.singular])
+    _write_singular_report(out, times[series.singular])
     return 0
 
 
@@ -144,17 +123,11 @@ def _json_number(x):
     return x if math.isfinite(x) else None
 
 
-def cmd_golden(args):
-    cfg, sd = _prepare(args)
+def cmd_golden(cfg, sd, out):
     window, times = cfg.fit_times()
-
     a00, _, _ = amplitudes.survival_series(sd, times)
     fit = golden.fit_exponential(times, a00)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UserWarning)
-        pred = golden.perturbative_prediction(cfg.spec)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    pred = golden.perturbative_prediction(cfg.spec)
 
     wtimes = _subsample(times, MAX_W00_POINTS)
     blocks = master.time_blocks(sd, wtimes, 1, cfg.tolerances["condition_cap"])
@@ -171,14 +144,13 @@ def cmd_golden(args):
         "goodness": _json_number(fit.goodness),
         "w_deviation": _json_number(w_dev),
     }
-    with open(os.path.join(args.out, "golden_report.json"), "w", newline="\n") as fh:
+    with open(os.path.join(out, "golden_report.json"), "w", newline="\n") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return 0
 
 
-def cmd_validate(args):
-    cfg, sd = _prepare(args)
+def cmd_validate(cfg, sd, out):
     results = validation.run_suite(cfg, sd)
     width = max(len(name) for name, _, _, _ in results)
     for name, value, tolerance, ok in results:
@@ -203,29 +175,38 @@ def build_parser():
         description="Exact master and Langevin equations for a harmonic "
                     "oscillator coupled to a finite bath")
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "amplitudes": cmd_amplitudes,
-        "master": cmd_master,
-        "langevin": cmd_langevin,
-        "golden": cmd_golden,
-        "validate": cmd_validate,
-    }
-    for name, handler in handlers.items():
+    for handler in (cmd_amplitudes, cmd_master, cmd_langevin, cmd_golden, cmd_validate):
+        name = handler.__name__.removeprefix("cmd_")
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--t-max", type=float, default=None, help="override time.t_max")
         p.add_argument("--dt", type=float, default=None, help="override time.dt")
         if name == "golden":
-            p.add_argument("--window", default=None, help="fit window t1,t2")
-        p.set_defaults(handler=handler)
+            p.add_argument("--window", help="fit window t1,t2")
+        p.set_defaults(handler=handler, window=None)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    overrides = {k: v for k, v in (("t_max", args.t_max), ("dt", args.dt)) if v is not None}
+    caught = []
     try:
-        return args.handler(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            cfg = load_config(args.config)
+            if args.window is not None:
+                try:
+                    t1, t2 = (float(x) for x in args.window.split(","))
+                except ValueError as exc:
+                    raise ConfigError(f"bad --window '{args.window}': expected t1,t2") from exc
+                overrides["fit_window"] = (t1, t2)
+            # replace() re-runs RunConfig's time-grid and fit-window checks
+            cfg = dataclasses.replace(cfg, **overrides)
+            os.makedirs(args.out, exist_ok=True)
+            sd = eigendecompose(model.build_hamiltonian(cfg.spec))
+            return args.handler(cfg, sd, args.out)
     except ConfigError as exc:
         message, code = f"config error: {exc}", 2
     except (np.linalg.LinAlgError, NumericalError) as exc:
@@ -234,6 +215,14 @@ def main(argv=None):
         message, code = f"i/o error: {exc}", 2
     except MemoryError as exc:  # numpy's names the allocation, Python's is bare
         message, code = "out of memory" + (f": {exc}" if str(exc) else ""), 2
+    finally:
+        # a warning prints before the error that ended its command; any
+        # other category prints as the warnings module would have printed it
+        for w in caught:
+            if issubclass(w.category, UserWarning):
+                print(f"warning: {w.message}", file=sys.stderr)
+            else:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     print(message, file=sys.stderr)
     return code
 

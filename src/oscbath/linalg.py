@@ -65,13 +65,19 @@ def _rotate_small(h):
     if a.shape[0] == 2 and a[0, 1] != 0.0:
         apq = a[0, 1]
         mag = abs(apq)
-        ph = apq / mag
+        # a complex division multiplies by 1 / mag, which overflows for a
+        # subnormal mag; scaling by a power of two is exact
+        unit = apq * 2.0 ** 64 if mag < np.finfo(np.float64).tiny else apq
+        ph = unit / abs(unit)
         phc = ph.conjugate()
-        theta = (a[1, 1].real - a[0, 0].real) / (2.0 * mag)
-        if theta >= 0.0:
-            t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-        else:
-            t = 1.0 / (theta - np.sqrt(theta * theta + 1.0))
+        # theta or theta**2 overflows to inf only where the exact angle t is
+        # below rounding against 1; then t comes out 0
+        with np.errstate(over="ignore"):
+            theta = (a[1, 1].real - a[0, 0].real) / (2.0 * mag)
+            if theta >= 0.0:
+                t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
+            else:
+                t = 1.0 / (theta - np.sqrt(theta * theta + 1.0))
         c = 1.0 / np.sqrt(t * t + 1.0)
         s = t * c
 

@@ -10,8 +10,9 @@ Everything dense is computed by one engine, ``time_blocks``, which walks a
 time grid in blocks of consecutive times and stacks each block's matrices
 along a leading time axis.  A consumer names the leading rows of Pdot it
 reads, and only those rows of Adot, Pdot and W are computed: ``golden``
-reads row 0, ``amplitudes`` and a cap-less ``grid_invariants`` read none
-(so no W is solved), and ``master`` and ``validate`` read all of them.
+reads row 0, ``amplitudes`` none (so no W is solved), and ``master`` and
+``validate`` all of them.  ``validation.grid_invariants`` reduces whatever
+blocks its caller asks the engine for.
 """
 
 from dataclasses import dataclass

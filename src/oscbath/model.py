@@ -48,6 +48,9 @@ class ModelSpec:
             raise ValueError(f"system frequency must be positive, got {self.omega}")
         if not (self.mass > 0 and np.isfinite(self.mass)):
             raise ValueError(f"mass must be positive, got {self.mass}")
+        if not 2.0 * self.mass * self.omega >= np.finfo(np.float64).tiny:
+            raise ValueError(f"mass * system frequency {self.mass * self.omega:g} is too "
+                             "small: 1 / (2 M Omega) overflows")
         n = self.bath_frequencies.shape[0]
         if self.couplings.shape != (n,):
             raise ValueError(

@@ -29,26 +29,23 @@ def _spectral_checks(h, sd):
     return rec_res, uni
 
 
-def grid_invariants(sd, times, initial, condition_cap=None):
-    """Worst invariant defects of the dense path over a time grid, reduced
-    block by block as ``master.time_blocks`` yields them.
+def grid_invariants(blocks, initial):
+    """Worst invariant defects of the dense path, reduced block by block
+    over ``blocks``, the ``master.time_blocks`` of one time grid.
 
     Returns a dict: ``unitarity`` max |A A^H - I|, ``rows`` and ``cols``
     the double-stochasticity defects of P, ``positivity`` the most negative
     occupation (0 if none) and ``conservation`` the relative drift of the
     total quantum number (the absolute drift if the initial total is 0).
-    Given a ``condition_cap``, the engine also solves W on each block and
-    this adds ``master_residual``, the largest finite master-equation
-    residual (0 if every point is singular); without one, no W is solved.
-    A nan defect stays nan.
+    Where the blocks carry every row of W, this adds ``master_residual``,
+    the largest finite master-equation residual (0 if every point is
+    singular).  A nan defect stays nan.
     """
     initial = np.asarray(initial, dtype=np.float64)
     worst = {}
     total0 = None
-    eye = np.eye(sd.dim)
-    # Pdot and W are read only for the master-equation residual
-    rows = None if condition_cap is not None else 0
-    for blk in master.time_blocks(sd, times, rows, condition_cap):
+    eye = np.eye(initial.size)
+    for blk in blocks:
         gram = blk.a @ blk.a.conj().swapaxes(-1, -2)
         occ = blk.p @ initial
         totals = occ.sum(axis=-1)
@@ -61,7 +58,7 @@ def grid_invariants(sd, times, initial, condition_cap=None):
             "positivity": 0.0 - occ.min(initial=0.0),  # never -0.0
             "drift": np.abs(totals - total0).max(),
         }
-        if condition_cap is not None:
+        if blk.w is not None:
             res, _ = master.master_residual(blk, initial)
             block_worst["master_residual"] = res[np.isfinite(res)].max(initial=0.0)
         for key, value in block_worst.items():
@@ -87,7 +84,8 @@ def run_suite(cfg, sd):
     record("eigenvector unitarity", uni, spectral_tol)
 
     times = cfg.time_grid()
-    worst = grid_invariants(sd, times, cfg.initial, tol["condition_cap"])
+    worst = grid_invariants(
+        master.time_blocks(sd, times, condition_cap=tol["condition_cap"]), cfg.initial)
     record("amplitude unitarity", worst["unitarity"], tol["unitarity"])
     record("double stochasticity (rows)", worst["rows"], tol["stochasticity"])
     record("double stochasticity (cols)", worst["cols"], tol["stochasticity"])

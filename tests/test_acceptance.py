@@ -34,7 +34,7 @@ def big_sweep(bath201_sd):
     times = np.arange(0, 200.0001, 0.1)
     init = np.zeros(202)
     init[0] = 1.0
-    return grid_invariants(bath201_sd, times, init)
+    return grid_invariants(ob.time_blocks(bath201_sd, times, rows=0), init)
 
 
 def test_criterion_1_unitarity_and_stochasticity(big_sweep):
@@ -57,8 +57,8 @@ def test_criterion_2_exact_master_equation(two_osc_sd, bath51_sd, bath51_spec):
     # (b) weak-coupling bath residual
     times51 = np.linspace(0, 50, 101)
     init = ob.thermal_populations(bath51_spec, beta=1.0)
-    worst51 = grid_invariants(bath51_sd, times51, init,
-                              DEFAULT_CONDITION_CAP)["master_residual"]
+    blocks51 = ob.time_blocks(bath51_sd, times51, condition_cap=DEFAULT_CONDITION_CAP)
+    worst51 = grid_invariants(blocks51, init)["master_residual"]
 
     # the singularity is flagged, not silently crossed
     (at_sing,) = ob.time_blocks(two_osc_sd, [t_sing])

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 import oscbath.amplitudes
 import oscbath.cli
 import oscbath.floatfmt
+import oscbath.langevin
 import oscbath.master
 import oscbath.model
 import oscbath.validation
@@ -438,12 +440,15 @@ class TestRowsRead:
     def test_grid_invariants_reads_rows_only_for_w(self, bath51_sd, monkeypatch):
         adot_shapes, pdot_rows = self.spy(monkeypatch)
         times, init = np.linspace(0, 50, 26), np.full(52, 0.5)
-        oscbath.validation.grid_invariants(bath51_sd, times, init, condition_cap=None)
+        worst = oscbath.validation.grid_invariants(
+            oscbath.master.time_blocks(bath51_sd, times, rows=0), init)
         assert adot_shapes and set(adot_shapes) == {(0, 52)}
-        assert not pdot_rows
+        assert not pdot_rows and "master_residual" not in worst
         adot_shapes.clear()
-        oscbath.validation.grid_invariants(bath51_sd, times, init, condition_cap=1e10)
+        worst = oscbath.validation.grid_invariants(
+            oscbath.master.time_blocks(bath51_sd, times, condition_cap=1e10), init)
         assert set(adot_shapes) == {(52, 52)} and set(pdot_rows) == {52}
+        assert "master_residual" in worst
 
     @pytest.mark.parametrize("command", ["master", "validate"])
     def test_master_and_validate_read_every_row(self, tmp_path, monkeypatch, command):
@@ -480,6 +485,23 @@ class TestValidateCommand:
         out, err = capsys.readouterr()
         assert "PASS  total quanta conservation" in out and "value=0.000e+00" in out
         assert err == ""
+
+    @pytest.mark.parametrize("omegas", [[1.0], [1.5]], ids=["degenerate", "detuned"])
+    @pytest.mark.parametrize("g", [1e-320, [3e-321, 1e-320]], ids=["real", "complex"])
+    @pytest.mark.parametrize("command", ["amplitudes", "validate"])
+    def test_subnormal_coupling(self, tmp_path, capsys, command, omegas, g):
+        # the closed-form rotation once divided by the subnormal |g|: nan in
+        # every output, and validate failed
+        doc = json.loads(open(TWO_OSC).read())
+        doc["bath"]["spectrum"]["omegas"] = omegas
+        doc["bath"]["coupling"]["gs"] = [g]
+        cfg = tmp_path / "subnormal.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        text = out + "".join(p.read_text() for p in tmp_path.glob("*.csv"))
+        assert "nan" not in text and "inf" not in text and "FAIL" not in text
 
     def test_spectral_bound_scales_with_dim(self):
         # c dim eps, at no shipped size looser than the former absolute 1e-12
@@ -576,6 +598,8 @@ class TestErrorPaths:
         "bath_bath nan", "bath_bath inf", "bath_bath -inf",
         "system_occupation nan", "system_occupation inf",
         "omega_min -inf", "omega_max inf", "not utf-8",
+        # 1 / (2 M Omega) overflows: once inf in most noise_cov.csv rows
+        "mass 1e-320",
     ])
     def test_unusable_model_input(self, tmp_path, capsys, bad):
         # each is one line on stderr and exit 2, as any other config error
@@ -590,6 +614,8 @@ class TestErrorPaths:
                 doc["bath"]["bath_bath"] = np.diag([value] + [0.0] * 50).tolist()
             elif key == "v_self":
                 doc["system"]["v_self"] = value
+            elif key == "mass":
+                doc["system"]["mass"] = value
             elif key == "system_occupation":
                 doc["initial"]["system_occupation"] = value
             else:
@@ -654,6 +680,31 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "numerical failure" in err
 
+
+    def test_warning_from_any_command_is_one_line(self, tmp_path, capsys, monkeypatch,
+                                                   recwarn):
+        langevin_series = oscbath.langevin.langevin_series
+
+        def warns(*args):
+            warnings.warn("a warning from langevin")
+            return langevin_series(*args)
+
+        monkeypatch.setattr(oscbath.langevin, "langevin_series", warns)
+        assert main(["langevin", "--config", TWO_OSC, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err.splitlines() == ["warning: a warning from langevin"]
+        assert not recwarn.list
+
+    def test_warning_prints_before_the_error(self, tmp_path, capsys, monkeypatch):
+        # golden warns before it solves W, and then runs out of memory
+        def no_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(oscbath.master, "time_blocks", no_memory)
+        assert main(["golden", "--config", TWO_OSC, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: fewer than two distinct bath frequencies: no density of states, "
+            "gamma = 0",
+            "out of memory"]
 
     def test_survival_underflow_in_fit_window(self, tmp_path, capsys, recwarn):
         assert main(["golden", "--config", TWO_OSC, "--out", str(tmp_path),

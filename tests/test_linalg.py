@@ -83,6 +83,22 @@ class TestEigendecompose:
         scale = np.finfo(float).eps * np.abs(ref).max()
         assert np.abs(sd.eigenvalues - ref).max() <= 8 * scale
 
+    @pytest.mark.parametrize("gap", [0.0, 0.5], ids=["degenerate", "detuned"])
+    @pytest.mark.parametrize("g", [1e-320, 3e-321 + 1e-320j, 1e-200, 1e-200j],
+                             ids=["subnormal", "complex subnormal", "tiny", "tiny imaginary"])
+    def test_two_by_two_tiny_coupling(self, gap, g):
+        # 1 / |g| overflows for a subnormal g, and so does (gap / 2|g|)^2 for
+        # any tiny g off resonance; neither may reach the output as nan or a warning
+        h = np.array([[1.0, np.conj(g)], [g, 1.0 + gap]], dtype=complex)
+        sd = eigendecompose(h)
+        assert np.all(np.isfinite(sd.vectors)) and np.all(np.isfinite(sd.eigenvalues))
+        assert np.abs(sd.vectors.conj().T @ sd.vectors - np.eye(2)).max() <= 1e-15
+        assert np.abs(h @ sd.vectors - sd.vectors * sd.eigenvalues).max() <= 1e-15
+        # mixing is complete between degenerate levels, however small g is,
+        # and below rounding between detuned ones
+        mixing = np.abs(sd.vectors[1, 0])
+        assert mixing == pytest.approx(np.sqrt(0.5)) if gap == 0.0 else mixing <= 1e-16
+
     def test_complex_couplings_match_real_twin(self):
         real = ob.preset_linear_bath(51, 0.5, 1.5, 1.0, 0.01)
         phases = np.exp(2j * np.pi * np.random.default_rng(4).random(51))

@@ -168,7 +168,7 @@ class TestEvolvePopulations:
 
     def test_conservation(self, bath51_sd, bath51_spec):
         init = ob.thermal_populations(bath51_spec, beta=1.0)
-        worst = grid_invariants(bath51_sd, np.linspace(0, 50, 26), init)
+        worst = grid_invariants(time_blocks(bath51_sd, np.linspace(0, 50, 26), rows=0), init)
         assert worst["conservation"] <= 1e-10
         assert worst["positivity"] <= 1e-12
 

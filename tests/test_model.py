@@ -56,12 +56,22 @@ class TestBuildHamiltonian:
         ("bath_bath", [[np.inf, 0.0], [0.0, 0.0]], "bath_bath must be finite"),
         ("bath_bath", [[0.0, 0.0], [0.0, np.nan]], "bath_bath must be finite"),
         ("bath_bath", [[0.0, 0.1], [0.0, 0.0]], "bath_bath block not Hermitian"),
+        # 1 / (2 M Omega) would overflow: once inf in most noise_cov.csv rows
+        ("mass", 1e-320, r"mass \* system frequency 9.99989e-321 is too small"),
     ])
     def test_unbuildable_model_rejected(self, field, value, fragment):
         fields = dict(omega=1.0, bath_frequencies=[1.0, 2.0], couplings=[0.1, 0.1])
         fields[field] = value
         with pytest.raises(ValueError, match=fragment):
             ModelSpec(**fields)
+
+    def test_mass_frequency_product_bound(self):
+        # the bound is on 2 M Omega, which can underflow from two normal factors
+        tiny = np.finfo(np.float64).tiny
+        bare = dict(bath_frequencies=[], couplings=[])
+        assert ModelSpec(omega=1.0, mass=tiny / 2, **bare).mass == tiny / 2
+        with pytest.raises(ValueError, match=r"is too small: 1 / \(2 M Omega\) overflows"):
+            ModelSpec(omega=1e-300, mass=1e-10, **bare)
 
 
 class TestLinearPreset:

@@ -1,0 +1,70 @@
+"""SHA-256 digests of every CLI output on a fixed matrix of runs.
+
+Usage: python3 tools/output_digests.py ROOT
+
+Imports oscbath from ``ROOT/src`` (never an installed copy), runs each
+command of the matrix below in-process through ``oscbath.cli.main`` with
+``--out`` in a fresh temporary directory, and prints one line
+``<command> <config> <flags> <item> <sha256>`` per output file, and one
+each for the run's stdout, stderr and exit code.  The checkout and output
+paths in stderr are replaced by placeholders before hashing, so two
+checkouts compare with ``diff`` of their two listings.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+TWO_OSC, N51, N201 = "two_oscillator.json", "linear_bath_n51.json", "linear_bath_n201.json"
+COMMANDS = ("amplitudes", "master", "langevin", "golden", "validate")
+SINGULAR_GRID = ("--dt", "0.015707963267948967", "--t-max", "70")  # hits t = pi / (4 g)
+MATRIX = (
+    [(command, config, ()) for config in (TWO_OSC, N51) for command in COMMANDS]
+    + [("golden", N201, ("--window", "10,100")),
+       ("master", N201, ("--t-max", "20")),
+       ("amplitudes", N201, ("--t-max", "2")),
+       ("master", TWO_OSC, SINGULAR_GRID),
+       ("langevin", TWO_OSC, SINGULAR_GRID)]
+)
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _file_sha256(path):
+    with open(path, "rb") as fh:
+        return _sha256(fh.read())
+
+
+def main(root):
+    root = os.path.realpath(root)
+    src = os.path.join(root, "src")
+    sys.path.insert(0, src)
+    import oscbath.cli
+
+    if not os.path.realpath(oscbath.cli.__file__).startswith(src + os.sep):
+        raise SystemExit(f"imported oscbath from {oscbath.cli.__file__}, not from {src}")
+    for command, config, flags in MATRIX:
+        with tempfile.TemporaryDirectory() as out:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            argv = [command, "--config", os.path.join(root, "configs", config), "--out", out]
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = oscbath.cli.main(argv + list(flags))
+            err = stderr.getvalue().replace(out, "<OUT>").replace(root, "<ROOT>")
+            items = [(name, _file_sha256(os.path.join(out, name)))
+                     for name in sorted(os.listdir(out))]
+            items += [("stdout", _sha256(stdout.getvalue().encode())),
+                      ("stderr", _sha256(err.encode())),
+                      ("exit", _sha256(str(code).encode()))]
+        for item, digest in items:
+            print(command, config, ",".join(flags) or "-", item, digest)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__.split("\n\n")[1])
+    main(sys.argv[1])
