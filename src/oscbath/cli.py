@@ -5,7 +5,8 @@ runs each one: it reads the config, applies ``--t-max``, ``--dt`` and
 ``--window``, creates ``--out``, eigensolves once and calls
 ``cmd_<name>(cfg, sd, out)``, which reduces engine blocks and writes its
 files.  ``main`` prints every stderr line: one per error, and one
-``warning: <message>`` per UserWarning a command raises.
+``warning: <message>`` per UserWarning a command raises.  ``cli`` holds no
+grid rule: each command takes its time grids from ``RunConfig``.
 Outputs are deterministic: fixed column order, every float written as the
 exact bytes of Python's ``'%.17g' % x``, Unix line endings, singular time
 points written as nan plus a sidecar ``singular_points.txt``.  ``floatfmt``
@@ -35,15 +36,6 @@ import numpy as np
 from . import amplitudes, floatfmt, golden, langevin, master, model, validation
 from .config import ConfigError, load_config
 from .linalg import NumericalError, eigendecompose
-
-MAX_COV_POINTS = 101  # per axis in noise_cov.csv
-MAX_W00_POINTS = 201  # fit-window times at which golden solves W
-
-
-def _subsample(times, points):
-    """Every k-th time, k the smallest stride that keeps at most ``points``."""
-    return times[::max(1, -(-(len(times) - 1) // (points - 1)))]
-
 
 @contextlib.contextmanager
 def _open_csv(path, header):
@@ -105,7 +97,7 @@ def cmd_langevin(cfg, sd, out):
                floatfmt.lines(times, series.a00.real, series.a00.imag,
                               series.omega_sq, series.gamma, series.singular))
 
-    tsub = _subsample(times, MAX_COV_POINTS)
+    tsub = cfg.cov_times()
     cov = langevin.noise_covariance_grid(sd, tsub, cfg.initial, cfg.spec)
     _write_csv(os.path.join(out, "noise_cov.csv"), "t,t_prime,c_ff",
                floatfmt.lines(np.repeat(tsub, len(tsub)), np.tile(tsub, len(tsub)),
@@ -129,10 +121,9 @@ def cmd_golden(cfg, sd, out):
     fit = golden.fit_exponential(times, a00)
     pred = golden.perturbative_prediction(cfg.spec)
 
-    wtimes = _subsample(times, MAX_W00_POINTS)
+    wtimes = cfg.w00_times(pred.gamma)
     blocks = master.time_blocks(sd, wtimes, 1, cfg.tolerances["condition_cap"])
-    # copied, since a view of W[:, 0, 0] would keep the block's whole W alive
-    w00 = np.concatenate([blk.w[:, 0, 0].copy() for blk in blocks])
+    w00 = np.array([w for blk in blocks for w in blk.w[:, 0, 0]])
     w_dev = golden.compare_exact_vs_golden(wtimes, w00, cfg.spec)
 
     report = {

@@ -21,7 +21,8 @@ Every number is a JSON number: true, false and quoted numbers such as "2"
 are rejected.  Complex numbers are written as a plain number or a
 two-element [re, im] list.  Optional top-level keys: "tolerances" (name ->
 number overrides) and "fit_window" ([t1, t2] for the exponential fit; both
-finite, t1 < t2).
+finite, t1 < t2).  ``RunConfig`` resolves every time grid a command computes
+on: the output grid, the fit window, and the noise-covariance and W00 grids.
 """
 
 import json
@@ -46,6 +47,14 @@ DEFAULT_TOLERANCES = {
     "langevin_residual": 1e-6,
     "condition_cap": DEFAULT_CONDITION_CAP,
 }
+
+MAX_COV_POINTS = 101  # per axis in noise_cov.csv
+MAX_W00_POINTS = 201  # fit-window times at which golden solves W
+
+
+def _subsample(times, points):
+    """Every k-th time, k the smallest stride that keeps at most ``points``."""
+    return times[::max(1, -(-(len(times) - 1) // (points - 1)))]
 
 
 @dataclass
@@ -94,6 +103,19 @@ class RunConfig:
             raise ConfigError(f"fit window [{t1:g}, {t2:g}] holds fewer than "
                               f"2 points of the time grid [0, {grid[-1]:g}]")
         return (t1, t2), times
+
+    def cov_times(self):
+        """The noise-covariance times: at most MAX_COV_POINTS of the time grid."""
+        return _subsample(self.time_grid(), MAX_COV_POINTS)
+
+    def w00_times(self, gamma):
+        """The fit-window times up to the decay time 1 / ``gamma`` of |A00|^2
+        (all of them if ``gamma`` is 0), at most MAX_W00_POINTS: where the
+        perturbative regime lets W[0, 0] be compared with the golden rule."""
+        times = self.fit_times()[1]
+        if gamma > 0:
+            times = times[times <= 1.0 / gamma]
+        return _subsample(times, MAX_W00_POINTS)
 
 
 def _value(val, path, kind):

@@ -143,4 +143,12 @@ def explicit_populations(spec, occupations):
             f"got {occ.shape}")
     if np.any(occ < 0) or not np.all(np.isfinite(occ)):
         raise ValueError("occupations must be finite and non-negative")
+    # |C_ff| <= (2 max_m N_m + 1) / (2 M Omega) over the bath modes m >= 1,
+    # and symmetrizing C_ff doubles it: both must stay finite
+    top = occ[1:].max(initial=0.0)
+    with np.errstate(over="ignore"):
+        bound = (2.0 * top + 1.0) / (2.0 * spec.mass * spec.omega)
+    if spec.n_bath and bound > np.finfo(np.float64).max / 4:
+        raise ValueError(f"bath occupations up to {top:g} with mass * system frequency "
+                         f"{spec.mass * spec.omega:g} overflow the noise covariance")
     return occ

@@ -13,6 +13,7 @@ import pytest
 
 import oscbath.amplitudes
 import oscbath.cli
+import oscbath.config
 import oscbath.floatfmt
 import oscbath.langevin
 import oscbath.master
@@ -294,14 +295,14 @@ class TestLangevinCommand:
         assert main(["langevin", "--config", TWO_OSC, "--out", str(tmp_path),
                      "--t-max", "19.9"]) == 0
         rows = read_csv(tmp_path / "noise_cov.csv")
-        assert len(rows) <= oscbath.cli.MAX_COV_POINTS ** 2
+        assert len(rows) <= oscbath.config.MAX_COV_POINTS ** 2
         times = [r["t"] for r in read_csv(tmp_path / "langevin.csv")]
         assert len(times) == 200
         assert list(dict.fromkeys(r["t"] for r in rows)) == times[::2]
         for n in range(1, 1000):
-            kept = oscbath.cli._subsample(np.arange(n), oscbath.cli.MAX_COV_POINTS)
+            kept = oscbath.config._subsample(np.arange(n), oscbath.config.MAX_COV_POINTS)
             assert kept[0] == 0
-            assert min(n, 51) <= len(kept) <= oscbath.cli.MAX_COV_POINTS
+            assert min(n, 51) <= len(kept) <= oscbath.config.MAX_COV_POINTS
 
     def test_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -367,6 +368,15 @@ class TestGoldenCommand:
         assert report["w_deviation"] is None
         # |A00| = 1 to rounding: no fitted drop to measure the goodness against
         assert report["goodness"] is None
+
+    def test_window_after_the_decay_time(self, tmp_path, capsys):
+        # 1 / gamma_pred = 15.9 on n201: no W00 time is left to compare
+        assert main(["golden", "--config", N201, "--out", str(tmp_path),
+                     "--window", "20,100"]) == 0
+        report = json.loads((tmp_path / "golden_report.json").read_text())
+        assert report["window"] == [20.0, 100.0]
+        assert report["w_deviation"] is None
+        assert capsys.readouterr().err == ""
 
     def test_survival_sums_only_in_the_window(self, tmp_path, monkeypatch):
         seen = []
@@ -624,6 +634,26 @@ class TestErrorPaths:
         assert main(["master", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+    def test_noise_covariance_overflow(self, tmp_path, capsys):
+        # at M Omega = 1.2e-308, (2 max_m N_m + 1) / (2 M Omega) is 4.2e307
+        # for an empty bath mode, below the max / 4 bound, and 4.6e308 for 5
+        # quanta, which wrote inf to noise_cov.csv
+        doc = json.loads(open(TWO_OSC).read())
+        doc["system"]["mass"] = 1.2e-308
+        cfg = tmp_path / "cfg.json"
+        argv = ["langevin", "--config", str(cfg), "--out", str(tmp_path)]
+        doc["initial"]["occupations"] = [1.0, 0.0]
+        cfg.write_text(json.dumps(doc))
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert all(np.isfinite(float(r["c_ff"])) for r in read_csv(tmp_path / "noise_cov.csv"))
+        doc["initial"]["occupations"] = [0.0, 5.0]
+        cfg.write_text(json.dumps(doc))
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: invalid value: bath occupations up to 5 with mass * system "
+            "frequency 1.2e-308 overflow the noise covariance"]
 
     @pytest.mark.parametrize("section, key, value", [("bath", "n", True),
                                                      ("system", "mass", "2")])

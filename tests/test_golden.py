@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -229,6 +230,17 @@ class TestCompareExactVsGolden:
         times = np.arange(5.0, 15.001, 0.5)
         dev = compare_exact_vs_golden(times, exact_w00(bath201_sd, times), bath201_spec)
         assert dev <= 0.25
+
+    def test_w00_window_stride_independent(self, bath201_spec, bath201_sd):
+        # the times up to 1 / gamma_pred = 15.9 stop short of the pole of W00
+        # near t = 50.35, across which the strides gave 0.21 to 1.39
+        config = os.path.join(os.path.dirname(__file__), "..", "configs",
+                              "linear_bath_n201.json")
+        cfg = dataclasses.replace(ob.load_config(config), fit_window=(10.0, 100.0))
+        times = cfg.w00_times(perturbative_prediction(bath201_spec).gamma)
+        devs = [compare_exact_vs_golden(times[::k], exact_w00(bath201_sd, times[::k]),
+                                        bath201_spec) for k in range(1, 6)]
+        assert max(devs) - min(devs) < 0.05 * min(devs)
 
     def test_cli_w00_matches_dense_reference(self, tmp_path, monkeypatch):
         # the golden command solves only row 0 of W; it must agree with the

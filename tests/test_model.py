@@ -1,10 +1,13 @@
 import dataclasses
+import itertools
+import os
 
 import numpy as np
 import pytest
 
 import oscbath as ob
-from oscbath.config import ConfigError, load_config, parse_config
+from oscbath.config import (MAX_COV_POINTS, MAX_W00_POINTS, ConfigError, load_config,
+                            parse_config)
 from oscbath.model import (ModelSpec, build_hamiltonian, explicit_populations,
                            preset_linear_bath, thermal_populations)
 
@@ -121,6 +124,22 @@ class TestPopulations:
             explicit_populations(bath51_spec, [1.0, 2.0])
         with pytest.raises(ValueError, match="finite and non-negative"):
             explicit_populations(bath51_spec, [-1.0] + [0.0] * 51)
+
+    @pytest.mark.parametrize("mass, occupations, fragment", [
+        # (2 max_m N_m + 1) / (2 M Omega) bounds |C_ff|: 4.2e307 for an empty
+        # bath mode, below max / 4 = 4.5e307, and 4.6e308 for 5 quanta
+        (1.2e-308, [1.0, 0.0], None),
+        (1.2e-308, [0.0, 5.0], r"up to 5 with mass \* system frequency 1.2e-308 "),
+        # 2 N + 1 itself overflows, with no RuntimeWarning
+        (1.0, [0.0, 1e308], r"up to 1e\+308 with mass \* system frequency 1 "),
+    ])
+    def test_noise_covariance_bound(self, mass, occupations, fragment):
+        spec = ModelSpec(omega=1.0, bath_frequencies=[1.0], couplings=[0.1], mass=mass)
+        if fragment is None:
+            assert explicit_populations(spec, occupations).tolist() == occupations
+        else:
+            with pytest.raises(ValueError, match=f"bath occupations {fragment}overflow"):
+                explicit_populations(spec, occupations)
 
     @pytest.mark.parametrize("beta, system_occupation, fragment", [
         (0.0, 1.0, "inverse temperature must be positive"),
@@ -369,6 +388,18 @@ class TestConfig:
             cfg.fit_times()
         _, times = dataclasses.replace(cfg, fit_window=(9.5, 20.0)).fit_times()
         assert times.tolist() == [9.5, 10.0]
+
+    @pytest.mark.parametrize("name", ["two_oscillator.json", "linear_bath_n51.json",
+                                      "linear_bath_n201.json"])
+    def test_subsampled_grids(self, name):
+        # each is its full grid at the smallest stride that keeps at most
+        # its cap of times, first time included
+        cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
+        for times, grid, cap in ((cfg.cov_times(), cfg.time_grid(), MAX_COV_POINTS),
+                                 (cfg.w00_times(0.0), cfg.fit_times()[1], MAX_W00_POINTS)):
+            stride = next(k for k in itertools.count(1) if len(grid[::k]) <= cap)
+            assert np.array_equal(times, grid[::stride])
+            assert times[0] == grid[0] and len(times) <= cap
 
     def test_json_error_has_location(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -24,6 +24,7 @@ SINGULAR_GRID = ("--dt", "0.015707963267948967", "--t-max", "70")  # hits t = pi
 MATRIX = (
     [(command, config, ()) for config in (TWO_OSC, N51) for command in COMMANDS]
     + [("golden", N201, ("--window", "10,100")),
+       ("golden", N201, ("--window", "20,100")),  # starts after 1 / gamma: no W00 time
        ("master", N201, ("--t-max", "20")),
        ("amplitudes", N201, ("--t-max", "2")),
        ("master", TWO_OSC, SINGULAR_GRID),
