@@ -61,17 +61,21 @@ def master_coefficients(p, pdot, condition_cap=DEFAULT_CONDITION_CAP):
     ``pdot`` holds the leading r rows of Pdot, shape (K, r, dim); the same r
     rows of W are returned.  Returns ``(w, condition, singular)``.
     ``condition`` is the exact 1-norm condition number ||P||_1 ||P^{-1}||_1,
-    inf where P is exactly singular.  P counts as singular, and W is
-    nan-filled, where the condition is not finite or exceeds
+    inf where P is exactly singular; ||P||_1 is the largest column sum of
+    P, whose entries |A|^2 are never negative.  P counts as singular, and
+    W is nan-filled, where the condition is not finite or exceeds
     ``condition_cap``.
     """
     dim, r = p.shape[-1], pdot.shape[-2]
-    # one factorization of P^T per time solves P^T [W_r^T | P^{-T}] = [Pdot_r^T | I]
-    rhs = np.concatenate([pdot.swapaxes(-1, -2), np.broadcast_to(np.eye(dim), p.shape)],
-                         axis=-1)
+    # one factorization of P^T per time solves P^T [W_r^T | P^{-T}] = [Pdot_r^T | I],
+    # with both halves of the right-hand side written into one array
+    rhs = np.zeros(p.shape[:-1] + (r + dim,))
+    rhs[..., :r] = pdot.swapaxes(-1, -2)
+    diagonal = np.arange(dim)
+    rhs[..., diagonal, r + diagonal] = 1.0
     x = _solve(p.swapaxes(-1, -2), rhs)
-    # ||P||_1 is the largest column sum of |P|, ||P^{-1}||_1 the largest row sum of |P^{-T}|
-    condition = (np.abs(p).sum(axis=-2).max(axis=-1)
+    # ||P^{-1}||_1 is the largest row sum of |P^{-T}|
+    condition = (p.sum(axis=-2).max(axis=-1)
                  * np.abs(x[..., r:]).sum(axis=-1).max(axis=-1))
     singular = ~(condition <= condition_cap) | ~np.isfinite(condition)
     w = x[..., :r].swapaxes(-1, -2).copy()

@@ -76,7 +76,9 @@ class ModelSpec:
     @property
     def level_spacing(self):
         """Smallest positive gap between bath frequencies, 0 if there is none."""
-        gaps = np.diff(np.unique(self.bath_frequencies))
+        # sort, not np.unique: unique's masked-array check imports numpy.ma
+        gaps = np.diff(np.sort(self.bath_frequencies))
+        gaps = gaps[gaps > 0]
         return gaps.min() if gaps.size else 0.0
 
 

@@ -94,6 +94,15 @@ def test_package_imports_without_scipy():
     assert proc.stdout == "False\n", proc.stderr
 
 
+def test_golden_never_imports_numpy_ma(tmp_path):
+    # numpy.ma costs about 1.3 MB of RSS, and nothing golden writes reads it
+    code = ("import sys, oscbath.cli; "
+            f"assert oscbath.cli.main(['golden', '--config', {N51!r}, '--out', {str(tmp_path)!r}]) "
+            "== 0; print('numpy.ma' in sys.modules)")
+    proc = run_python("-c", code)
+    assert proc.stdout == "False\n", proc.stderr
+
+
 class TestAmplitudesCommand:
     def test_bare_system_survival(self, tmp_path):
         cfg = write_bare_config(tmp_path)

@@ -5,7 +5,7 @@ the oracle."""
 from decimal import Decimal
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscbath import floatfmt
@@ -107,9 +107,12 @@ def test_last_column_is_free():
 @PROPERTY
 @given(st.lists(st.complex_numbers(), min_size=6, max_size=6),
        st.lists(st.floats(width=64), min_size=3, max_size=3))
+# time texts of five different lengths in one call
+@example(values=[0.5 - 2j, -0.0, 1e300j, 3.0, -1e-300, 7 + 7j, 0j, 2.5, -1j, 1e17],
+         times=[0.0, 1e-05, 0.5, 123.25, 1e+17])
 def test_complex_grid(values, times):
-    # the lines of a (3, 2) complex grid, "t,n,re,im", as Python writes them
-    grid = np.array(values).reshape(3, 2)
+    # the lines of a (times, 2) complex grid, "t,n,re,im", as Python writes them
+    grid = np.array(values, dtype=np.complex128).reshape(len(times), 2)
     lines = b"".join(floatfmt.grid_lines(np.array(times), grid)).decode()
     expected = "".join("%.17g,%d,%.17g,%.17g\n" % (t, n, v.real, v.imag)
                        for t, row in zip(times, grid.tolist()) for n, v in enumerate(row))

@@ -6,7 +6,8 @@ import scipy.linalg
 
 import oscbath as ob
 from oscbath.amplitudes import BLOCK_ENTRIES
-from oscbath.master import TimeBlock, master_coefficients, master_residual, time_blocks
+from oscbath.master import (DEFAULT_CONDITION_CAP, TimeBlock, master_coefficients,
+                            master_residual, time_blocks)
 from oscbath.validation import grid_invariants
 
 G = 0.1
@@ -137,6 +138,31 @@ class TestMasterCoefficients:
             assert np.array_equal(singular_0, singular)
         assert np.array_equal(row_blk.w, w_0, equal_nan=True)
         assert np.array_equal(row_blk.singular, singular)
+
+    @pytest.mark.parametrize("rows", [1, None])
+    @pytest.mark.parametrize("stack", [
+        ("two_osc_sd", [1.0, 2.0, np.pi / (4 * G), 9.0]),  # one P exactly singular
+        ("bath51_sd", [0.0, 0.5, 7.0, 30.0]),
+        ("bath201_sd", [0.0, 3.0, 40.0]),
+    ])
+    def test_matches_concatenated_rhs(self, request, stack, rows):
+        # the same bytes as the right-hand side [Pdot_r^T | I] built by
+        # concatenation and ||P||_1 taken from |P|
+        name, times = stack
+        blk = grid(request.getfixturevalue(name), times)
+        p, pdot = blk.p, blk.pdot[:, :rows]
+        r = pdot.shape[-2]
+        rhs = np.concatenate([pdot.swapaxes(-1, -2),
+                              np.broadcast_to(np.eye(p.shape[-1]), p.shape)], axis=-1)
+        x = ob.master._solve(p.swapaxes(-1, -2), rhs)
+        condition = (np.abs(p).sum(axis=-2).max(axis=-1)
+                     * np.abs(x[..., r:]).sum(axis=-1).max(axis=-1))
+        singular = ~(condition <= DEFAULT_CONDITION_CAP) | ~np.isfinite(condition)
+        w = x[..., :r].swapaxes(-1, -2).copy()
+        w[singular] = np.nan
+        for got, want in zip(master_coefficients(p, pdot), (w, condition, singular)):
+            assert np.array_equal(got, want, equal_nan=True)
+        assert singular.any() == (name == "two_osc_sd")
 
     def test_w_equals_pdot_at_t_zero(self, bath51_sd):
         blk = grid(bath51_sd, [0.0])

@@ -163,6 +163,24 @@ def test_level_spacing():
     assert spacing([1.5, 0.5, 1.0, 0.5, 1.25]) == 0.25
 
 
+@pytest.mark.parametrize("freqs", [
+    [1.5, 0.5, 1.0, 0.5, 1.25],  # unsorted and repeated
+    [0.7],
+    [0.3, 0.3, 0.3],
+    [-0.0, 0.0, 1.0],
+    [0.0, 1.0, 0.1, 0.2, 0.30000000000000004, 0.3, 1.0],
+    np.random.default_rng(7).permutation(np.linspace(0.5, 1.5, 51)),
+])
+def test_level_spacing_matches_unique(freqs):
+    # the spacing numpy.unique gives, bit for bit, without numpy.unique
+    freqs = np.array(freqs)
+    gaps = np.diff(np.unique(freqs))
+    expected = gaps.min() if gaps.size else 0.0
+    spacing = ModelSpec(omega=1.0, bath_frequencies=freqs,
+                        couplings=np.zeros(len(freqs))).level_spacing
+    assert np.float64(spacing).tobytes() == np.float64(expected).tobytes()
+
+
 class TestConfig:
     def test_roundtrip_identical_matrix(self, tmp_path):
         # the preset's frequencies written out as an explicit spectrum
