@@ -5,8 +5,8 @@ equal-length columns and of an array over a time grid, cut by
 ``amplitudes.block_slices`` into formatter calls of ``BLOCK_ENTRIES //
 TEXT_ENTRIES`` numbers, whose text and temporaries peak near 40
 ``BLOCK_ENTRIES`` bytes (2.5 complex block arrays) whatever the input size.
-``grid_lines`` formats and compacts the text of its times once per call,
-so each line carries a time field only as wide as the call's longest time.
+``grid_lines`` formats each of its times once per call, with Python's
+``'%.17g'``, into a time field only as wide as the call's longest time text.
 
 ``format_floats(x)`` turns an array into an (x.size, ``WIDTH``) uint8 matrix
 whose row i holds the bytes of ``'%.17g' % x[i]`` with NUL bytes in between
@@ -228,14 +228,6 @@ def lines(*columns):
         yield _join(*(format_floats(c[s]) for c in columns))
 
 
-def _compact(field):
-    """The field with each row's text bytes moved, in order, to the front
-    of the row, cut to the longest text plus the NUL column ``_join`` needs."""
-    field = np.take_along_axis(field, np.argsort(field == 0, axis=1, kind="stable"),
-                               axis=1)
-    return field[:, :1 + np.count_nonzero(field, axis=1).max(initial=0)]
-
-
 @functools.cache
 def _index_field(shape):
     """The "i,j,..." text of each index of a ``shape`` array, C order, as a
@@ -252,8 +244,10 @@ def grid_lines(times, values):
     count = len(times) * len(index)
     # one number per line, or two for a complex value: re and im
     numbers = values.reshape(count, -1).view(np.float64)
-    # a time repeats on many lines, so its text is formed and compacted once
-    t_text = _compact(format_floats(times))
+    # a time repeats on many lines, so its text is formed once per call, in
+    # a field of the longest time text plus the NUL column ``_join`` needs
+    t_text = [b"%.17g" % t for t in times.tolist()]
+    t_text = _padded(t_text, 1 + max(map(len, t_text), default=0))
     row = values.shape[-1]
     for s in amplitudes.block_slices(count // row, TEXT_ENTRIES * numbers.shape[1] * row):
         first = s.start * row

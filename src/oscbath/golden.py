@@ -71,8 +71,9 @@ def perturbative_prediction(spec):
 
     The principal-value sum drops terms with |Omega - omega_k| below half
     the smallest level spacing.  The decay rate uses the coupling at the
-    bath frequency nearest Omega and the local density of states; it is
-    zero, with a warning, without a density of states (fewer than two
+    bath frequency nearest Omega and the mean density of states
+    rho = (N - 1) / (omega_max - omega_min) of the N bath frequencies; it
+    is zero, with a warning, without a density of states (fewer than two
     distinct bath frequencies) or outside the bath band.
     """
     freqs = spec.bath_frequencies
@@ -89,7 +90,7 @@ def perturbative_prediction(spec):
         reason = "system frequency outside the bath band: no resonant decay channel"
     else:
         nearest = int(np.argmin(np.abs(gaps)))
-        rho = spec.density_of_states if spec.density_of_states is not None else 1.0 / spacing
+        rho = (spec.n_bath - 1) / np.ptp(freqs)
         gamma = 2.0 * np.pi * abs(spec.couplings[nearest]) ** 2 * rho
         return PerturbativePrediction(delta_omega=delta_omega, gamma=gamma)
     warnings.warn(f"{reason}, gamma = 0")

@@ -25,7 +25,6 @@ class ModelSpec:
     self_shift: float = 0.0           # <Omega|v|Omega>
     bath_bath: np.ndarray | None = None  # Hermitian (N, N) block, None = zero
     mass: float = 1.0
-    density_of_states: float | None = None  # set by grid presets
 
     def __post_init__(self):
         object.__setattr__(self, "bath_frequencies",
@@ -98,27 +97,20 @@ def build_hamiltonian(spec):
 
 def preset_linear_bath(n, omega_min, omega_max, omega, g, self_shift=0.0, mass=1.0,
                        bath_bath=None):
-    """Uniform frequency grid on [omega_min, omega_max]; ``g`` is one coupling or n.
-
-    Records the density of states rho = (n - 1) / (omega_max - omega_min)
-    for golden-rule predictions.
-    """
+    """Uniform frequency grid on [omega_min, omega_max]; ``g`` is one coupling or n."""
     if n < 1:
         raise ValueError(f"bath size must be >= 1, got {n}")
     if not (np.isfinite(omega_min) and np.isfinite(omega_max) and omega_min < omega_max):
         raise ValueError(
             f"degenerate frequency grid: need finite omega_min < omega_max, "
             f"got [{omega_min}, {omega_max}]")
-    freqs = np.linspace(omega_min, omega_max, n)
-    rho = (n - 1) / (omega_max - omega_min) if n > 1 else None
     return ModelSpec(
         omega=omega,
-        bath_frequencies=freqs,
+        bath_frequencies=np.linspace(omega_min, omega_max, n),
         couplings=np.full(n, g, dtype=np.complex128),
         self_shift=self_shift,
         bath_bath=bath_bath,
         mass=mass,
-        density_of_states=rho,
     )
 
 
@@ -131,8 +123,12 @@ def thermal_populations(spec, beta, system_occupation=1.0):
         raise ValueError(f"inverse temperature must be positive, got {beta}")
     if np.any(spec.bath_frequencies == 0):
         raise ValueError("thermal occupation diverges for a zero-frequency bath mode")
-    with np.errstate(over="ignore"):
+    # a tiny beta * omega overflows 1 / expm1, or divides by 0 once it underflows
+    with np.errstate(over="ignore", divide="ignore"):
         bath = 1.0 / np.expm1(beta * spec.bath_frequencies)
+    if not np.all(np.isfinite(bath)):
+        raise ValueError(f"inverse temperature {beta} is too small: a thermal bath "
+                         "occupation overflows")
     return explicit_populations(spec, np.concatenate(([system_occupation], bath)))
 
 

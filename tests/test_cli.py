@@ -111,13 +111,6 @@ class TestAmplitudesCommand:
         assert [float(r["t"]) for r in rows] == [0.0, 0.5, 1.0]
         assert all(float(r["abs"]) == pytest.approx(1.0) for r in rows)
 
-    def test_deterministic_outputs(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        for out in (out1, out2):
-            assert main(["amplitudes", "--config", TWO_OSC, "--out", str(out)]) == 0
-        for name in ("amplitudes.csv", "survival.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
     def test_two_oscillator_closed_form(self, tmp_path):
         assert main(["amplitudes", "--config", TWO_OSC, "--out", str(tmp_path)]) == 0
         for row in read_csv(tmp_path / "survival.csv"):
@@ -154,13 +147,6 @@ class TestMasterCommand:
         w_rows = read_csv(tmp_path / "w_coeffs.csv")
         assert any(r["W"] == "nan" for r in w_rows)
 
-    def test_deterministic(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        for out in (out1, out2):
-            assert main(["master", "--config", N51, "--out", str(out)]) == 0
-        for name in ("populations.csv", "w_coeffs.csv", "master_residual.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
     def test_memory_bounded_by_one_block(self, tmp_path):
         # four times the grid, the same peak: the files are written block by
         # block and no whole-grid array or per-row list is kept
@@ -174,6 +160,20 @@ class TestMasterCommand:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("command, config, names", [
+    ("amplitudes", TWO_OSC, ("amplitudes.csv", "survival.csv")),
+    ("master", N51, ("populations.csv", "w_coeffs.csv", "master_residual.csv")),
+    ("langevin", TWO_OSC, ("langevin.csv", "noise_cov.csv", "langevin_residual.csv")),
+    ("golden", N51, ("golden_report.json",)),
+], ids=["amplitudes", "master", "langevin", "golden"])
+def test_reruns_are_byte_identical(tmp_path, command, config, names):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    for out in (out1, out2):
+        assert main([command, "--config", config, "--out", str(out)]) == 0
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("command, names", [
@@ -313,13 +313,6 @@ class TestLangevinCommand:
             assert kept[0] == 0
             assert min(n, 51) <= len(kept) <= oscbath.config.MAX_COV_POINTS
 
-    def test_deterministic(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        for out in (out1, out2):
-            assert main(["langevin", "--config", TWO_OSC, "--out", str(out)]) == 0
-        for name in ("langevin.csv", "noise_cov.csv", "langevin_residual.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
     def test_memory_grows_by_scalars_per_time(self, tmp_path):
         # n201 at 1,001 and 4,001 times, both with 101 noise_cov times per
         # axis: the survival sums stream by block and the CSV columns are
@@ -410,13 +403,6 @@ class TestGoldenCommand:
         assert err[0].startswith("warning: fewer than two distinct bath frequencies: ")
         # a warning left to the warnings module would reach stderr as more lines
         assert not recwarn.list
-
-    def test_deterministic(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        for out in (out1, out2):
-            assert main(["golden", "--config", N51, "--out", str(out)]) == 0
-        assert ((out1 / "golden_report.json").read_bytes()
-                == (out2 / "golden_report.json").read_bytes())
 
 
 class TestRowsRead:
@@ -619,6 +605,8 @@ class TestErrorPaths:
         "omega_min -inf", "omega_max inf", "not utf-8",
         # 1 / (2 M Omega) overflows: once inf in most noise_cov.csv rows
         "mass 1e-320",
+        # beta * omega underflows to 0: once two numpy warnings before the error
+        "beta 5e-324",
     ])
     def test_unusable_model_input(self, tmp_path, capsys, bad):
         # each is one line on stderr and exit 2, as any other config error
@@ -635,8 +623,8 @@ class TestErrorPaths:
                 doc["system"]["v_self"] = value
             elif key == "mass":
                 doc["system"]["mass"] = value
-            elif key == "system_occupation":
-                doc["initial"]["system_occupation"] = value
+            elif key in ("system_occupation", "beta"):
+                doc["initial"][key] = value
             else:
                 doc["bath"]["spectrum"][key] = value
             cfg.write_text(json.dumps(doc))
@@ -799,6 +787,20 @@ class TestGoldenFiles:
         expected = open(os.path.join(GOLDEN_DIR, name), "rb").read()
         assert (tmp_path / "golden_report.json").read_bytes() == expected
         assert capsys.readouterr().err.splitlines() == err
+
+    def test_explicit_spelling_gives_one_report(self, tmp_path):
+        # n51 with its grid and couplings written out: the same bath, so the
+        # same report, density of states included
+        doc = json.loads(open(N51).read())
+        doc["bath"]["spectrum"] = {"type": "explicit",
+                                   "omegas": np.linspace(0.5, 1.5, 51).tolist()}
+        doc["bath"]["coupling"] = {"type": "explicit", "gs": [0.01] * 51}
+        cfg = tmp_path / "explicit.json"
+        cfg.write_text(json.dumps(doc))
+        for config, out in ((N51, tmp_path / "linear"), (str(cfg), tmp_path / "explicit")):
+            assert main(["golden", "--config", config, "--out", str(out)]) == 0
+        assert ((tmp_path / "explicit" / "golden_report.json").read_bytes()
+                == (tmp_path / "linear" / "golden_report.json").read_bytes())
 
     def test_validate_table_frozen(self, tmp_path, capsys):
         assert main(["validate", "--config", TWO_OSC, "--out", str(tmp_path)]) == 0

@@ -133,8 +133,9 @@ class TestPerturbativePrediction:
         assert perturbative_prediction(spec).delta_omega == pytest.approx(0.05, abs=1e-15)
 
     def test_gamma_arithmetic(self, bath201_spec):
-        assert bath201_spec.density_of_states == pytest.approx(100.0)
+        # rho = 200 / (2 - 0) = 100, bit for bit, as linspace pins both ends
         pred = perturbative_prediction(bath201_spec)
+        assert pred.gamma == 2 * np.pi * 0.01 ** 2 * 100.0
         assert pred.gamma == pytest.approx(2 * np.pi * 1e-4 * 100)
         assert pred.gamma == pytest.approx(0.06283, abs=1e-5)
 
@@ -155,8 +156,16 @@ class TestPerturbativePrediction:
             pred = perturbative_prediction(spec)
         assert [str(w.message) for w in caught] == [
             "fewer than two distinct bath frequencies: no density of states, gamma = 0"]
-        assert spec.density_of_states is None and pred.gamma == 0.0
+        assert spec.level_spacing == 0.0 and pred.gamma == 0.0
         assert pred.delta_omega == 0.0
+
+    def test_mean_density_of_states(self):
+        # a non-uniform spectrum: rho = (N - 1) / (omega_max - omega_min) = 4,
+        # not 1 / (smallest gap) = 10
+        spec = ob.ModelSpec(omega=1.0, bath_frequencies=np.array([1.5, 0.9, 1.0, 0.5, 1.1]),
+                            couplings=np.array([0.3, 0.1, 0.02, 0.3, 0.1]))
+        pred = perturbative_prediction(spec)
+        assert pred.gamma == 2 * np.pi * 0.02 ** 2 * 4.0
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(4)

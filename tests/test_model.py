@@ -8,6 +8,7 @@ import pytest
 import oscbath as ob
 from oscbath.config import (MAX_COV_POINTS, MAX_W00_POINTS, ConfigError, load_config,
                             parse_config)
+from oscbath.golden import perturbative_prediction
 from oscbath.model import (ModelSpec, build_hamiltonian, explicit_populations,
                            preset_linear_bath, thermal_populations)
 
@@ -85,8 +86,9 @@ class TestLinearPreset:
         assert spec.bath_bath is None
 
     def test_density_of_states(self):
+        # golden's rho = 200 / (2 - 0) = 100, bit for bit: linspace pins both ends
         spec = preset_linear_bath(201, 0.0, 2.0, 1.0, 0.01)
-        assert spec.density_of_states == pytest.approx(100.0)
+        assert perturbative_prediction(spec).gamma == 2 * np.pi * 0.01 ** 2 * 100.0
 
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -145,6 +147,9 @@ class TestPopulations:
         (0.0, 1.0, "inverse temperature must be positive"),
         (-1.0, 1.0, "inverse temperature must be positive"),
         (np.nan, 1.0, "inverse temperature must be positive"),
+        # beta * omega underflows to 0, or is subnormal: 1 / expm1 is inf
+        (5e-324, 1.0, "inverse temperature 5e-324 is too small"),
+        (1e-310, 1.0, "inverse temperature 1e-310 is too small"),
         (1.0, -1.0, "occupations must be finite and non-negative"),
         (1.0, np.nan, "occupations must be finite and non-negative"),
         (1.0, np.inf, "occupations must be finite and non-negative"),
@@ -216,7 +221,8 @@ class TestConfig:
             "time": {"t_max": 1.0, "dt": 0.5},
         })
         assert np.allclose(cfg.spec.bath_frequencies, [0.5, 1.0, 1.5], atol=0)
-        assert cfg.spec.density_of_states == pytest.approx(2.0)
+        # rho = 2 / (1.5 - 0.5)
+        assert perturbative_prediction(cfg.spec).gamma == 2 * np.pi * 0.01 ** 2 * 2.0
 
     def test_complex_couplings(self):
         cfg = parse_config({
@@ -349,7 +355,9 @@ class TestConfig:
             "time": {"t_max": 1.0, "dt": 0.5},
         })
         assert made == [cfg.spec]
-        assert cfg.spec.density_of_states == 1.0
+        # g = 0.1 at omega = 0.5, the first of the two nearest Omega, and
+        # rho = 1 / (1.5 - 0.5)
+        assert perturbative_prediction(cfg.spec).gamma == 2 * np.pi * 0.1 ** 2 * 1.0
         assert np.array_equal(cfg.spec.couplings, [0.1, 0.2j])
         assert np.array_equal(cfg.spec.bath_bath, [[0, 0.01j], [-0.01j, 0]])
 

@@ -8,17 +8,23 @@ command of the matrix below in-process through ``oscbath.cli.main`` with
 ``<command> <config> <flags> <item> <sha256>`` per output file, and one
 each for the run's stdout, stderr and exit code.  The checkout and output
 paths in stderr are replaced by placeholders before hashing, so two
-checkouts compare with ``diff`` of their two listings.
+checkouts compare with ``diff`` of their two listings.  The config
+``linear_bath_n51.json:explicit`` is n51 with its frequency grid and
+couplings written out as explicit lists, into a temporary directory.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
 
+import numpy as np
+
 TWO_OSC, N51, N201 = "two_oscillator.json", "linear_bath_n51.json", "linear_bath_n201.json"
+N51_EXPLICIT = N51 + ":explicit"
 COMMANDS = ("amplitudes", "master", "langevin", "golden", "validate")
 SINGULAR_GRID = ("--dt", "0.015707963267948967", "--t-max", "70")  # hits t = pi / (4 g)
 MATRIX = (
@@ -28,7 +34,8 @@ MATRIX = (
        ("master", N201, ("--t-max", "20")),
        ("amplitudes", N201, ("--t-max", "2")),
        ("master", TWO_OSC, SINGULAR_GRID),
-       ("langevin", TWO_OSC, SINGULAR_GRID)]
+       ("langevin", TWO_OSC, SINGULAR_GRID),
+       ("golden", N51_EXPLICIT, ())]
 )
 
 
@@ -41,6 +48,21 @@ def _file_sha256(path):
         return _sha256(fh.read())
 
 
+def _write_explicit_n51(root, directory):
+    """Write N51_EXPLICIT into ``directory`` and return its path."""
+    with open(os.path.join(root, "configs", N51)) as fh:
+        doc = json.load(fh)
+    bath = doc["bath"]
+    spectrum = bath["spectrum"]
+    bath["spectrum"] = {"type": "explicit", "omegas": np.linspace(
+        spectrum["omega_min"], spectrum["omega_max"], bath["n"]).tolist()}
+    bath["coupling"] = {"type": "explicit", "gs": [bath["coupling"]["g"]] * bath["n"]}
+    path = os.path.join(directory, "linear_bath_n51_explicit.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
 def main(root):
     root = os.path.realpath(root)
     src = os.path.join(root, "src")
@@ -49,20 +71,23 @@ def main(root):
 
     if not os.path.realpath(oscbath.cli.__file__).startswith(src + os.sep):
         raise SystemExit(f"imported oscbath from {oscbath.cli.__file__}, not from {src}")
-    for command, config, flags in MATRIX:
-        with tempfile.TemporaryDirectory() as out:
-            stdout, stderr = io.StringIO(), io.StringIO()
-            argv = [command, "--config", os.path.join(root, "configs", config), "--out", out]
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = oscbath.cli.main(argv + list(flags))
-            err = stderr.getvalue().replace(out, "<OUT>").replace(root, "<ROOT>")
-            items = [(name, _file_sha256(os.path.join(out, name)))
-                     for name in sorted(os.listdir(out))]
-            items += [("stdout", _sha256(stdout.getvalue().encode())),
-                      ("stderr", _sha256(err.encode())),
-                      ("exit", _sha256(str(code).encode()))]
-        for item, digest in items:
-            print(command, config, ",".join(flags) or "-", item, digest)
+    with tempfile.TemporaryDirectory() as made:
+        paths = {N51_EXPLICIT: _write_explicit_n51(root, made)}
+        for command, config, flags in MATRIX:
+            with tempfile.TemporaryDirectory() as out:
+                stdout, stderr = io.StringIO(), io.StringIO()
+                path = paths.get(config) or os.path.join(root, "configs", config)
+                argv = [command, "--config", path, "--out", out]
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = oscbath.cli.main(argv + list(flags))
+                err = stderr.getvalue().replace(out, "<OUT>").replace(root, "<ROOT>")
+                items = [(name, _file_sha256(os.path.join(out, name)))
+                         for name in sorted(os.listdir(out))]
+                items += [("stdout", _sha256(stdout.getvalue().encode())),
+                          ("stderr", _sha256(err.encode())),
+                          ("exit", _sha256(str(code).encode()))]
+            for item, digest in items:
+                print(command, config, ",".join(flags) or "-", item, digest)
 
 
 if __name__ == "__main__":
