@@ -15,7 +15,6 @@ from .langevin import langevin_residual, langevin_series, noise_covariance_grid
 from .linalg import NumericalError, SpectralDecomposition, eigendecompose
 from .master import (TimeBlock, master_coefficients, master_residual, time_blocks,
                      transition_probabilities)
-from .model import (ModelSpec, build_hamiltonian, explicit_populations,
-                    preset_linear_bath, thermal_populations)
+from .model import ModelSpec, build_hamiltonian, explicit_populations, thermal_populations
 
 __version__ = "0.1.0"

@@ -17,6 +17,11 @@ Schema (all frequencies angular, hbar = 1)::
       "time":   {"t_max": 200.0, "dt": 0.1}
     }
 
+A linear spectrum is n frequencies evenly spaced from omega_min to
+omega_max, both included; it needs omega_min < omega_max and a finite
+omega_max - omega_min.  The spectrum, coupling and bath_bath keys are read
+only when n > 0.
+
 Every number is a JSON number: true, false and quoted numbers such as "2"
 are rejected.  Complex numbers are written as a plain number or a
 two-element [re, im] list.  Optional top-level keys: "tolerances" (name ->
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .master import DEFAULT_CONDITION_CAP
-from .model import ModelSpec, explicit_populations, preset_linear_bath, thermal_populations
+from .model import ModelSpec, explicit_populations, thermal_populations
 
 
 class ConfigError(ValueError):
@@ -176,10 +181,9 @@ def _parse(data):
     if n < 0:
         raise ConfigError(f"bath.n must be >= 0, got {n}")
 
-    if n == 0:
-        spec = ModelSpec(omega=omega, bath_frequencies=np.zeros(0),
-                         couplings=np.zeros(0), self_shift=v_self, mass=mass)
-    else:
+    omegas = gs = np.zeros(0)
+    bath_bath = None
+    if n > 0:
         spectrum = _get(bath, "bath.spectrum", dict)
         stype = _get(spectrum, "bath.spectrum.type", str)
         coupling = _get(bath, "bath.coupling", dict)
@@ -203,16 +207,19 @@ def _parse(data):
             raise ConfigError("bath.bath_bath must be \"zero\" or a matrix")
 
         if stype == "linear":
-            spec = preset_linear_bath(n, _get(spectrum, "bath.spectrum.omega_min", float),
-                                      _get(spectrum, "bath.spectrum.omega_max", float),
-                                      omega, gs, self_shift=v_self, mass=mass,
-                                      bath_bath=bath_bath)
+            lo = _get(spectrum, "bath.spectrum.omega_min", float)
+            hi = _get(spectrum, "bath.spectrum.omega_max", float)
+            # a span that overflows a double would make np.linspace warn
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise ConfigError(f"bath.spectrum needs a finite omega_max - omega_min and "
+                                  f"omega_min < omega_max, got [{lo}, {hi}]")
+            omegas = np.linspace(lo, hi, n)
         elif stype == "explicit":
             omegas = _items(spectrum, "bath.spectrum.omegas", float, n)
-            spec = ModelSpec(omega=omega, bath_frequencies=omegas, couplings=gs,
-                             self_shift=v_self, bath_bath=bath_bath, mass=mass)
         else:
             raise ConfigError(f"unknown bath.spectrum.type '{stype}'")
+    spec = ModelSpec(omega=omega, bath_frequencies=omegas, couplings=gs,
+                     self_shift=v_self, bath_bath=bath_bath, mass=mass)
 
     initial = _get(data, "initial", dict)
     itype = _get(initial, "initial.type", str)

@@ -76,14 +76,17 @@ def langevin_residual(series):
 
     For each t, the larger of |xddot + Gamma xdot + Omega2 x| over the two
     solutions x = a, b, divided by max(|addot|, |bddot|, Omega2).  Singular
-    points give nan.
+    points give nan, and a point whose scale is 0 gives 0.
     """
     s = series
     res_a = s.addot00.real + s.gamma * s.adot00.real + s.omega_sq * s.a00.real
     res_b = s.addot00.imag + s.gamma * s.adot00.imag + s.omega_sq * s.a00.imag
     denom = np.maximum(np.maximum(np.abs(s.addot00.real), np.abs(s.addot00.imag)),
                        np.abs(s.omega_sq))
-    return np.maximum(np.abs(res_a), np.abs(res_b)) / denom
+    res = np.maximum(np.abs(res_a), np.abs(res_b))
+    # a zero scale means addot = 0 and Omega2 = Gamma = 0, so the residual is
+    # 0 too (both underflow at a tiny Omega): 0, not 0 / 0 = nan
+    return np.divide(res, denom, out=np.zeros_like(res), where=denom != 0)
 
 
 def noise_covariance_grid(sd, times, initial, spec):

@@ -95,25 +95,6 @@ def build_hamiltonian(spec):
     return h
 
 
-def preset_linear_bath(n, omega_min, omega_max, omega, g, self_shift=0.0, mass=1.0,
-                       bath_bath=None):
-    """Uniform frequency grid on [omega_min, omega_max]; ``g`` is one coupling or n."""
-    if n < 1:
-        raise ValueError(f"bath size must be >= 1, got {n}")
-    if not (np.isfinite(omega_min) and np.isfinite(omega_max) and omega_min < omega_max):
-        raise ValueError(
-            f"degenerate frequency grid: need finite omega_min < omega_max, "
-            f"got [{omega_min}, {omega_max}]")
-    return ModelSpec(
-        omega=omega,
-        bath_frequencies=np.linspace(omega_min, omega_max, n),
-        couplings=np.full(n, g, dtype=np.complex128),
-        self_shift=self_shift,
-        bath_bath=bath_bath,
-        mass=mass,
-    )
-
-
 def thermal_populations(spec, beta, system_occupation=1.0):
     """Bose-Einstein initial occupations 1/(e^{beta*omega} - 1) for the bath.
 

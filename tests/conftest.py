@@ -6,6 +6,14 @@ import oscbath as ob
 TWO_OSC_G = 0.1
 
 
+def linear_bath(n, omega_min, omega_max, omega, g, **fields):
+    """The model that a config's linear spectrum and uniform coupling spell:
+    n bath frequencies evenly spaced over [omega_min, omega_max], each
+    coupled with ``g``; ``fields`` are further ``ModelSpec`` fields."""
+    return ob.ModelSpec(omega=omega, bath_frequencies=np.linspace(omega_min, omega_max, n),
+                        couplings=np.full(n, g, dtype=np.complex128), **fields)
+
+
 @pytest.fixture(scope="session")
 def two_osc_spec():
     return ob.ModelSpec(omega=1.0, bath_frequencies=np.array([1.0]),
@@ -19,7 +27,7 @@ def two_osc_sd(two_osc_spec):
 
 @pytest.fixture(scope="session")
 def bath51_spec():
-    return ob.preset_linear_bath(51, 0.5, 1.5, 1.0, 0.01)
+    return linear_bath(51, 0.5, 1.5, 1.0, 0.01)
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +37,7 @@ def bath51_sd(bath51_spec):
 
 @pytest.fixture(scope="session")
 def bath201_spec():
-    return ob.preset_linear_bath(201, 0.0, 2.0, 1.0, 0.01)
+    return linear_bath(201, 0.0, 2.0, 1.0, 0.01)
 
 
 @pytest.fixture(scope="session")

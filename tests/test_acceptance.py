@@ -15,6 +15,8 @@ from oscbath.cli import main
 from oscbath.master import DEFAULT_CONDITION_CAP
 from oscbath.validation import grid_invariants
 
+from conftest import linear_bath
+
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -99,7 +101,7 @@ def test_criterion_4_golden_rule_regime(bath201_sd, bath201_spec):
     plateau_ok = np.abs(gammas - pred.gamma).max() <= 0.15 * pred.gamma
 
     # shifted variant: v_self = 0.05, symmetric bath => delta_omega = 0.05
-    spec_shift = ob.preset_linear_bath(201, 0.0, 2.0, 1.0, 0.01, self_shift=0.05)
+    spec_shift = linear_bath(201, 0.0, 2.0, 1.0, 0.01, self_shift=0.05)
     sd_shift = ob.eigendecompose(ob.build_hamiltonian(spec_shift))
     fit_shift = ob.fit_exponential(times, ob.survival_series(sd_shift, times)[0])
     freq_ok = abs(fit_shift.omega_fit - 1.05) <= 0.02 * 1.05

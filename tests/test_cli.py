@@ -330,6 +330,22 @@ class TestLangevinCommand:
         assert (peaks[1] - peaks[0]) / 3000 <= 32 * 8, peaks
 
 
+    def test_residual_scale_underflow(self, tmp_path, capsys):
+        # at Omega = 1e-300 the residual and its scale both underflow to 0:
+        # 0 / 0 once wrote nan in every row, after a numpy warning
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({
+            "system": {"omega": 1e-300}, "bath": {"n": 0},
+            "initial": {"type": "explicit", "occupations": [1.0]},
+            "time": {"t_max": 2.0, "dt": 0.5},
+        }))
+        for command in ("langevin", "validate"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+            assert capsys.readouterr().err == ""
+        rows = read_csv(tmp_path / "langevin_residual.csv")
+        assert [r["residual"] for r in rows] == ["0"] * 5
+
+
 class TestGoldenCommand:
     def test_report_schema(self, tmp_path):
         assert main(["golden", "--config", N51, "--out", str(tmp_path),
@@ -603,6 +619,8 @@ class TestErrorPaths:
         "bath_bath nan", "bath_bath inf", "bath_bath -inf",
         "system_occupation nan", "system_occupation inf",
         "omega_min -inf", "omega_max inf", "not utf-8",
+        # omega_max - omega_min overflows: once two numpy warnings before the error
+        "omega_min -1e308 omega_max 1e308",
         # 1 / (2 M Omega) overflows: once inf in most noise_cov.csv rows
         "mass 1e-320",
         # beta * omega underflows to 0: once two numpy warnings before the error
@@ -615,22 +633,25 @@ class TestErrorPaths:
             cfg.write_bytes(b"\xff\xfe" + open(N51).read().encode("utf-16-le"))
         else:
             doc = json.loads(open(N51).read())
-            key, value = bad.split()
-            value = float(value)  # json writes NaN and Infinity
-            if key == "bath_bath":
-                doc["bath"]["bath_bath"] = np.diag([value] + [0.0] * 50).tolist()
-            elif key == "v_self":
-                doc["system"]["v_self"] = value
-            elif key == "mass":
-                doc["system"]["mass"] = value
-            elif key in ("system_occupation", "beta"):
-                doc["initial"][key] = value
-            else:
-                doc["bath"]["spectrum"][key] = value
+            words = bad.split()
+            for key, value in zip(words[::2], words[1::2]):
+                value = float(value)  # json writes NaN and Infinity
+                if key == "bath_bath":
+                    doc["bath"]["bath_bath"] = np.diag([value] + [0.0] * 50).tolist()
+                elif key == "v_self":
+                    doc["system"]["v_self"] = value
+                elif key == "mass":
+                    doc["system"]["mass"] = value
+                elif key in ("system_occupation", "beta"):
+                    doc["initial"][key] = value
+                else:
+                    doc["bath"]["spectrum"][key] = value
             cfg.write_text(json.dumps(doc))
         assert main(["master", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+        if bad.startswith("omega_"):
+            assert err.startswith("config error: bath.spectrum needs a finite")
 
     def test_noise_covariance_overflow(self, tmp_path, capsys):
         # at M Omega = 1.2e-308, (2 max_m N_m + 1) / (2 M Omega) is 4.2e307

@@ -13,6 +13,8 @@ from oscbath.golden import (compare_exact_vs_golden, delta_t, fit_exponential,
 from oscbath.linalg import NumericalError
 from oscbath.master import time_blocks
 
+from conftest import linear_bath
+
 
 def golden_rule_rates(spec, t):
     """Dense reference for ``golden_rule_rate_00``: Gamma[n, m] =
@@ -63,8 +65,7 @@ class TestDeltaT:
         alphas = np.array([-1.0, 0.0, 0.1, 3.0])
         assert np.array_equal(delta_t(alphas, 0.0), np.zeros(4))
         assert delta_t(alphas[:, None], np.array([0.0, 1e-9]))[:, 1].max() <= 1e-9
-        assert golden_rule_rate_00(ob.preset_linear_bath(5, 0.5, 1.5, 1.0, 0.01),
-                                   [0.0]) == 0.0
+        assert golden_rule_rate_00(linear_bath(5, 0.5, 1.5, 1.0, 0.01), [0.0]) == 0.0
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -129,7 +130,7 @@ class TestPerturbativePrediction:
         assert pred.delta_omega == pytest.approx(0.0, abs=1e-15)
 
     def test_self_shift_passthrough(self):
-        spec = ob.preset_linear_bath(201, 0.0, 2.0, 1.0, 0.01, self_shift=0.05)
+        spec = linear_bath(201, 0.0, 2.0, 1.0, 0.01, self_shift=0.05)
         assert perturbative_prediction(spec).delta_omega == pytest.approx(0.05, abs=1e-15)
 
     def test_gamma_arithmetic(self, bath201_spec):
@@ -140,7 +141,7 @@ class TestPerturbativePrediction:
         assert pred.gamma == pytest.approx(0.06283, abs=1e-5)
 
     def test_outside_band_warns(self):
-        spec = ob.preset_linear_bath(11, 2.0, 3.0, 1.0, 0.01)
+        spec = linear_bath(11, 2.0, 3.0, 1.0, 0.01)
         with pytest.warns(UserWarning, match="outside the bath band"):
             pred = perturbative_prediction(spec)
         assert pred.gamma == 0.0

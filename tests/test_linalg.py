@@ -5,7 +5,7 @@ import scipy.linalg
 import oscbath as ob
 from oscbath.linalg import eigendecompose
 
-from conftest import random_hermitian
+from conftest import linear_bath, random_hermitian
 
 TWO_BY_TWO = {
     "real off-diagonal": [[0.3, 0.2], [0.2, 1.7]],
@@ -100,7 +100,7 @@ class TestEigendecompose:
         assert mixing == pytest.approx(np.sqrt(0.5)) if gap == 0.0 else mixing <= 1e-16
 
     def test_complex_couplings_match_real_twin(self):
-        real = ob.preset_linear_bath(51, 0.5, 1.5, 1.0, 0.01)
+        real = linear_bath(51, 0.5, 1.5, 1.0, 0.01)
         phases = np.exp(2j * np.pi * np.random.default_rng(4).random(51))
         twin = ob.ModelSpec(omega=real.omega, bath_frequencies=real.bath_frequencies,
                             couplings=real.couplings * phases)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import os
 
 import numpy as np
@@ -9,8 +10,9 @@ import oscbath as ob
 from oscbath.config import (MAX_COV_POINTS, MAX_W00_POINTS, ConfigError, load_config,
                             parse_config)
 from oscbath.golden import perturbative_prediction
-from oscbath.model import (ModelSpec, build_hamiltonian, explicit_populations,
-                           preset_linear_bath, thermal_populations)
+from oscbath.model import ModelSpec, build_hamiltonian, explicit_populations, thermal_populations
+
+from conftest import linear_bath
 
 
 class TestBuildHamiltonian:
@@ -40,7 +42,7 @@ class TestBuildHamiltonian:
         assert np.abs(h - h.conj().T).max() == 0.0
 
     def test_linear_preset_spectral_count(self):
-        spec = preset_linear_bath(10, 0.5, 1.5, 1.0, 0.01)
+        spec = linear_bath(10, 0.5, 1.5, 1.0, 0.01)
         sd = ob.eigendecompose(build_hamiltonian(spec))
         assert sd.eigenvalues.shape == (11,)
 
@@ -79,26 +81,45 @@ class TestBuildHamiltonian:
 
 
 class TestLinearPreset:
+    """The config's linear spectrum: n bath frequencies evenly spaced over
+    [omega_min, omega_max], each with the uniform coupling g."""
+
+    @staticmethod
+    def spec(n, omega_min, omega_max):
+        return parse_config({
+            "system": {"omega": 1.0},
+            "bath": {"n": n,
+                     "spectrum": {"type": "linear", "omega_min": omega_min,
+                                  "omega_max": omega_max},
+                     "coupling": {"type": "uniform", "g": 0.01}},
+            "initial": {"type": "explicit", "occupations": [1.0] + [0.0] * n},
+            "time": {"t_max": 1.0, "dt": 0.5},
+        }).spec
+
     def test_grid(self):
-        spec = preset_linear_bath(3, 0.5, 1.5, 1.0, 0.01)
+        spec = self.spec(3, 0.5, 1.5)
         assert np.allclose(spec.bath_frequencies, [0.5, 1.0, 1.5], atol=0)
         assert np.all(spec.couplings == 0.01)
         assert spec.bath_bath is None
 
     def test_density_of_states(self):
         # golden's rho = 200 / (2 - 0) = 100, bit for bit: linspace pins both ends
-        spec = preset_linear_bath(201, 0.0, 2.0, 1.0, 0.01)
+        spec = self.spec(201, 0.0, 2.0)
         assert perturbative_prediction(spec).gamma == 2 * np.pi * 0.01 ** 2 * 100.0
 
     def test_degenerate_grid_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            preset_linear_bath(1, 1.0, 1.0, 1.0, 0.01)
+        with pytest.raises(ConfigError, match=r"^bath.spectrum needs a finite omega_max - "
+                           r"omega_min and omega_min < omega_max, got \[1.0, 1.0\]$"):
+            self.spec(1, 1.0, 1.0)
 
-    @pytest.mark.parametrize("bounds", [(-np.inf, 1.5), (0.5, np.inf), (np.nan, 1.5)])
+    @pytest.mark.parametrize("bounds", [("-Infinity", "1.5"), ("0.5", "Infinity"),
+                                        ("NaN", "1.5"), ("-1e308", "1e308")])
     def test_non_finite_bounds_rejected(self, bounds):
-        # before np.linspace, whose RuntimeWarning would fail this test
-        with pytest.raises(ValueError, match="need finite omega_min < omega_max"):
-            preset_linear_bath(5, *bounds, 1.0, 0.01)
+        # before np.linspace, whose RuntimeWarning would fail this test; the
+        # last span overflows a double
+        with pytest.raises(ConfigError, match="^bath.spectrum needs a finite omega_max - "
+                           "omega_min and omega_min < omega_max"):
+            self.spec(5, *json.loads(f"[{bounds[0]}, {bounds[1]}]"))
 
 
 class TestPopulations:
@@ -117,7 +138,7 @@ class TestPopulations:
         assert thermal_populations(bath51_spec, beta=1.0)[0] == 1.0
 
     def test_zero_frequency_mode_rejected(self):
-        spec = preset_linear_bath(3, 0.0, 1.0, 1.0, 0.1)
+        spec = linear_bath(3, 0.0, 1.0, 1.0, 0.1)
         with pytest.raises(ValueError, match="diverges"):
             thermal_populations(spec, beta=1.0)
 
@@ -188,7 +209,7 @@ def test_level_spacing_matches_unique(freqs):
 
 class TestConfig:
     def test_roundtrip_identical_matrix(self, tmp_path):
-        # the preset's frequencies written out as an explicit spectrum
+        # the linear grid's frequencies written out as an explicit spectrum
         path = tmp_path / "model.json"
         path.write_text("""{
           "system": {"omega": 1.0, "mass": 1.0, "v_self": 0.05},
@@ -205,7 +226,7 @@ class TestConfig:
           "time": {"t_max": 10.0, "dt": 0.1}
         }""")
         cfg = load_config(path)
-        spec = preset_linear_bath(7, 0.5, 1.5, 1.0, 0.01, self_shift=0.05)
+        spec = linear_bath(7, 0.5, 1.5, 1.0, 0.01, self_shift=0.05)
         h1 = build_hamiltonian(spec)
         h2 = build_hamiltonian(cfg.spec)
         assert h1.tobytes() == h2.tobytes()

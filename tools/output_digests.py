@@ -8,9 +8,12 @@ command of the matrix below in-process through ``oscbath.cli.main`` with
 ``<command> <config> <flags> <item> <sha256>`` per output file, and one
 each for the run's stdout, stderr and exit code.  The checkout and output
 paths in stderr are replaced by placeholders before hashing, so two
-checkouts compare with ``diff`` of their two listings.  The config
-``linear_bath_n51.json:explicit`` is n51 with its frequency grid and
-couplings written out as explicit lists, into a temporary directory.
+checkouts compare with ``diff`` of their two listings.  Three configs are
+written into a temporary directory: ``linear_bath_n51.json:explicit`` is
+n51 with its frequency grid and couplings written out as explicit lists,
+``bare.json`` has no bath (``n: 0``), and ``complex_bath.json`` has
+explicit couplings, one of them complex, and a complex Hermitian
+``bath_bath`` block.
 """
 
 import contextlib
@@ -25,6 +28,25 @@ import numpy as np
 
 TWO_OSC, N51, N201 = "two_oscillator.json", "linear_bath_n51.json", "linear_bath_n201.json"
 N51_EXPLICIT = N51 + ":explicit"
+MADE = {
+    "bare.json": {
+        "system": {"omega": 1.0},
+        "bath": {"n": 0},
+        "initial": {"type": "explicit", "occupations": [1.0]},
+        "time": {"t_max": 5.0, "dt": 0.1},
+    },
+    "complex_bath.json": {
+        "system": {"omega": 1.0, "v_self": 0.02},
+        "bath": {"n": 3,
+                 "spectrum": {"type": "explicit", "omegas": [0.8, 1.0, 1.2]},
+                 "coupling": {"type": "explicit", "gs": [0.05, [0.02, 0.03], 0.04]},
+                 "bath_bath": [[0.0, [0.01, 0.02], 0.0],
+                               [[0.01, -0.02], 0.0, 0.005],
+                               [0.0, 0.005, 0.0]]},
+        "initial": {"type": "explicit", "occupations": [1.0, 0.5, 0.2, 0.0]},
+        "time": {"t_max": 20.0, "dt": 0.1},
+    },
+}
 COMMANDS = ("amplitudes", "master", "langevin", "golden", "validate")
 SINGULAR_GRID = ("--dt", "0.015707963267948967", "--t-max", "70")  # hits t = pi / (4 g)
 MATRIX = (
@@ -36,6 +58,7 @@ MATRIX = (
        ("master", TWO_OSC, SINGULAR_GRID),
        ("langevin", TWO_OSC, SINGULAR_GRID),
        ("golden", N51_EXPLICIT, ())]
+    + [(command, config, ()) for config in MADE for command in ("master", "langevin", "golden")]
 )
 
 
@@ -48,8 +71,16 @@ def _file_sha256(path):
         return _sha256(fh.read())
 
 
-def _write_explicit_n51(root, directory):
-    """Write N51_EXPLICIT into ``directory`` and return its path."""
+def _write(directory, name, doc):
+    """Write ``doc`` as ``directory/name`` and return its path."""
+    path = os.path.join(directory, name)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+def _explicit_n51(root):
+    """N51_EXPLICIT: n51 with its grid and couplings written out."""
     with open(os.path.join(root, "configs", N51)) as fh:
         doc = json.load(fh)
     bath = doc["bath"]
@@ -57,10 +88,7 @@ def _write_explicit_n51(root, directory):
     bath["spectrum"] = {"type": "explicit", "omegas": np.linspace(
         spectrum["omega_min"], spectrum["omega_max"], bath["n"]).tolist()}
     bath["coupling"] = {"type": "explicit", "gs": [bath["coupling"]["g"]] * bath["n"]}
-    path = os.path.join(directory, "linear_bath_n51_explicit.json")
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    return path
+    return doc
 
 
 def main(root):
@@ -72,7 +100,8 @@ def main(root):
     if not os.path.realpath(oscbath.cli.__file__).startswith(src + os.sep):
         raise SystemExit(f"imported oscbath from {oscbath.cli.__file__}, not from {src}")
     with tempfile.TemporaryDirectory() as made:
-        paths = {N51_EXPLICIT: _write_explicit_n51(root, made)}
+        paths = {name: _write(made, name, doc) for name, doc in MADE.items()}
+        paths[N51_EXPLICIT] = _write(made, "linear_bath_n51_explicit.json", _explicit_n51(root))
         for command, config, flags in MATRIX:
             with tempfile.TemporaryDirectory() as out:
                 stdout, stderr = io.StringIO(), io.StringIO()
