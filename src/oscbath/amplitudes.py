@@ -31,13 +31,15 @@ def block_slices(count, entries_per_time):
     return (slice(start, start + step) for start in range(0, count, step))
 
 
-def amplitudes_at(sd, times, rows=None):
+def amplitudes_at(sd, times, rows=None, a=None, operand=None):
     """Dense A and dA/dt at a time or a 1-D array of times.
 
     Returns ``(a, adot)``, complex arrays of shape ``times.shape + (dim,
     dim)``: one matrix per time, stacked along the leading axis.  Given
     ``rows``, dA/dt holds only the leading ``rows`` rows (none for 0), so
-    its shape ends in ``(rows, dim)``.
+    its shape ends in ``(rows, dim)``.  ``a`` and ``operand``, complex
+    arrays of A's shape, are optional buffers: A is written into ``a``, and
+    ``operand`` holds the U-times-phase factors of each product in turn.
     """
     times = np.asarray(times, dtype=np.float64)
     bad = times[~np.isfinite(times)]
@@ -47,8 +49,10 @@ def amplitudes_at(sd, times, rows=None):
     u = sd.vectors
     phases = np.exp(-1j * np.multiply.outer(times, alpha))[..., None, :]
     uc = u.conj()
-    a = uc @ (u * phases).swapaxes(-1, -2)
-    adot = uc[:rows] @ (u * (-1j * alpha * phases)).swapaxes(-1, -2)
+    operand = np.multiply(u, phases, out=operand)
+    a = np.matmul(uc, operand.swapaxes(-1, -2), out=a)
+    operand = np.multiply(u, -1j * alpha * phases, out=operand)
+    adot = uc[:rows] @ operand.swapaxes(-1, -2)
     return a, adot
 
 

@@ -126,12 +126,11 @@ def eigendecompose(h):
     eigenvalues = eigenvalues[order]
     vectors = vectors[:, order]
 
-    # phase convention: largest-magnitude component real positive
-    for k in range(n):
-        col = vectors[:, k]
-        i = int(np.argmax(np.abs(col)))
-        ph = col[i] / abs(col[i])
-        vectors[:, k] = col * ph.conjugate()
+    # phase convention: largest-magnitude component real positive.  Each
+    # column's phase divides by hypot, the exact |.| of a complex scalar:
+    # np.abs of a complex array rounds differently
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(n)]
+    vectors *= (lead / np.hypot(lead.real, lead.imag)).conj()
 
     return SpectralDecomposition(eigenvalues=eigenvalues, vectors=np.ascontiguousarray(vectors))
 

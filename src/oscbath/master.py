@@ -13,8 +13,13 @@ reads, and only those rows of Adot, Pdot and W are computed: ``golden``
 reads row 0, ``amplitudes`` none (so no W is solved), and ``master`` and
 ``validate`` all of them.  ``validation.grid_invariants`` reduces whatever
 blocks its caller asks the engine for.
+
+The engine writes every block's A and P into two arrays it allocates once
+per grid, so a block's ``a`` and ``p`` hold its values only until the next
+block is drawn: a consumer that keeps them longer copies them.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +32,9 @@ DEFAULT_CONDITION_CAP = 1e10
 @dataclass(frozen=True)
 class TimeBlock:
     """Consecutive grid times and the dense quantities at each of them;
-    every array's leading axis indexes ``times``."""
+    every array's leading axis indexes ``times``.  ``a`` and ``p`` are
+    views of buffers that ``time_blocks`` reuses: they are valid only until
+    the next block is drawn."""
 
     times: np.ndarray       # (K,)
     a: np.ndarray           # (K, dim, dim) complex, unitary
@@ -37,10 +44,12 @@ class TimeBlock:
     singular: np.ndarray | None  # (K,) bool, P singular to the condition cap
 
 
-def transition_probabilities(a, adot):
+def transition_probabilities(a, adot, p=None):
     """P = |A|^2 and Pdot = 2 Re(conj(A) Adot), elementwise on (stacks of)
-    amplitude matrices; Pdot has the leading rows that ``adot`` has."""
-    return np.abs(a) ** 2, 2.0 * (a[..., :adot.shape[-2], :].conj() * adot).real
+    amplitude matrices; Pdot has the leading rows that ``adot`` has.  P is
+    written into ``p``, a real array of A's shape, if one is given."""
+    p = np.square(np.abs(a, out=p), out=p)
+    return p, 2.0 * (a[..., :adot.shape[-2], :].conj() * adot).real
 
 
 def _solve(a, b):
@@ -55,7 +64,7 @@ def _solve(a, b):
         return np.concatenate([_solve(a[k:k + 1], b[k:k + 1]) for k in range(len(a))])
 
 
-def master_coefficients(p, pdot, condition_cap=DEFAULT_CONDITION_CAP):
+def master_coefficients(p, pdot, condition_cap=DEFAULT_CONDITION_CAP, work=None):
     """Rows of W = Pdot P^{-1} for a stack of P of shape (K, dim, dim).
 
     ``pdot`` holds the leading r rows of Pdot, shape (K, r, dim); the same r
@@ -64,12 +73,19 @@ def master_coefficients(p, pdot, condition_cap=DEFAULT_CONDITION_CAP):
     inf where P is exactly singular; ||P||_1 is the largest column sum of
     P, whose entries |A|^2 are never negative.  P counts as singular, and
     W is nan-filled, where the condition is not finite or exceeds
-    ``condition_cap``.
+    ``condition_cap``.  ``work``, a contiguous array of at least as many
+    bytes as a float64 array of shape (K, dim, r + dim), may hold the
+    solve's right-hand side.
     """
     dim, r = p.shape[-1], pdot.shape[-2]
     # one factorization of P^T per time solves P^T [W_r^T | P^{-T}] = [Pdot_r^T | I],
     # with both halves of the right-hand side written into one array
-    rhs = np.zeros(p.shape[:-1] + (r + dim,))
+    shape = p.shape[:-1] + (r + dim,)
+    if work is None:
+        rhs = np.zeros(shape)
+    else:
+        rhs = work.reshape(-1).view(np.float64)[:math.prod(shape)].reshape(shape)
+        rhs.fill(0.0)
     rhs[..., :r] = pdot.swapaxes(-1, -2)
     diagonal = np.arange(dim)
     rhs[..., diagonal, r + diagonal] = 1.0
@@ -93,16 +109,28 @@ def time_blocks(sd, times, rows=None, condition_cap=DEFAULT_CONDITION_CAP):
     ``amplitudes.block_slices(len(times), dim**2)``, so each (times, dim,
     dim) array is about ``BLOCK_ENTRIES`` entries and memory stays bounded
     however long the grid is.
+
+    Three (times, dim, dim) arrays are allocated once, at the first block,
+    which is the longest: A, P, and one complex scratch that holds the
+    operands of A and Adot and then the solve's right-hand side (r + dim
+    <= 2 dim float64 columns).  Every block writes into them, so its ``a``
+    and ``p`` are valid only until the next block is drawn.
     """
     times = np.asarray(times, dtype=np.float64)
+    buffers = None
     for s in block_slices(len(times), sd.dim ** 2):
         t = times[s]
-        a, adot = amplitudes_at(sd, t, rows)
-        p, pdot = transition_probabilities(a, adot)
-        del adot  # freed before the solve: the caller still holds the previous block
+        if buffers is None:
+            shape = (len(t), sd.dim, sd.dim)
+            buffers = (np.empty(shape, np.complex128), np.empty(shape),
+                       np.empty(shape, np.complex128))
+        a, p, scratch = (buf[:len(t)] for buf in buffers)
+        a, adot = amplitudes_at(sd, t, rows, a, scratch)
+        p, pdot = transition_probabilities(a, adot, p)
+        del adot  # freed before the solve: the caller still holds the previous block's pdot and w
         w = singular = None
         if pdot.shape[-2]:
-            w, _, singular = master_coefficients(p, pdot, condition_cap)
+            w, _, singular = master_coefficients(p, pdot, condition_cap, scratch)
         yield TimeBlock(times=t, a=a, p=p, pdot=pdot, w=w, singular=singular)
 
 

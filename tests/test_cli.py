@@ -182,16 +182,21 @@ def test_reruns_are_byte_identical(tmp_path, command, config, names):
                 "singular_points.txt")),
     ("langevin", ("langevin.csv", "noise_cov.csv", "langevin_residual.csv",
                   "singular_points.txt")),
+    ("golden", ("golden_report.json",)),
+    ("validate", ("stdout",)),
 ])
-def test_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, command, names):
+def test_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, capsys, command, names):
     # one time (or CSV row) per block, a few per block with a short last
     # one, the default, and the whole grid in one block; the one block rule
-    # cuts the dense engine, the survival sums and every CSV column
+    # cuts the dense engine, the survival sums and every CSV column.  The
+    # engine reuses each block's arrays, so a consumer that keeps them past
+    # the next block reads another block's values at one time per block
     outs = []
     for entries in (1, 2 ** 10, oscbath.amplitudes.BLOCK_ENTRIES, 2 ** 22):
         monkeypatch.setattr(oscbath.amplitudes, "BLOCK_ENTRIES", entries)
         outs.append(tmp_path / str(entries))
         assert main([command, "--config", N51, "--out", str(outs[-1])]) == 0
+        (outs[-1] / "stdout").write_text(capsys.readouterr().out)
     for name in names:
         expected = (outs[0] / name).read_bytes()
         assert all((out / name).read_bytes() == expected for out in outs[1:]), name
@@ -535,6 +540,26 @@ class TestValidateCommand:
             tolerances = {name: tol for name, _, tol, _ in rows}
             assert (tolerances["spectral reconstruction"] == tolerances["eigenvector unitarity"]
                     == c * dim * eps)
+
+    @pytest.mark.parametrize("module, name, row", [
+        (oscbath.langevin, "langevin_residual", "Langevin ODE residual"),
+        (oscbath.master, "master_residual", "master-equation residual"),
+    ], ids=["langevin", "master"])
+    def test_nan_at_a_regular_time_fails_the_row(self, monkeypatch, module, name, row):
+        # only the times flagged singular may carry a nan residual
+        residual = getattr(module, name)
+
+        def nan_at_a_regular_time(flagged, *args):
+            out = residual(flagged, *args)
+            res = out[0] if isinstance(out, tuple) else out
+            res[np.flatnonzero(~flagged.singular)[:1]] = np.nan
+            return out
+
+        monkeypatch.setattr(module, name, nan_at_a_regular_time)
+        cfg = load_config(TWO_OSC)
+        rows = oscbath.validation.run_suite(cfg, eigendecompose(build_hamiltonian(cfg.spec)))
+        ((value, ok),) = [(value, ok) for label, value, _, ok in rows if label == row]
+        assert np.isnan(value) and not ok
 
     def test_one_eigensolve_per_model(self, tmp_path, monkeypatch):
         # the configured model is decomposed once and the suite reuses it;

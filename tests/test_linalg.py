@@ -49,6 +49,24 @@ class TestEigendecompose:
         assert rel <= 1e-12
         assert np.all(np.diff(sd.eigenvalues) >= 0)
 
+    @pytest.mark.parametrize("dim", [3, 8, 52, 202])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_phase_convention_matches_column_loop(self, dim, real):
+        # the per-column loop the vectorized convention replaced, on
+        # numpy's eigenvectors: bit for bit the same vectors
+        h = random_hermitian(dim, dim)
+        if real:
+            h = h.real.astype(complex)
+            vectors = np.linalg.eigh(h.real)[1].astype(complex)
+        else:
+            vectors = np.linalg.eigh(h)[1]
+        for k in range(dim):
+            col = vectors[:, k]
+            i = int(np.argmax(np.abs(col)))
+            ph = col[i] / abs(col[i])
+            vectors[:, k] = col * ph.conjugate()
+        assert eigendecompose(h).vectors.tobytes() == vectors.tobytes()
+
     def test_deterministic(self):
         h = random_hermitian(6, 7)
         sd1 = eigendecompose(h)

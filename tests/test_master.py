@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,14 +13,30 @@ from oscbath.master import (DEFAULT_CONDITION_CAP, TimeBlock, master_coefficient
 from oscbath.validation import grid_invariants
 
 G = 0.1
+N201 = os.path.join(os.path.dirname(__file__), "..", "configs", "linear_bath_n201.json")
+MIB = 2 ** 20
 
 
 def grid(sd, times):
     """One TimeBlock over the whole grid, joined from the engine's blocks,
-    with every row of Pdot and W."""
-    blocks = list(time_blocks(sd, times))
+    with every row of Pdot and W.  Each block is copied before the next is
+    drawn, which reuses the arrays of ``a`` and ``p``."""
+    blocks = [dataclasses.replace(b, a=b.a.copy(), p=b.p.copy())
+              for b in time_blocks(sd, times)]
     return TimeBlock(*(np.concatenate([getattr(b, f.name) for b in blocks])
                        for f in dataclasses.fields(TimeBlock)))
+
+
+def traced_peak(run):
+    """tracemalloc peak of ``run()``, after an untraced call has filled
+    numpy's first-call caches."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def uncoupled_sd(bath=0.5):
@@ -251,3 +269,29 @@ class TestMasterResidual:
         res, bal = self.residual(two_osc_sd, [1.0, np.pi / (4 * G)], [1.0, 0.0])
         assert np.isfinite(res[0]) and np.isfinite(bal[0])
         assert np.isnan(res[1]) and np.isnan(bal[1])
+
+
+class TestHeldMemory:
+    # the engine writes every block into the arrays it allocated for the
+    # first one; the bounds are the peaks measured before it reused them
+
+    def test_w00_pass(self, bath201_sd):
+        # golden's W[0, 0] pass on n201: 60 times, one per block, row 0
+        cfg = ob.load_config(N201)
+        times = cfg.w00_times(ob.perturbative_prediction(cfg.spec).gamma)
+        assert len(times) == 60
+
+        def w00_pass():
+            return [w for blk in time_blocks(bath201_sd, times, 1) for w in blk.w[:, 0, 0]]
+
+        alone = traced_peak(w00_pass)
+        ob.survival_series(bath201_sd, cfg.fit_times()[1])  # as golden runs it first
+        assert traced_peak(w00_pass) == alone
+        assert alone <= 2.95 * MIB, alone
+
+    def test_full_row_grid_invariants(self, bath51_sd, bath51_spec):
+        # validate's dense pass on n51: 101 times, twelve per block, every row
+        init = ob.thermal_populations(bath51_spec, beta=1.0)
+        times = np.linspace(0, 50, 101)
+        peak = traced_peak(lambda: grid_invariants(time_blocks(bath51_sd, times), init))
+        assert peak <= 4.06 * MIB, peak

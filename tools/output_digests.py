@@ -6,17 +6,23 @@ Imports oscbath from ``ROOT/src`` (never an installed copy), runs each
 command of the matrix below in-process through ``oscbath.cli.main`` with
 ``--out`` in a fresh temporary directory, and prints one line
 ``<command> <config> <flags> <item> <sha256>`` per output file, and one
-each for the run's stdout, stderr and exit code.  The checkout and output
-paths in stderr are replaced by placeholders before hashing, so two
-checkouts compare with ``diff`` of their two listings.  Three configs are
-written into a temporary directory: ``linear_bath_n51.json:explicit`` is
-n51 with its frequency grid and couplings written out as explicit lists,
-``bare.json`` has no bath (``n: 0``), and ``complex_bath.json`` has
-explicit couplings, one of them complex, and a complex Hermitian
-``bath_bath`` block.
+each for the run's stdout, stderr and exit code.  Three ``#`` lines come
+first: the numpy version, and the build string and thread count that the
+loaded OpenBLAS reports, since the n201 digests depend on all three.  The
+checkout and output paths in stderr are replaced by placeholders before
+hashing, so two checkouts compare with ``diff`` of their two listings.
+``tests/golden/output_digests.txt`` is this listing at two BLAS threads
+(``OPENBLAS_NUM_THREADS=2``), and a test compares it with a fresh run.
+
+Three configs are written into a temporary directory:
+``linear_bath_n51.json:explicit`` is n51 with its frequency grid and
+couplings written out as explicit lists, ``bare.json`` has no bath
+(``n: 0``), and ``complex_bath.json`` has explicit couplings, one of them
+complex, and a complex Hermitian ``bath_bath`` block.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -62,6 +68,32 @@ MATRIX = (
 )
 
 
+def _openblas(name, restype):
+    """The result of OpenBLAS's ``name`` function in the library loaded into
+    this process, or None if no loaded library has it."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            function = getattr(lib, symbol, None)
+            if function is not None:
+                function.restype, function.argtypes = restype, []
+                return function()
+    return None
+
+
+def context():
+    """The listing's ``#`` header lines."""
+    build = _openblas("get_config", ctypes.c_char_p)
+    return [f"# numpy {np.__version__}",
+            f"# blas {build.decode() if build else 'unknown'}",
+            f"# blas threads {_openblas('get_num_threads', ctypes.c_int)}"]
+
+
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
@@ -99,6 +131,7 @@ def main(root):
 
     if not os.path.realpath(oscbath.cli.__file__).startswith(src + os.sep):
         raise SystemExit(f"imported oscbath from {oscbath.cli.__file__}, not from {src}")
+    print("\n".join(context()))
     with tempfile.TemporaryDirectory() as made:
         paths = {name: _write(made, name, doc) for name, doc in MADE.items()}
         paths[N51_EXPLICIT] = _write(made, "linear_bath_n51_explicit.json", _explicit_n51(root))
