@@ -1,4 +1,4 @@
-"""Transition amplitudes from the spectral decomposition.
+"""Survival and system-row amplitudes from the spectral decomposition.
 
 With ``U[n, k] = <basis_n | mode_k>`` and mode frequencies ``alpha_k``, the
 propagator matrix elements are
@@ -6,15 +6,17 @@ propagator matrix elements are
     A[n, m](t) = sum_k exp(-i alpha_k t) conj(U[n, k]) U[m, k]
 
 (the amplitude to reach state m at time t starting from state n), and each
-time derivative carries an extra factor (-i alpha_k).  The dense path gives
-A and dA/dt; the survival entry A[0, 0] and its first two derivatives come
-from the scalar sums of ``survival_series``.  Everything is closed-form in
-t; derivatives are never computed by differencing.
+time derivative carries an extra factor (-i alpha_k).  This module gives
+the survival entry A[0, 0] with its first two derivatives as scalar sums
+(``survival_series``) and the system's row A[0, :] (``system_row_series``);
+the dense A, P, Pdot and W come from the one engine ``master.time_blocks``.
+Everything is closed-form in t; derivatives are never computed by
+differencing.
 
-The survival sums here, the dense engine ``master.time_blocks`` and the
-CLI's CSV columns walk a time grid in blocks of consecutive times cut by
-one rule, ``block_slices``, so their memory is bounded by one block however
-long the grid is.
+The survival sums here, the dense engine and the CLI's CSV columns walk a
+time grid in blocks of consecutive times cut by one rule,
+``block_slices``, so their memory is bounded by one block however long the
+grid is.
 """
 
 import numpy as np
@@ -29,31 +31,6 @@ def block_slices(count, entries_per_time):
     ``BLOCK_ENTRIES // entries_per_time`` times each (at least one)."""
     step = max(1, BLOCK_ENTRIES // entries_per_time)
     return (slice(start, start + step) for start in range(0, count, step))
-
-
-def amplitudes_at(sd, times, rows=None, a=None, operand=None):
-    """Dense A and dA/dt at a time or a 1-D array of times.
-
-    Returns ``(a, adot)``, complex arrays of shape ``times.shape + (dim,
-    dim)``: one matrix per time, stacked along the leading axis.  Given
-    ``rows``, dA/dt holds only the leading ``rows`` rows (none for 0), so
-    its shape ends in ``(rows, dim)``.  ``a`` and ``operand``, complex
-    arrays of A's shape, are optional buffers: A is written into ``a``, and
-    ``operand`` holds the U-times-phase factors of each product in turn.
-    """
-    times = np.asarray(times, dtype=np.float64)
-    bad = times[~np.isfinite(times)]
-    if bad.size:
-        raise ValueError(f"time must be finite, got {bad[0]}")
-    alpha = sd.eigenvalues
-    u = sd.vectors
-    phases = np.exp(-1j * np.multiply.outer(times, alpha))[..., None, :]
-    uc = u.conj()
-    operand = np.multiply(u, phases, out=operand)
-    a = np.matmul(uc, operand.swapaxes(-1, -2), out=a)
-    operand = np.multiply(u, -1j * alpha * phases, out=operand)
-    adot = uc[:rows] @ operand.swapaxes(-1, -2)
-    return a, adot
 
 
 def survival_series(sd, times):

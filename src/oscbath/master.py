@@ -14,9 +14,10 @@ reads row 0, ``amplitudes`` none (so no W is solved), and ``master`` and
 ``validate`` all of them.  ``validation.grid_invariants`` reduces whatever
 blocks its caller asks the engine for.
 
-The engine writes every block's A and P into two arrays it allocates once
-per grid, so a block's ``a`` and ``p`` hold its values only until the next
-block is drawn: a consumer that keeps them longer copies them.
+The engine owns its buffers: it writes every block's A and P into two
+arrays it allocates once per grid, so a block's ``a`` and ``p`` hold its
+values only until the next block is drawn, and a consumer that keeps them
+longer copies them.
 """
 
 import math
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import amplitudes_at, block_slices
+from .amplitudes import block_slices
 
 DEFAULT_CONDITION_CAP = 1e10
 
@@ -41,15 +42,8 @@ class TimeBlock:
     p: np.ndarray           # (K, dim, dim) real, doubly stochastic
     pdot: np.ndarray        # (K, rows, dim) leading rows of d|A|^2/dt = 2 Re(conj(A) Adot)
     w: np.ndarray | None    # (K, rows, dim) the same rows of W, nan where singular
+    condition: np.ndarray | None  # (K,) ||P||_1 ||P^{-1}||_1, inf where P is exactly singular
     singular: np.ndarray | None  # (K,) bool, P singular to the condition cap
-
-
-def transition_probabilities(a, adot, p=None):
-    """P = |A|^2 and Pdot = 2 Re(conj(A) Adot), elementwise on (stacks of)
-    amplitude matrices; Pdot has the leading rows that ``adot`` has.  P is
-    written into ``p``, a real array of A's shape, if one is given."""
-    p = np.square(np.abs(a, out=p), out=p)
-    return p, 2.0 * (a[..., :adot.shape[-2], :].conj() * adot).real
 
 
 def _solve(a, b):
@@ -64,7 +58,7 @@ def _solve(a, b):
         return np.concatenate([_solve(a[k:k + 1], b[k:k + 1]) for k in range(len(a))])
 
 
-def master_coefficients(p, pdot, condition_cap=DEFAULT_CONDITION_CAP, work=None):
+def _coefficients(p, pdot, condition_cap, scratch):
     """Rows of W = Pdot P^{-1} for a stack of P of shape (K, dim, dim).
 
     ``pdot`` holds the leading r rows of Pdot, shape (K, r, dim); the same r
@@ -73,19 +67,15 @@ def master_coefficients(p, pdot, condition_cap=DEFAULT_CONDITION_CAP, work=None)
     inf where P is exactly singular; ||P||_1 is the largest column sum of
     P, whose entries |A|^2 are never negative.  P counts as singular, and
     W is nan-filled, where the condition is not finite or exceeds
-    ``condition_cap``.  ``work``, a contiguous array of at least as many
-    bytes as a float64 array of shape (K, dim, r + dim), may hold the
-    solve's right-hand side.
+    ``condition_cap``.  The solve's right-hand side is written into
+    ``scratch``, a contiguous complex array of P's shape.
     """
     dim, r = p.shape[-1], pdot.shape[-2]
     # one factorization of P^T per time solves P^T [W_r^T | P^{-T}] = [Pdot_r^T | I],
     # with both halves of the right-hand side written into one array
     shape = p.shape[:-1] + (r + dim,)
-    if work is None:
-        rhs = np.zeros(shape)
-    else:
-        rhs = work.reshape(-1).view(np.float64)[:math.prod(shape)].reshape(shape)
-        rhs.fill(0.0)
+    rhs = scratch.reshape(-1).view(np.float64)[:math.prod(shape)].reshape(shape)
+    rhs.fill(0.0)
     rhs[..., :r] = pdot.swapaxes(-1, -2)
     diagonal = np.arange(dim)
     rhs[..., diagonal, r + diagonal] = 1.0
@@ -100,23 +90,29 @@ def master_coefficients(p, pdot, condition_cap=DEFAULT_CONDITION_CAP, work=None)
 
 
 def time_blocks(sd, times, rows=None, condition_cap=DEFAULT_CONDITION_CAP):
-    """Yield a TimeBlock for each run of consecutive ``times``.
+    """Yield a TimeBlock for each run of consecutive finite ``times``.
 
-    Each block's Pdot and W hold the leading ``rows`` rows (all if None),
-    and only those rows of Adot are formed; W and its singular mask come
-    from ``master_coefficients`` with ``condition_cap``.  For ``rows=0`` no
-    W is solved, and ``w`` and ``singular`` are None.  The blocks are
-    ``amplitudes.block_slices(len(times), dim**2)``, so each (times, dim,
-    dim) array is about ``BLOCK_ENTRIES`` entries and memory stays bounded
-    however long the grid is.
+    A and Adot are the spectral sums of the ``amplitudes`` docstring.  Each
+    block's Pdot and W hold the leading ``rows`` rows (all if None), and
+    only those rows of Adot are formed; W, the condition of P and the
+    singular mask come from one solve under ``condition_cap``.  For
+    ``rows=0`` no W is solved, and ``w``, ``condition`` and ``singular``
+    are None.  The blocks are ``amplitudes.block_slices(len(times),
+    dim**2)``, so each (times, dim, dim) array is about ``BLOCK_ENTRIES``
+    entries however long the grid is.
 
-    Three (times, dim, dim) arrays are allocated once, at the first block,
-    which is the longest: A, P, and one complex scratch that holds the
-    operands of A and Adot and then the solve's right-hand side (r + dim
-    <= 2 dim float64 columns).  Every block writes into them, so its ``a``
-    and ``p`` are valid only until the next block is drawn.
+    The engine owns its buffers: three (times, dim, dim) arrays allocated
+    at the first block, which is the longest, hold A, P, and a complex
+    scratch for the operands of A and Adot and then the solve's right-hand
+    side (r + dim <= 2 dim float64 columns).  Every block writes into
+    them, so its ``a`` and ``p`` are valid only until the next block is
+    drawn.
     """
     times = np.asarray(times, dtype=np.float64)
+    bad = times[~np.isfinite(times)]
+    if bad.size:
+        raise ValueError(f"time must be finite, got {bad[0]}")
+    alpha, u = sd.eigenvalues, sd.vectors
     buffers = None
     for s in block_slices(len(times), sd.dim ** 2):
         t = times[s]
@@ -125,13 +121,21 @@ def time_blocks(sd, times, rows=None, condition_cap=DEFAULT_CONDITION_CAP):
             buffers = (np.empty(shape, np.complex128), np.empty(shape),
                        np.empty(shape, np.complex128))
         a, p, scratch = (buf[:len(t)] for buf in buffers)
-        a, adot = amplitudes_at(sd, t, rows, a, scratch)
-        p, pdot = transition_probabilities(a, adot, p)
+        phases = np.exp(-1j * np.multiply.outer(t, alpha))[..., None, :]
+        uc = u.conj()
+        np.multiply(u, phases, out=scratch)
+        np.matmul(uc, scratch.swapaxes(-1, -2), out=a)
+        np.multiply(u, -1j * alpha * phases, out=scratch)
+        adot = uc[:rows] @ scratch.swapaxes(-1, -2)
+        del phases, uc  # a generator's locals live across the yield
+        np.square(np.abs(a, out=p), out=p)
+        pdot = 2.0 * (a[:, :rows].conj() * adot).real
         del adot  # freed before the solve: the caller still holds the previous block's pdot and w
-        w = singular = None
+        w = condition = singular = None
         if pdot.shape[-2]:
-            w, _, singular = master_coefficients(p, pdot, condition_cap, scratch)
-        yield TimeBlock(times=t, a=a, p=p, pdot=pdot, w=w, singular=singular)
+            w, condition, singular = _coefficients(p, pdot, condition_cap, scratch)
+        yield TimeBlock(times=t, a=a, p=p, pdot=pdot, w=w, condition=condition,
+                        singular=singular)
 
 
 def master_residual(block, initial):

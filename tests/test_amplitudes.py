@@ -4,79 +4,100 @@ import numpy as np
 import pytest
 
 import oscbath as ob
-from oscbath.amplitudes import (BLOCK_ENTRIES, amplitudes_at, survival_series,
-                                system_row_series)
+from oscbath.amplitudes import BLOCK_ENTRIES, survival_series, system_row_series
+from oscbath.master import time_blocks
 
 G = 0.1
+EPS = np.finfo(np.float64).eps
+SHIPPED_SDS = ["two_osc_sd", "bath51_sd", "bath201_sd"]
+
+
+def dense(sd, times, rows=None):
+    """A, P and Pdot over ``times`` from ``time_blocks``, joined from its
+    blocks; each block's ``a`` and ``p`` are copied before the next is
+    drawn, which reuses their arrays."""
+    blocks = [(b.a.copy(), b.p.copy(), b.pdot)
+              for b in time_blocks(sd, np.atleast_1d(times), rows)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
 
 
 class TestAmplitudesAt:
-    def test_t_zero_series(self, two_osc_sd, two_osc_spec):
+    """The dense A and Pdot of ``time_blocks``."""
+
+    def test_t_zero_series(self, two_osc_sd, two_osc_spec, bath51_sd):
         h = ob.build_hamiltonian(two_osc_spec)
-        a, adot = amplitudes_at(two_osc_sd, 0.0)
-        assert np.abs(a - np.eye(2)).max() <= 1e-15
-        assert np.abs(adot - (-1j) * h).max() <= 1e-15
-        addot00 = survival_series(two_osc_sd, [0.0])[2][0]
-        assert abs(addot00 - (-(h @ h))[0, 0]) <= 1e-14
+        a = dense(two_osc_sd, 0.0)[0]
+        assert np.abs(a[0] - np.eye(2)).max() <= 1e-15
+        for sd in (two_osc_sd, bath51_sd):
+            # |A_nm|^2 has a double zero off the diagonal
+            pdot = dense(sd, 0.0)[2][0]
+            assert np.abs(pdot - np.diag(np.diag(pdot))).max() <= 1e-15
+        _, adot00, addot00 = survival_series(two_osc_sd, [0.0])
+        assert abs(adot00[0] - (-1j) * h[0, 0]) <= 1e-15
+        assert abs(addot00[0] - (-(h @ h))[0, 0]) <= 1e-14
 
     def test_uncoupled_is_diagonal_phases(self):
         spec = ob.ModelSpec(omega=1.0, bath_frequencies=np.array([0.5, 1.5]),
                             couplings=np.zeros(2))
         sd = ob.eigendecompose(ob.build_hamiltonian(spec))
         t = 2.7
-        a, _ = amplitudes_at(sd, t)
+        a = dense(sd, t)[0]
         expected = np.diag(np.exp(-1j * np.array([1.0, 0.5, 1.5]) * t))
-        assert np.abs(a - expected).max() <= 1e-14
+        assert np.abs(a[0] - expected).max() <= 1e-14
 
     def test_resonant_closed_form(self, two_osc_sd):
         times = np.array([0.3, 1.7, 4.0])
-        a, _ = amplitudes_at(two_osc_sd, times)
+        a = dense(two_osc_sd, times)[0]
         phase = np.exp(-1j * times)
         assert np.abs(a[:, 0, 0] - phase * np.cos(G * times)).max() <= 1e-12
         assert np.abs(a[:, 0, 1] - (-1j) * phase * np.sin(G * times)).max() <= 1e-12
 
     def test_unitarity_and_bound(self, bath51_sd):
-        a, _ = amplitudes_at(bath51_sd, [0.0, 1.0, 10.0, 50.0])
+        a = dense(bath51_sd, [0.0, 1.0, 10.0, 50.0])[0]
         gram = a @ a.conj().swapaxes(-1, -2)
         assert np.abs(gram - np.eye(bath51_sd.dim)).max() <= 1e-10
         assert np.abs(a).max() <= 1 + 1e-12
 
     def test_derivative_finite_difference(self, bath51_sd):
+        # Pdot is formed from the analytic Adot; P's central difference checks both
         t, step = 3.0, 1e-5
-        (a_minus, _), (_, adot), (a_plus, _) = (
-            amplitudes_at(bath51_sd, t + d) for d in (-step, 0.0, step))
-        assert np.abs(adot - (a_plus - a_minus) / (2 * step)).max() <= 1e-6
+        _, p, _ = dense(bath51_sd, [t - step, t + step])
+        pdot = dense(bath51_sd, t)[2]
+        assert np.abs(pdot[0] - (p[1] - p[0]) / (2 * step)).max() <= 1e-6
 
     def test_stacked_equals_single_times(self, bath51_sd):
-        # the block path must give the bytes of one call per time
+        # the stacked products must give the bytes of one time at a time
         times = np.linspace(0, 40, 7)
-        a, adot = amplitudes_at(bath51_sd, times)
-        assert a.shape == adot.shape == (7, 52, 52)
+        stacked = dense(bath51_sd, times)
+        assert [x.shape for x in stacked] == [(7, 52, 52)] * 3
         for i, t in enumerate(times):
-            a_t, adot_t = amplitudes_at(bath51_sd, t)
-            assert np.array_equal(a[i], a_t) and np.array_equal(adot[i], adot_t)
+            for x, x_t in zip(stacked, dense(bath51_sd, t)):
+                assert np.array_equal(x[i], x_t[0])
 
     @pytest.mark.parametrize("rows", [0, 1, 5, 52])
     def test_adot_rows_match_full(self, bath51_sd, bath201_sd, rows):
-        # only the leading rows of Adot are formed; A stays whole
+        # only the leading rows of Adot and Pdot are formed; A and P stay whole
         for sd in (bath51_sd, bath201_sd):
             times = np.array([0.0, 3.0, 40.0])
-            a, adot = amplitudes_at(sd, times)
-            a_r, adot_r = amplitudes_at(sd, times, rows)
-            assert np.array_equal(a_r, a)
-            assert adot_r.shape == (3, rows, sd.dim)
-            assert np.abs(adot_r - adot[:, :rows]).max(initial=0.0) <= 1e-15
+            a, p, pdot = dense(sd, times)
+            a_r, p_r, pdot_r = dense(sd, times, rows)
+            assert np.array_equal(a_r, a) and np.array_equal(p_r, p)
+            assert pdot_r.shape == (3, rows, sd.dim)
+            assert np.abs(pdot_r - pdot[:, :rows]).max(initial=0.0) <= 1e-15
 
     def test_group_property(self, bath51_sd):
         rng = np.random.default_rng(11)
         for t1, t2 in rng.uniform(0, 10, size=(4, 2)):
-            a1, a2, a12 = amplitudes_at(bath51_sd, [t1, t2, t1 + t2])[0]
+            a1, a2, a12 = dense(bath51_sd, [t1, t2, t1 + t2], rows=0)[0]
             # A[n, m](t) = <m|e^{-iht}|n>  =>  matrices compose transposed
             assert np.abs(a12 - (a2.T @ a1.T).T).max() <= 1e-9
 
-    def test_rejects_nonfinite_time(self, two_osc_sd):
+    def test_rejects_nonfinite_time(self, two_osc_sd, bath51_sd):
         with pytest.raises(ValueError, match="finite"):
-            amplitudes_at(two_osc_sd, np.inf)
+            next(time_blocks(two_osc_sd, [np.inf]))
+        # the whole grid is checked before its first block is formed
+        with pytest.raises(ValueError, match="finite"):
+            next(time_blocks(bath51_sd, np.append(np.zeros(40), np.nan)))
 
 
 class TestSurvival:
@@ -90,23 +111,28 @@ class TestSurvival:
         t = 5.0
         assert abs(survival_series(sd, [t])[0][0] - np.exp(-1.3j * t)) <= 1e-14
 
-    def test_matches_matrix_entry(self, bath51_sd):
-        t = 7.3
-        a00 = survival_series(bath51_sd, [t])[0][0]
-        assert abs(a00 - amplitudes_at(bath51_sd, t)[0][0, 0]) <= 1e-13
-        assert abs(a00) <= 1 + 1e-12
+    @pytest.mark.parametrize("sd", SHIPPED_SDS)
+    def test_matches_matrix_entry(self, request, sd):
+        # the scalar sums and the dense engine agree to rounding in A's dim terms
+        sd = request.getfixturevalue(sd)
+        times = np.linspace(0, 100, 41)
+        a00 = survival_series(sd, times)[0]
+        assert np.abs(a00 - dense(sd, times, rows=0)[0][:, 0, 0]).max() <= sd.dim * EPS
+        assert np.abs(a00).max() <= 1 + 1e-12
 
     def test_series_matches_pointwise(self, bath51_sd):
         times = np.linspace(0, 20, 9)
         a00, adot00, addot00 = survival_series(bath51_sd, times)
-        a, adot = amplitudes_at(bath51_sd, times)
+        a, _, pdot = dense(bath51_sd, times)
         assert np.abs(a00 - a[:, 0, 0]).max() <= 1e-13
-        assert np.abs(adot00 - adot[:, 0, 0]).max() <= 1e-12
-        # the second derivative has no dense counterpart: difference Adot00
+        # d|A00|^2/dt from the series is the engine's Pdot[0, 0]
+        assert np.abs(2.0 * (a00.conj() * adot00).real - pdot[:, 0, 0]).max() <= 1e-12
+        # each derivative against a central difference of the one below it
         step = 1e-5
-        fd2 = (survival_series(bath51_sd, times + step)[1]
-               - survival_series(bath51_sd, times - step)[1]) / (2 * step)
-        assert np.abs(addot00 - fd2).max() <= 1e-6
+        plus, minus = survival_series(bath51_sd, times + step), survival_series(
+            bath51_sd, times - step)
+        assert np.abs(adot00 - (plus[0] - minus[0]) / (2 * step)).max() <= 1e-6
+        assert np.abs(addot00 - (plus[1] - minus[1]) / (2 * step)).max() <= 1e-6
 
     def test_series_independent_of_the_block(self, bath51_sd, bath201_sd):
         # a time's sums have the same bytes on its own as on a grid of
@@ -117,11 +143,12 @@ class TestSurvival:
             for k, series in enumerate(survival_series(sd, times)):
                 assert np.array_equal(series, [s[k][0] for s in alone])
 
-    def test_system_row_series(self, bath51_sd):
-        times = np.array([0.0, 4.2])
-        rows = system_row_series(bath51_sd, times)
-        full = amplitudes_at(bath51_sd, 4.2)[0][0, :]
-        assert np.abs(rows[1] - full).max() <= 1e-13
+    @pytest.mark.parametrize("sd", SHIPPED_SDS)
+    def test_system_row_series(self, request, sd):
+        sd = request.getfixturevalue(sd)
+        times = np.linspace(0, 100, 41)
+        rows = system_row_series(sd, times)
+        assert np.abs(rows - dense(sd, times, rows=0)[0][:, 0, :]).max() <= sd.dim * EPS
 
 
 def test_survival_memory_is_one_block(bath201_sd):

@@ -431,58 +431,57 @@ class TestRowsRead:
 
     @staticmethod
     def spy(monkeypatch):
-        """Lists that collect the (rows, dim) of Adot from every
-        ``amplitudes_at`` call and the rows of Pdot given to every
-        ``master_coefficients`` call."""
-        adot_shapes, pdot_rows = [], []
-        amplitudes_at = oscbath.master.amplitudes_at
-        master_coefficients = oscbath.master.master_coefficients
+        """Lists that collect the (rows, dim) of Pdot, and so of Adot, from
+        every block that ``master.time_blocks`` yields, and the rows of
+        Pdot in the right-hand side of every ``master._solve`` call."""
+        pdot_shapes, solve_rows = [], []
+        time_blocks, solve = oscbath.master.time_blocks, oscbath.master._solve
 
-        def amplitudes_spy(*args, **kwargs):
-            a, adot = amplitudes_at(*args, **kwargs)
-            adot_shapes.append(adot.shape[-2:])
-            return a, adot
+        def blocks_spy(*args, **kwargs):
+            for blk in time_blocks(*args, **kwargs):
+                pdot_shapes.append(blk.pdot.shape[-2:])
+                yield blk
 
-        def master_spy(p, pdot, *args, **kwargs):
-            pdot_rows.append(pdot.shape[-2])
-            return master_coefficients(p, pdot, *args, **kwargs)
+        def solve_spy(a, b):
+            solve_rows.append(b.shape[-1] - a.shape[-1])  # b is [Pdot_r^T | I]
+            return solve(a, b)
 
-        monkeypatch.setattr(oscbath.master, "amplitudes_at", amplitudes_spy)
-        monkeypatch.setattr(oscbath.master, "master_coefficients", master_spy)
-        return adot_shapes, pdot_rows
+        monkeypatch.setattr(oscbath.master, "time_blocks", blocks_spy)
+        monkeypatch.setattr(oscbath.master, "_solve", solve_spy)
+        return pdot_shapes, solve_rows
 
     def test_golden_reads_row_0(self, tmp_path, monkeypatch):
-        adot_shapes, pdot_rows = self.spy(monkeypatch)
+        pdot_shapes, solve_rows = self.spy(monkeypatch)
         assert main(["golden", "--config", N51, "--out", str(tmp_path)]) == 0
-        assert pdot_rows and set(pdot_rows) == {1}
-        assert set(adot_shapes) == {(1, 52)}
+        assert solve_rows and set(solve_rows) == {1}
+        assert set(pdot_shapes) == {(1, 52)}
 
     def test_amplitudes_reads_no_row(self, tmp_path, monkeypatch):
-        adot_shapes, pdot_rows = self.spy(monkeypatch)
+        pdot_shapes, solve_rows = self.spy(monkeypatch)
         assert main(["amplitudes", "--config", N51, "--out", str(tmp_path)]) == 0
-        assert adot_shapes and set(adot_shapes) == {(0, 52)}
-        assert not pdot_rows
+        assert pdot_shapes and set(pdot_shapes) == {(0, 52)}
+        assert not solve_rows
 
     def test_grid_invariants_reads_rows_only_for_w(self, bath51_sd, monkeypatch):
-        adot_shapes, pdot_rows = self.spy(monkeypatch)
+        pdot_shapes, solve_rows = self.spy(monkeypatch)
         times, init = np.linspace(0, 50, 26), np.full(52, 0.5)
         worst = oscbath.validation.grid_invariants(
             oscbath.master.time_blocks(bath51_sd, times, rows=0), init)
-        assert adot_shapes and set(adot_shapes) == {(0, 52)}
-        assert not pdot_rows and "master_residual" not in worst
-        adot_shapes.clear()
+        assert pdot_shapes and set(pdot_shapes) == {(0, 52)}
+        assert not solve_rows and "master_residual" not in worst
+        pdot_shapes.clear()
         worst = oscbath.validation.grid_invariants(
             oscbath.master.time_blocks(bath51_sd, times, condition_cap=1e10), init)
-        assert set(adot_shapes) == {(52, 52)} and set(pdot_rows) == {52}
+        assert set(pdot_shapes) == {(52, 52)} and set(solve_rows) == {52}
         assert "master_residual" in worst
 
     @pytest.mark.parametrize("command", ["master", "validate"])
     def test_master_and_validate_read_every_row(self, tmp_path, monkeypatch, command):
-        adot_shapes, pdot_rows = self.spy(monkeypatch)
+        pdot_shapes, solve_rows = self.spy(monkeypatch)
         assert main([command, "--config", N51, "--out", str(tmp_path)]) == 0
         # validate also runs the dim-2 two-mode oracle
-        assert adot_shapes and all(rows == dim for rows, dim in adot_shapes)
-        assert set(pdot_rows) == ({52} if command == "master" else {52, 2})
+        assert pdot_shapes and all(rows == dim for rows, dim in pdot_shapes)
+        assert set(solve_rows) == ({52} if command == "master" else {52, 2})
 
 
 class TestValidateCommand:

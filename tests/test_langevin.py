@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oscbath as ob
-from oscbath.amplitudes import amplitudes_at, survival_series
+from oscbath.amplitudes import survival_series
 from oscbath.langevin import (AMPLITUDE_NODE_TOL, WRONSKIAN_TOL, langevin_residual,
                               langevin_series, noise_covariance_grid)
 
@@ -106,7 +106,8 @@ class TestNoiseCovariance:
         assert np.array_equal(cov, cov.T)
         assert np.diag(cov).min() >= 0.0
         # one entry from the dense amplitude rows and the docstring's sum
-        a, _ = amplitudes_at(bath51_sd, times[[3, 7]])
+        (blk,) = ob.time_blocks(bath51_sd, times[[3, 7]], rows=0)
+        a = blk.a
         c_pair = ((a[0, 0, 1:] * a[1, 0, 1:].conj()).real @ (2.0 * init[1:] + 1.0)
                   / (2.0 * bath51_spec.mass * bath51_spec.omega))
         assert cov[3, 7] == pytest.approx(c_pair, rel=1e-12)

@@ -8,8 +8,7 @@ import scipy.linalg
 
 import oscbath as ob
 from oscbath.amplitudes import BLOCK_ENTRIES
-from oscbath.master import (DEFAULT_CONDITION_CAP, TimeBlock, master_coefficients,
-                            master_residual, time_blocks)
+from oscbath.master import DEFAULT_CONDITION_CAP, TimeBlock, master_residual, time_blocks
 from oscbath.validation import grid_invariants
 
 G = 0.1
@@ -17,12 +16,13 @@ N201 = os.path.join(os.path.dirname(__file__), "..", "configs", "linear_bath_n20
 MIB = 2 ** 20
 
 
-def grid(sd, times):
+def grid(sd, times, rows=None, condition_cap=DEFAULT_CONDITION_CAP):
     """One TimeBlock over the whole grid, joined from the engine's blocks,
-    with every row of Pdot and W.  Each block is copied before the next is
-    drawn, which reuses the arrays of ``a`` and ``p``."""
+    with the leading ``rows`` rows of Pdot and W (all if None, at least
+    one).  Each block is copied before the next is drawn, which reuses the
+    arrays of ``a`` and ``p``."""
     blocks = [dataclasses.replace(b, a=b.a.copy(), p=b.p.copy())
-              for b in time_blocks(sd, times)]
+              for b in time_blocks(sd, times, rows, condition_cap)]
     return TimeBlock(*(np.concatenate([getattr(b, f.name) for b in blocks])
                        for f in dataclasses.fields(TimeBlock)))
 
@@ -63,18 +63,16 @@ class TestTimeBlocks:
         # a time
         times = np.linspace(0, 50, 31)
         joined = grid(bath51_sd, times)
-        condition = master_coefficients(joined.p, joined.pdot)[1]
         for i, t in enumerate(times):
             one = grid(bath51_sd, [t])
             for f in dataclasses.fields(TimeBlock):
                 assert np.array_equal(getattr(joined, f.name)[i],
                                       getattr(one, f.name)[0], equal_nan=True), f.name
-            assert condition[i] == master_coefficients(one.p, one.pdot)[1][0]
 
     def test_no_rows_solves_nothing(self, two_osc_sd):
         (blk,) = time_blocks(two_osc_sd, [1.0, 2.0], rows=0)
         assert blk.pdot.shape == (2, 0, 2)
-        assert blk.w is None and blk.singular is None
+        assert blk.w is None and blk.condition is None and blk.singular is None
 
 
 class TestTransitionProbabilities:
@@ -115,10 +113,10 @@ class TestMasterCoefficients:
         t_sing = np.pi / (4 * G)
         blk = grid(two_osc_sd, [1.0, t_sing])
         assert blk.singular.tolist() == [False, True]
-        assert master_coefficients(blk.p, blk.pdot)[1][1] > 1e10
+        assert blk.condition[1] > 1e10
         assert np.isnan(blk.w[1]).all() and np.isfinite(blk.w[0]).all()
         # P(pi/(4g)) is exactly singular, so even an infinite cap flags it
-        assert master_coefficients(blk.p, blk.pdot, condition_cap=np.inf)[2].tolist() == [
+        assert grid(two_osc_sd, [1.0, t_sing], condition_cap=np.inf).singular.tolist() == [
             False, True]
 
     def test_singular_p_in_a_stack(self, two_osc_sd):
@@ -126,35 +124,28 @@ class TestMasterCoefficients:
         # stacked solve and the times are solved one at a time
         times = np.array([1.0, 2.0, np.pi / (4 * G), 9.0])
         (blk,) = time_blocks(two_osc_sd, times)
-        w, condition, singular = master_coefficients(blk.p, blk.pdot)
-        # the block's W and mask are that stack's
-        assert np.array_equal(blk.w, w, equal_nan=True)
-        assert np.array_equal(blk.singular, singular)
+        w, condition, singular = blk.w, blk.condition, blk.singular
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(blk.p, blk.pdot)
         assert singular.tolist() == [False, False, True, False]
         assert condition[2] == np.inf and np.isnan(w[2]).all()
+        # the other times have the bytes of a block of their own
         for i in (0, 1, 3):
-            one = master_coefficients(blk.p[i:i + 1], blk.pdot[i:i + 1])
-            for stacked, single in zip((w, condition, singular), one):
+            (one,) = time_blocks(two_osc_sd, times[i:i + 1])
+            for stacked, single in zip((w, condition, singular),
+                                       (one.w, one.condition, one.singular)):
                 assert np.array_equal(stacked[i], single[0])
-        w_inf, condition_inf, singular_inf = master_coefficients(blk.p, blk.pdot,
-                                                                 condition_cap=np.inf)
-        assert np.array_equal(singular_inf, singular)
-        assert np.array_equal(w_inf, w, equal_nan=True)
-        assert np.array_equal(condition_inf, condition)
-        # one row of Pdot in, the same row of W out, with the same
-        # condition and mask; so also from a block that formed only row 0
+        (blk_inf,) = time_blocks(two_osc_sd, times, condition_cap=np.inf)
+        assert np.array_equal(blk_inf.singular, singular)
+        assert np.array_equal(blk_inf.w, w, equal_nan=True)
+        assert np.array_equal(blk_inf.condition, condition)
+        # a block that formed only row 0 of Pdot solves the same row of W,
+        # with the same condition and mask
         (row_blk,) = time_blocks(two_osc_sd, times, rows=1)
-        assert row_blk.pdot.shape == (4, 1, 2)
+        assert row_blk.pdot.shape == row_blk.w.shape == (4, 1, 2)
         assert np.array_equal(row_blk.p, blk.p)
-        for pdot in (blk.pdot[:, :1], row_blk.pdot):
-            w_0, condition_0, singular_0 = master_coefficients(blk.p, pdot)
-            assert w_0.shape == (4, 1, 2)
-            assert np.allclose(w_0[:, 0], w[:, 0], rtol=1e-13, atol=0, equal_nan=True)
-            assert np.array_equal(condition_0, condition)
-            assert np.array_equal(singular_0, singular)
-        assert np.array_equal(row_blk.w, w_0, equal_nan=True)
+        assert np.allclose(row_blk.w[:, 0], w[:, 0], rtol=1e-13, atol=0, equal_nan=True)
+        assert np.array_equal(row_blk.condition, condition)
         assert np.array_equal(row_blk.singular, singular)
 
     @pytest.mark.parametrize("rows", [1, None])
@@ -167,8 +158,8 @@ class TestMasterCoefficients:
         # the same bytes as the right-hand side [Pdot_r^T | I] built by
         # concatenation and ||P||_1 taken from |P|
         name, times = stack
-        blk = grid(request.getfixturevalue(name), times)
-        p, pdot = blk.p, blk.pdot[:, :rows]
+        blk = grid(request.getfixturevalue(name), times, rows)
+        p, pdot = blk.p, blk.pdot
         r = pdot.shape[-2]
         rhs = np.concatenate([pdot.swapaxes(-1, -2),
                               np.broadcast_to(np.eye(p.shape[-1]), p.shape)], axis=-1)
@@ -178,7 +169,7 @@ class TestMasterCoefficients:
         singular = ~(condition <= DEFAULT_CONDITION_CAP) | ~np.isfinite(condition)
         w = x[..., :r].swapaxes(-1, -2).copy()
         w[singular] = np.nan
-        for got, want in zip(master_coefficients(p, pdot), (w, condition, singular)):
+        for got, want in zip((blk.w, blk.condition, blk.singular), (w, condition, singular)):
             assert np.array_equal(got, want, equal_nan=True)
         assert singular.any() == (name == "two_osc_sd")
 
@@ -192,6 +183,25 @@ class TestMasterCoefficients:
     @pytest.mark.parametrize("t", [0.5, 5.0, 30.0])
     def test_column_sums_vanish(self, bath51_sd, t):
         assert np.abs(grid(bath51_sd, [t]).w.sum(axis=-2)).max() <= 1e-8
+
+
+class TestCondition:
+    """``TimeBlock.condition``, the exact 1-norm condition number of P."""
+
+    @pytest.mark.parametrize("stack", [
+        ("bath51_sd", np.linspace(0, 50, 26)),
+        ("bath201_sd", [0.5, 3.0, 10.0, 40.0, 100.0]),
+    ])
+    def test_equals_norms_of_p_and_its_inverse(self, request, stack):
+        name, times = stack
+        blk = grid(request.getfixturevalue(name), times)
+        exact = [np.linalg.norm(p, 1) * np.linalg.norm(np.linalg.inv(p), 1) for p in blk.p]
+        assert np.allclose(blk.condition, exact, rtol=1e-14, atol=0)
+
+    def test_same_for_row_0_and_every_row(self, bath51_sd, bath201_sd):
+        for sd in (bath51_sd, bath201_sd):
+            times = np.array([0.0, 3.0, 40.0])
+            assert np.array_equal(grid(sd, times, 1).condition, grid(sd, times).condition)
 
 
 class TestEvolvePopulations:
@@ -273,7 +283,9 @@ class TestMasterResidual:
 
 class TestHeldMemory:
     # the engine writes every block into the arrays it allocated for the
-    # first one; the bounds are the peaks measured before it reused them
+    # first one.  Each bound is its peak plus less than 0.05 MiB, so a
+    # generator that keeps conj(U), the phases or the solution of the W
+    # solve alive across a yield fails: one dim-202 complex matrix is 0.62 MiB
 
     def test_w00_pass(self, bath201_sd):
         # golden's W[0, 0] pass on n201: 60 times, one per block, row 0
@@ -287,11 +299,11 @@ class TestHeldMemory:
         alone = traced_peak(w00_pass)
         ob.survival_series(bath201_sd, cfg.fit_times()[1])  # as golden runs it first
         assert traced_peak(w00_pass) == alone
-        assert alone <= 2.95 * MIB, alone
+        assert alone <= 2.35 * MIB, alone
 
     def test_full_row_grid_invariants(self, bath51_sd, bath51_spec):
         # validate's dense pass on n51: 101 times, twelve per block, every row
         init = ob.thermal_populations(bath51_spec, beta=1.0)
         times = np.linspace(0, 50, 101)
         peak = traced_peak(lambda: grid_invariants(time_blocks(bath51_sd, times), init))
-        assert peak <= 4.06 * MIB, peak
+        assert peak <= 3.52 * MIB, peak

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oscbath as ob
 from oscbath.langevin import langevin_series
-from oscbath.master import master_coefficients, time_blocks
+from oscbath.master import time_blocks
 
 # derandomized: the same examples on every run, and no example database
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -40,10 +40,10 @@ times_lists = st.lists(st.floats(0.0, 20.0), min_size=1, max_size=4)
 
 
 def solve(spec, times, rows=None):
-    """P, Pdot and ``master_coefficients`` of one block over ``times``."""
+    """The one TimeBlock over ``times``."""
     sd = ob.eigendecompose(ob.build_hamiltonian(spec))
     (blk,) = time_blocks(sd, times, rows)
-    return (blk.p, blk.pdot, *master_coefficients(blk.p, blk.pdot))
+    return blk
 
 
 def w_error_bound(tol, w, condition):
@@ -57,17 +57,20 @@ def w_error_bound(tol, w, condition):
 def test_row_subset_w_equals_full_rows(specs, times, rows):
     spec, _ = specs
     rows = min(rows, len(spec.couplings) + 1)
-    p, pdot, w, condition, singular = solve(spec, times)
-    p_r, pdot_r, w_r, condition_r, singular_r = solve(spec, times, rows)
-    assert np.array_equal(p_r, p)
-    assert pdot_r.shape == w_r.shape == (len(times), rows, p.shape[-1])
-    assert np.abs(pdot_r - pdot[:, :rows]).max(initial=0.0) <= 1e-14
-    assert np.array_equal(singular_r, singular)
-    assert np.allclose(condition_r, condition, rtol=1e-12, atol=0)
-    ok = ~singular
-    err = np.abs(w_r - w[:, :rows]).max(axis=(-2, -1), initial=0.0)
-    assert np.all(err[ok] <= w_error_bound(1e-14, w, condition)[ok])
-    assert np.isnan(w_r[singular]).all()
+    full, part = solve(spec, times), solve(spec, times, rows)
+    assert np.array_equal(part.p, full.p)
+    assert part.pdot.shape == (len(times), rows, full.p.shape[-1])
+    assert np.abs(part.pdot - full.pdot[:, :rows]).max(initial=0.0) <= 1e-14
+    if rows == 0:
+        assert part.w is None and part.condition is None and part.singular is None
+        return
+    assert part.w.shape == part.pdot.shape
+    assert np.array_equal(part.singular, full.singular)
+    assert np.allclose(part.condition, full.condition, rtol=1e-12, atol=0)
+    ok = ~full.singular
+    err = np.abs(part.w - full.w[:, :rows]).max(axis=(-2, -1), initial=0.0)
+    assert np.all(err[ok] <= w_error_bound(1e-14, full.w, full.condition)[ok])
+    assert np.isnan(part.w[full.singular]).all()
 
 
 @PROPERTY
@@ -76,13 +79,12 @@ def test_invariant_under_coupling_phases(specs, times):
     # D = diag(1, g_n'/g_n) maps one model onto the other, and A onto
     # D A D^*, so |A|^2 and everything built from it does not move
     spec, rephased = specs
-    p, pdot, w, condition, singular = solve(spec, times)
-    p2, pdot2, w2, _, singular2 = solve(rephased, times)
-    assert np.abs(p2 - p).max() <= 1e-13
-    assert np.abs(pdot2 - pdot).max() <= 1e-13
-    ok = ~(singular | singular2)
-    err = np.abs(w2 - w).max(axis=(-2, -1))
-    assert np.all(err[ok] <= w_error_bound(1e-13, w, condition)[ok])
+    blk, blk2 = solve(spec, times), solve(rephased, times)
+    assert np.abs(blk2.p - blk.p).max() <= 1e-13
+    assert np.abs(blk2.pdot - blk.pdot).max() <= 1e-13
+    ok = ~(blk.singular | blk2.singular)
+    err = np.abs(blk2.w - blk.w).max(axis=(-2, -1))
+    assert np.all(err[ok] <= w_error_bound(1e-13, blk.w, blk.condition)[ok])
 
 
 @PROPERTY
