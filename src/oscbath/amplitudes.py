@@ -21,9 +21,10 @@ grid is.
 
 import numpy as np
 
-# Complex entries of one block array: 2**15 entries are 0.5 MiB, so a
-# block's arrays stay a few MiB whatever the grid length.
-BLOCK_ENTRIES = 2 ** 15
+# Complex entries of one block array: 2**14 entries are 0.25 MiB, so a
+# block's arrays stay a few MiB whatever the grid length (6 times per block
+# at dim 52, one at dim 202).
+BLOCK_ENTRIES = 2 ** 14
 
 
 def block_slices(count, entries_per_time):

@@ -3,8 +3,8 @@
 ``lines(*columns)`` and ``grid_lines(times, values)`` yield the CSV lines of
 equal-length columns and of an array over a time grid, cut by
 ``amplitudes.block_slices`` into formatter calls of ``BLOCK_ENTRIES //
-TEXT_ENTRIES`` numbers, whose text and temporaries peak near 40
-``BLOCK_ENTRIES`` bytes (2.5 complex block arrays) whatever the input size.
+TEXT_ENTRIES`` (4,096) numbers, whose text and temporaries peak near 300
+bytes a number (1.2 MB) whatever the input size.
 ``grid_lines`` formats each of its times once per call, with Python's
 ``'%.17g'``, into a time field only as wide as the call's longest time text.
 
@@ -14,7 +14,9 @@ and after: the C ``%g`` rules at precision 17 (exponent form when the
 decimal exponent E is below -4 or at least 17, with a signed exponent of at
 least two digits; trailing zeros after the point stripped and a bare point
 dropped; ``-`` for a negative value, ``-0`` included).  Dropping every NUL
-byte gives the text.
+byte gives the text.  An array of fewer than ``SHORT`` values is formatted
+by Python's own ``'%.17g' % x``, which is faster there than the fixed cost
+of the fast path.
 
 Fast path, vectorized: E = floor(log10|x|), then |x| 10^(16-E) in
 double-double arithmetic: Dekker's exact two-product of |x| with hi, plus
@@ -49,7 +51,10 @@ _SPLIT = 2.0 ** 27 + 1  # Dekker's splitter for 53-bit doubles
 _EXPONENTS = range(-271, 272)
 _U = np.uint64
 _ZEROS = 0x3030303030303030  # eight ASCII '0'
-TEXT_ENTRIES = 8  # block entries charged to each number turned into text
+TEXT_ENTRIES = 4  # block entries charged to each number turned into text
+# below this many values, Python's '%.17g' (about 0.6 us a value) beats the
+# fast path's fixed cost (about 90 us a call); they meet near 160 values
+SHORT = 128
 
 
 def _padded(texts, width):
@@ -194,6 +199,8 @@ def format_floats(x):
     """``'%.17g' % v`` for each value v of ``x``, as an (x.size, WIDTH)
     uint8 matrix of text and NUL bytes."""
     x = np.asarray(x, dtype=np.float64).ravel()
+    if x.size < SHORT:
+        return _python_rows(x)
     a = np.abs(x)
     fast = (a >= _FAST_RANGE[0]) & (a <= _FAST_RANGE[1])
     a = np.where(fast, a, 1.0)
@@ -203,8 +210,13 @@ def format_floats(x):
     q[slow] = 10 ** 16
     out = _layout(np.signbit(x), q, e)
     if slow.any():
-        out[slow] = _padded([b"%.17g" % v for v in x[slow].tolist()], WIDTH)
+        out[slow] = _python_rows(x[slow])
     return out
+
+
+def _python_rows(x):
+    """``format_floats`` of a float64 array by Python's own ``'%.17g'``."""
+    return _padded([b"%.17g" % v for v in x.tolist()], WIDTH)
 
 
 def _join(*fields):

@@ -99,7 +99,7 @@ def time_blocks(sd, times, rows=None, condition_cap=DEFAULT_CONDITION_CAP):
     ``rows=0`` no W is solved, and ``w``, ``condition`` and ``singular``
     are None.  The blocks are ``amplitudes.block_slices(len(times),
     dim**2)``, so each (times, dim, dim) array is about ``BLOCK_ENTRIES``
-    entries however long the grid is.
+    entries (6 times at dim 52, one at dim 202) however long the grid is.
 
     The engine owns its buffers: three (times, dim, dim) arrays allocated
     at the first block, which is the longest, hold A, P, and a complex

@@ -46,13 +46,12 @@ def grid_invariants(blocks, initial):
     total0 = None
     eye = np.eye(initial.size)
     for blk in blocks:
-        gram = blk.a @ blk.a.conj().swapaxes(-1, -2)
         occ = blk.p @ initial
         totals = occ.sum(axis=-1)
         if total0 is None:
             total0 = totals[0]
         block_worst = {
-            "unitarity": np.abs(gram - eye).max(),
+            "unitarity": np.abs(blk.a @ blk.a.conj().swapaxes(-1, -2) - eye).max(),
             "rows": np.abs(blk.p.sum(axis=-1) - 1.0).max(),
             "cols": np.abs(blk.p.sum(axis=-2) - 1.0).max(),
             "positivity": 0.0 - occ.min(initial=0.0),  # never -0.0
@@ -63,6 +62,7 @@ def grid_invariants(blocks, initial):
             block_worst["master_residual"] = res[~blk.singular].max(initial=0.0)
         for key, value in block_worst.items():
             worst[key] = float(np.maximum(worst.get(key, 0.0), value))
+        del blk  # so its pdot and w are freed before the next block's solve
     worst["conservation"] = worst.pop("drift") / (abs(total0) or 1.0)
     return worst
 

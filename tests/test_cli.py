@@ -213,8 +213,8 @@ def test_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, capsys, comman
 ], ids=["columns", "complex grid"])
 def test_text_is_formed_one_block_at_a_time(lines, count):
     # as text the whole input would be 8 MB or more; a formatter call takes
-    # BLOCK_ENTRIES // TEXT_ENTRIES numbers, which peak near 40
-    # BLOCK_ENTRIES bytes (1.3 MB)
+    # BLOCK_ENTRIES // TEXT_ENTRIES = 4,096 numbers, whose text and
+    # temporaries peak near 1.2 MB
     oscbath.floatfmt._index_field((100, 100))  # cached, and not counted
     lines = lines()
     tracemalloc.start()
@@ -223,7 +223,7 @@ def test_text_is_formed_one_block_at_a_time(lines, count):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * oscbath.amplitudes.BLOCK_ENTRIES, peak
+    assert peak <= 2 * 2 ** 20, peak
 
 
 def test_w_coeffs_lines_match_python_formatting(tmp_path):
