@@ -13,10 +13,10 @@ the dense A, P, Pdot and W come from the one engine ``master.time_blocks``.
 Everything is closed-form in t; derivatives are never computed by
 differencing.
 
-The survival sums here, the dense engine and the CLI's CSV columns walk a
-time grid in blocks of consecutive times cut by one rule,
-``block_slices``, so their memory is bounded by one block however long the
-grid is.
+The survival sums here and the dense engine walk a time grid in blocks of
+consecutive times cut by one rule, ``block_slices``, so their memory is
+bounded by one block however long the grid is; the CSV text is cut by
+``floatfmt``'s own call size.
 """
 
 import numpy as np

@@ -1,10 +1,10 @@
 """CSV text of float64 arrays, every number the exact bytes of ``'%.17g' % x``.
 
 ``lines(*columns)`` and ``grid_lines(times, values)`` yield the CSV lines of
-equal-length columns and of an array over a time grid, cut by
-``amplitudes.block_slices`` into formatter calls of ``BLOCK_ENTRIES //
-TEXT_ENTRIES`` (4,096) numbers, whose text and temporaries peak near 300
-bytes a number (1.2 MB) whatever the input size.
+equal-length columns and of an array over a time grid, in formatter calls
+of whole rows, at most ``CALL_NUMBERS`` numbers unless one row has more,
+whose text and temporaries peak near 300 bytes a number (1.2 MB) whatever
+the input size.
 ``grid_lines`` formats each of its times once per call, with Python's
 ``'%.17g'``, into a time field only as wide as the call's longest time text.
 
@@ -14,9 +14,7 @@ and after: the C ``%g`` rules at precision 17 (exponent form when the
 decimal exponent E is below -4 or at least 17, with a signed exponent of at
 least two digits; trailing zeros after the point stripped and a bare point
 dropped; ``-`` for a negative value, ``-0`` included).  Dropping every NUL
-byte gives the text.  An array of fewer than ``SHORT`` values is formatted
-by Python's own ``'%.17g' % x``, which is faster there than the fixed cost
-of the fast path.
+byte gives the text.
 
 Fast path, vectorized: E = floor(log10|x|), then |x| 10^(16-E) in
 double-double arithmetic: Dekker's exact two-product of |x| with hi, plus
@@ -36,8 +34,6 @@ import functools
 
 import numpy as np
 
-from . import amplitudes
-
 # a row: byte 0 the sign, 1-22 "0000" and 17 digits with the point among
 # them, 24-28 'e', the exponent's sign and three exponent digits, 31 NUL for
 # ``_join``'s separator; each 8-byte word of it is a uint64
@@ -51,10 +47,7 @@ _SPLIT = 2.0 ** 27 + 1  # Dekker's splitter for 53-bit doubles
 _EXPONENTS = range(-271, 272)
 _U = np.uint64
 _ZEROS = 0x3030303030303030  # eight ASCII '0'
-TEXT_ENTRIES = 4  # block entries charged to each number turned into text
-# below this many values, Python's '%.17g' (about 0.6 us a value) beats the
-# fast path's fixed cost (about 90 us a call); they meet near 160 values
-SHORT = 128
+CALL_NUMBERS = 4096  # numbers turned into text by one formatter call
 
 
 def _padded(texts, width):
@@ -199,8 +192,6 @@ def format_floats(x):
     """``'%.17g' % v`` for each value v of ``x``, as an (x.size, WIDTH)
     uint8 matrix of text and NUL bytes."""
     x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size < SHORT:
-        return _python_rows(x)
     a = np.abs(x)
     fast = (a >= _FAST_RANGE[0]) & (a <= _FAST_RANGE[1])
     a = np.where(fast, a, 1.0)
@@ -210,13 +201,8 @@ def format_floats(x):
     q[slow] = 10 ** 16
     out = _layout(np.signbit(x), q, e)
     if slow.any():
-        out[slow] = _python_rows(x[slow])
+        out[slow] = _padded([b"%.17g" % v for v in x[slow].tolist()], WIDTH)
     return out
-
-
-def _python_rows(x):
-    """``format_floats`` of a float64 array by Python's own ``'%.17g'``."""
-    return _padded([b"%.17g" % v for v in x.tolist()], WIDTH)
 
 
 def _join(*fields):
@@ -232,11 +218,18 @@ def _join(*fields):
     return text.translate(None, b"\0")
 
 
+def _calls(count, numbers_per_row):
+    """Slices that cut ``range(count)`` rows of ``numbers_per_row`` numbers
+    into formatter calls of ``CALL_NUMBERS // numbers_per_row`` rows each
+    (at least one)."""
+    step = max(1, CALL_NUMBERS // numbers_per_row)
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
 def lines(*columns):
-    """CSV text of equal-length 1-D columns, one bytearray per block of rows
-    cut by ``amplitudes.block_slices``.  A boolean column is written as the
-    numbers 0 and 1."""
-    for s in amplitudes.block_slices(len(columns[0]), TEXT_ENTRIES * len(columns)):
+    """CSV text of equal-length 1-D columns, one bytearray per formatter
+    call.  A boolean column is written as the numbers 0 and 1."""
+    for s in _calls(len(columns[0]), len(columns)):
         yield _join(*(format_floats(c[s]) for c in columns))
 
 
@@ -250,8 +243,8 @@ def _index_field(shape):
 
 def grid_lines(times, values):
     """The (t, index..., value) lines of an array whose leading axis runs
-    over ``times``, in bytearrays of whole rows of its last axis, cut by
-    ``amplitudes.block_slices``; a complex value gives re, im."""
+    over ``times``, one bytearray of whole rows of its last axis per
+    formatter call; a complex value gives re, im."""
     index = _index_field(values.shape[1:])
     count = len(times) * len(index)
     # one number per line, or two for a complex value: re and im
@@ -261,7 +254,7 @@ def grid_lines(times, values):
     t_text = [b"%.17g" % t for t in times.tolist()]
     t_text = _padded(t_text, 1 + max(map(len, t_text), default=0))
     row = values.shape[-1]
-    for s in amplitudes.block_slices(count // row, TEXT_ENTRIES * numbers.shape[1] * row):
+    for s in _calls(count // row, numbers.shape[1] * row):
         first = s.start * row
         chunk = numbers[first:s.stop * row]
         t_index, i_index = np.divmod(np.arange(first, first + len(chunk)), len(index))

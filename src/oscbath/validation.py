@@ -62,7 +62,6 @@ def grid_invariants(blocks, initial):
             block_worst["master_residual"] = res[~blk.singular].max(initial=0.0)
         for key, value in block_worst.items():
             worst[key] = float(np.maximum(worst.get(key, 0.0), value))
-        del blk  # so its pdot and w are freed before the next block's solve
     worst["conservation"] = worst.pop("drift") / (abs(total0) or 1.0)
     return worst
 

@@ -186,14 +186,18 @@ def test_reruns_are_byte_identical(tmp_path, command, config, names):
     ("validate", ("stdout",)),
 ])
 def test_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, capsys, command, names):
-    # one time (or CSV row) per block, a few per block with a short last
-    # one, the default, and the whole grid in one block; the one block rule
-    # cuts the dense engine, the survival sums and every CSV column.  The
-    # engine reuses each block's arrays, so a consumer that keeps them past
-    # the next block reads another block's values at one time per block
+    # one time (or CSV row) per block and per formatter call, a few with a
+    # short last one, the defaults, and the whole grid in one; the one block
+    # rule cuts the dense engine and the survival sums, the formatter's call
+    # size every CSV column.  The engine reuses each block's arrays, so a
+    # consumer that keeps them past the next block reads another block's
+    # values at one time per block
     outs = []
-    for entries in (1, 2 ** 10, oscbath.amplitudes.BLOCK_ENTRIES, 2 ** 22):
+    for entries, numbers in ((1, 1), (2 ** 10, 2 ** 8),
+                             (oscbath.amplitudes.BLOCK_ENTRIES, oscbath.floatfmt.CALL_NUMBERS),
+                             (2 ** 22, 2 ** 20)):
         monkeypatch.setattr(oscbath.amplitudes, "BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(oscbath.floatfmt, "CALL_NUMBERS", numbers)
         outs.append(tmp_path / str(entries))
         assert main([command, "--config", N51, "--out", str(outs[-1])]) == 0
         (outs[-1] / "stdout").write_text(capsys.readouterr().out)
@@ -213,8 +217,8 @@ def test_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, capsys, comman
 ], ids=["columns", "complex grid"])
 def test_text_is_formed_one_block_at_a_time(lines, count):
     # as text the whole input would be 8 MB or more; a formatter call takes
-    # BLOCK_ENTRIES // TEXT_ENTRIES = 4,096 numbers, whose text and
-    # temporaries peak near 1.2 MB
+    # CALL_NUMBERS numbers, whose text and temporaries peak near 300 bytes
+    # a number
     oscbath.floatfmt._index_field((100, 100))  # cached, and not counted
     lines = lines()
     tracemalloc.start()
@@ -223,7 +227,7 @@ def test_text_is_formed_one_block_at_a_time(lines, count):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 2 ** 20, peak
+    assert peak <= 512 * oscbath.floatfmt.CALL_NUMBERS, peak
 
 
 def test_w_coeffs_lines_match_python_formatting(tmp_path):

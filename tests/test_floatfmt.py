@@ -1,13 +1,10 @@
 """``floatfmt.format_floats`` and the CSV writers ``floatfmt.lines`` and
 ``floatfmt.grid_lines`` built on it, against Python's own ``'%.17g' % x`` as
-the oracle.  Arrays shorter than ``floatfmt.SHORT`` are formatted by Python
-itself, so every example is repeated past that length to reach the
-vectorized path."""
+the oracle."""
 
 from decimal import Decimal
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,17 +14,8 @@ from oscbath import floatfmt
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 
-def copies(n):
-    """How many copies of ``n`` values make at least ``floatfmt.SHORT``."""
-    return -(-floatfmt.SHORT // n)
-
-
 def formatted(x):
-    """The texts of ``format_floats(x)``, formed on the vectorized path: the
-    rows of the first copy of ``x`` repeated past ``floatfmt.SHORT`` values."""
-    x = np.ravel(x)
-    rows = floatfmt.format_floats(np.tile(x, copies(x.size)))[:x.size]
-    return [row[row != 0].tobytes().decode() for row in rows]
+    return [row[row != 0].tobytes().decode() for row in floatfmt.format_floats(x)]
 
 
 def oracle(x):
@@ -123,10 +111,7 @@ def test_last_column_is_free():
 @example(values=[0.5 - 2j, -0.0, 1e300j, 3.0, -1e-300, 7 + 7j, 0j, 2.5, -1j, 1e17],
          times=[0.0, 1e-05, 0.5, 123.25, 1e+17])
 def test_complex_grid(values, times):
-    # the lines of a (times, 2) complex grid, "t,n,re,im", as Python writes
-    # them, with the times repeated past floatfmt.SHORT numbers
-    k = copies(4 * len(times))
-    times, values = times * k, values * k
+    # the lines of a (times, 2) complex grid, "t,n,re,im", as Python writes them
     grid = np.array(values, dtype=np.complex128).reshape(len(times), 2)
     lines = b"".join(floatfmt.grid_lines(np.array(times), grid)).decode()
     expected = "".join("%.17g,%d,%.17g,%.17g\n" % (t, n, v.real, v.imag)
@@ -138,24 +123,6 @@ def test_complex_grid(values, times):
 @given(st.lists(st.tuples(st.floats(width=64), st.floats(width=64), st.booleans()),
                 min_size=1, max_size=20))
 def test_columns_and_flags(rows):
-    rows = rows * copies(len(rows))  # each column past floatfmt.SHORT values
     t, x, flag = (np.array(c) for c in zip(*rows))
     lines = b"".join(floatfmt.lines(t, x, flag)).decode()
     assert lines == "".join("%.17g,%.17g,%d\n" % row for row in rows)
-
-
-@pytest.mark.parametrize("size", [floatfmt.SHORT - 1, floatfmt.SHORT])
-def test_short_array_threshold(monkeypatch, size):
-    # the longest array Python formats whole, and the shortest that takes
-    # the vectorized path, which leaves Python only some values, such as
-    # -0, nan, a possible tie and the flag's zeros
-    special = [-0.0, np.nan, 2.0 ** -25, 0.1, -1e300, 1e-4, 1e17]
-    x = np.concatenate([special, np.geomspace(1e-20, 1e20, size - len(special))])
-    flag = np.arange(size) % 3 == 0
-    by_python = []
-    python_rows = floatfmt._python_rows
-    monkeypatch.setattr(floatfmt, "_python_rows",
-                        lambda v: by_python.append(v.size) or python_rows(v))
-    lines = b"".join(floatfmt.lines(x, flag)).decode()
-    assert lines == "".join("%.17g,%d\n" % row for row in zip(x.tolist(), flag.tolist()))
-    assert (size in by_python) == (size < floatfmt.SHORT)

@@ -306,7 +306,7 @@ class TestHeldMemory:
 
     def test_full_row_grid_invariants(self, bath51_sd, bath51_spec):
         # validate's dense pass on n51: 101 times, six per block, every row;
-        # grid_invariants holds nothing of a block when it draws the next
+        # the unitarity defect names no Gram matrix that outlives it
         init = ob.thermal_populations(bath51_spec, beta=1.0)
         times = np.linspace(0, 50, 101)
         peak = traced_peak(lambda: grid_invariants(time_blocks(bath51_sd, times), init))
@@ -314,7 +314,7 @@ class TestHeldMemory:
 
     def test_master_command(self, tmp_path):
         # the master command on n51: its dense blocks and the CSV text of one
-        # block at a time
+        # formatter call at a time
         args = ["master", "--config", N51, "--out", str(tmp_path)]
         peak = traced_peak(lambda: oscbath.cli.main(args))
         assert peak <= 2.03 * MIB, peak
