@@ -9,12 +9,14 @@ files.  ``main`` prints every stderr line: one per error, and one
 grid rule: each command takes its time grids from ``RunConfig``.
 Outputs are deterministic: fixed column order, every float written as the
 exact bytes of Python's ``'%.17g' % x``, Unix line endings, singular time
-points written as nan plus a sidecar ``singular_points.txt``.  ``floatfmt``
-builds every CSV line; ``amplitudes`` and ``master`` write each block of
-``master.time_blocks`` as it arrives, so memory is bounded by one block
-plus a few per-time vectors.  Each command asks the engine for only the
-rows of Pdot and W it reads: ``golden`` row 0 (its W[0, 0] loss rate),
-``amplitudes`` none and ``master`` all of them.
+points written as nan plus a sidecar ``singular_points.txt``.  Every CSV
+file is written by one ``floatfmt.CsvWriter``: ``amplitudes`` and ``master``
+hand it each block of ``master.time_blocks`` as the block arrives, and it
+formats each file's lines in calls of ``floatfmt.CALL_NUMBERS`` numbers
+across blocks, so memory is bounded by one block, one call's pending
+numbers per file and a few per-time vectors.  Each command asks the engine
+for only the rows of Pdot and W it reads: ``golden`` row 0 (its W[0, 0]
+loss rate), ``amplitudes`` none and ``master`` all of them.
 
 Exit codes: 0 success, 1 validation failure, 2 config or I/O error
 (including a time grid or fit window that is not usable) or running out of
@@ -38,52 +40,52 @@ from .config import ConfigError, load_config
 from .linalg import NumericalError, eigendecompose
 
 @contextlib.contextmanager
-def _open_csv(path, header):
-    """``path`` open for writing bytes, ``header`` and a newline written."""
+def _csv(path, header):
+    """A ``floatfmt.CsvWriter`` of a new file at ``path``, flushed on
+    leaving the block."""
     with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        yield fh
+        csv = floatfmt.CsvWriter(fh, header)
+        yield csv
+        csv.flush()
 
 
-def _write_csv(path, header, lines):
-    with _open_csv(path, header) as fh:
-        fh.writelines(lines)
+def _write_csv(path, header, *columns):
+    with _csv(path, header) as csv:
+        csv.rows(*columns)
 
 
 def _write_singular_report(out_dir, singular_times):
     header = ("# time points where P(t) or the Wronskian is singular to tolerance; "
               "values written as nan" if singular_times.size
               else "# no singular time points")
-    _write_csv(os.path.join(out_dir, "singular_points.txt"), header,
-               floatfmt.lines(singular_times))
+    _write_csv(os.path.join(out_dir, "singular_points.txt"), header, singular_times)
 
 
 def cmd_amplitudes(cfg, sd, out):
     times = cfg.time_grid()
-    # lines are formatted block by block while the file is written
-    lines = (line for blk in master.time_blocks(sd, times, rows=0)
-             for line in floatfmt.grid_lines(blk.times, blk.a))
-    _write_csv(os.path.join(out, "amplitudes.csv"), "t,n,m,re,im", lines)
+    with _csv(os.path.join(out, "amplitudes.csv"), "t,n,m,re,im") as csv:
+        for blk in master.time_blocks(sd, times, rows=0):
+            csv.grid(blk.times, blk.a)
 
     a00, _, _ = amplitudes.survival_series(sd, times)
     _write_csv(os.path.join(out, "survival.csv"), "t,re,im,abs",
-               floatfmt.lines(times, a00.real, a00.imag, np.hypot(a00.real, a00.imag)))
+               times, a00.real, a00.imag, np.hypot(a00.real, a00.imag))
     return 0
 
 
 def cmd_master(cfg, sd, out):
     times = cfg.time_grid()
     singular = []
-    with (_open_csv(os.path.join(out, "populations.csv"), "t,n,population") as occ_fh,
-          _open_csv(os.path.join(out, "w_coeffs.csv"), "t,n,k,W") as w_fh,
-          _open_csv(os.path.join(out, "master_residual.csv"),
-                    "t,residual,residual_balance") as res_fh):
+    with (_csv(os.path.join(out, "populations.csv"), "t,n,population") as occ_csv,
+          _csv(os.path.join(out, "w_coeffs.csv"), "t,n,k,W") as w_csv,
+          _csv(os.path.join(out, "master_residual.csv"),
+               "t,residual,residual_balance") as res_csv):
         for blk in master.time_blocks(sd, times,
                                       condition_cap=cfg.tolerances["condition_cap"]):
             res, bal = master.master_residual(blk, cfg.initial)
-            occ_fh.writelines(floatfmt.grid_lines(blk.times, blk.p @ cfg.initial))
-            w_fh.writelines(floatfmt.grid_lines(blk.times, blk.w))
-            res_fh.writelines(floatfmt.lines(blk.times, res, bal))
+            occ_csv.grid(blk.times, blk.p @ cfg.initial)
+            w_csv.grid(blk.times, blk.w)
+            res_csv.rows(blk.times, res, bal)
             singular.extend(blk.times[blk.singular].tolist())
 
     _write_singular_report(out, np.array(singular))
@@ -94,17 +96,16 @@ def cmd_langevin(cfg, sd, out):
     times = cfg.time_grid()
     series = langevin.langevin_series(sd, times)
     _write_csv(os.path.join(out, "langevin.csv"), "t,a,b,omega_sq,gamma,singular",
-               floatfmt.lines(times, series.a00.real, series.a00.imag,
-                              series.omega_sq, series.gamma, series.singular))
+               times, series.a00.real, series.a00.imag, series.omega_sq, series.gamma,
+               series.singular)
 
     tsub = cfg.cov_times()
     cov = langevin.noise_covariance_grid(sd, tsub, cfg.initial, cfg.spec)
     _write_csv(os.path.join(out, "noise_cov.csv"), "t,t_prime,c_ff",
-               floatfmt.lines(np.repeat(tsub, len(tsub)), np.tile(tsub, len(tsub)),
-                              cov.ravel()))
+               np.repeat(tsub, len(tsub)), np.tile(tsub, len(tsub)), cov.ravel())
 
     _write_csv(os.path.join(out, "langevin_residual.csv"), "t,residual",
-               floatfmt.lines(times, langevin.langevin_residual(series)))
+               times, langevin.langevin_residual(series))
 
     _write_singular_report(out, times[series.singular])
     return 0

@@ -1,12 +1,11 @@
 """CSV text of float64 arrays, every number the exact bytes of ``'%.17g' % x``.
 
-``lines(*columns)`` and ``grid_lines(times, values)`` yield the CSV lines of
-equal-length columns and of an array over a time grid, in formatter calls
-of whole rows, at most ``CALL_NUMBERS`` numbers unless one row has more,
-whose text and temporaries peak near 300 bytes a number (1.2 MB) whatever
-the input size.
-``grid_lines`` formats each of its times once per call, with Python's
-``'%.17g'``, into a time field only as wide as the call's longest time text.
+``CsvWriter`` writes the CSV lines of equal-length columns, or of arrays
+over a time grid given block by block, to a file.  It keeps the numbers of
+pending lines across the pieces it is given and formats them in calls of
+``CALL_NUMBERS`` numbers, so the call size, never the size of a piece,
+decides every formatter call; the text and temporaries of one call peak
+near 300 bytes a number (1.2 MB) whatever the input size.
 
 ``format_floats(x)`` turns an array into an (x.size, ``WIDTH``) uint8 matrix
 whose row i holds the bytes of ``'%.17g' % x[i]`` with NUL bytes in between
@@ -22,15 +21,16 @@ double-double arithmetic: Dekker's exact two-product of |x| with hi, plus
 Python integers on first use.  For a scaled value q < 2^57 the error of that
 sum is below about 2^-47, so rounding it to an integer gives the 17
 correctly rounded digits unless its fraction lies within 2^-38 of one half.
-Those values (a possible tie), values whose scaled integer falls outside
-[10^16, 10^17) (log10 misjudged E, or the rounding carried into an 18th
-digit), zeros, non-finite values and |x| outside [1e-270, 1e270] are
-formatted by Python's own ``'%.17g' % x``.  The digits come out eight at a
-time from 64-bit integer arithmetic, and the text is laid out in 64-bit
-words, so no step loops over the characters of a row.
+Zeros and non-finite values take constant rows from a table.  Possible
+ties, values whose scaled integer falls outside [10^16, 10^17) (log10
+misjudged E, or the rounding carried into an 18th digit), and |x| outside
+[1e-270, 1e270] are formatted by Python's own ``'%.17g' % x``.  The digits
+come out eight at a time from 64-bit integer arithmetic, and the text is
+laid out in 64-bit words, so no step loops over the characters of a row.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -54,6 +54,10 @@ def _padded(texts, width):
     """Byte strings NUL-padded to ``width``, as a read-only uint8 matrix."""
     return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts),
                          dtype=np.uint8).reshape(-1, width)
+
+
+# the text of 0, -0, inf and -inf at row 2 isinf + signbit, and of nan at 4
+_CONSTANT_ROWS = _padded([b"0", b"-0", b"inf", b"-inf", b"nan"], WIDTH)
 
 
 @functools.cache
@@ -201,8 +205,20 @@ def format_floats(x):
     q[slow] = 10 ** 16
     out = _layout(np.signbit(x), q, e)
     if slow.any():
-        out[slow] = _padded([b"%.17g" % v for v in x[slow].tolist()], WIDTH)
+        out[slow] = _slow_rows(x[slow])
     return out
+
+
+def _slow_rows(x):
+    """Rows of the values the fast path leaves: 0, -0, inf, -inf and nan
+    (of either sign) from a table of their text, the rest by Python's own
+    ``'%.17g' % x``."""
+    nan, inf = np.isnan(x), np.isinf(x)
+    rows = _CONSTANT_ROWS.take(np.where(nan, 4, 2 * inf + np.signbit(x)), axis=0)
+    rest = ~(nan | inf | (x == 0))
+    if rest.any():
+        rows[rest] = _padded([b"%.17g" % v for v in x[rest].tolist()], WIDTH)
+    return rows
 
 
 def _join(*fields):
@@ -218,46 +234,98 @@ def _join(*fields):
     return text.translate(None, b"\0")
 
 
-def _calls(count, numbers_per_row):
-    """Slices that cut ``range(count)`` rows of ``numbers_per_row`` numbers
-    into formatter calls of ``CALL_NUMBERS // numbers_per_row`` rows each
-    (at least one)."""
-    step = max(1, CALL_NUMBERS // numbers_per_row)
-    return (slice(start, start + step) for start in range(0, count, step))
-
-
-def lines(*columns):
-    """CSV text of equal-length 1-D columns, one bytearray per formatter
-    call.  A boolean column is written as the numbers 0 and 1."""
-    for s in _calls(len(columns[0]), len(columns)):
-        yield _join(*(format_floats(c[s]) for c in columns))
-
-
 @functools.cache
 def _index_field(shape):
     """The "i,j,..." text of each index of a ``shape`` array, C order, as a
-    read-only field."""
-    text = [",".join(map(str, idx)).encode() for idx in np.ndindex(shape)]
-    return _padded(text, 1 + max(map(len, text)))
+    read-only field, made of each axis's text ("i," and, on the last axis,
+    "j") formed once per index of that axis."""
+    parts = []
+    for axis, n in enumerate(shape):
+        comma = b"," if axis < len(shape) - 1 else b""
+        text = _padded([b"%d%s" % (i, comma) for i in range(n)], len(str(n)) + 1)
+        # each index repeats over the later axes, and the whole axis over
+        # the earlier ones
+        text = text.repeat(math.prod(shape[axis + 1:]), axis=0)
+        parts.append(np.tile(text, (math.prod(shape[:axis]), 1)))
+    field = np.concatenate(parts, axis=1)
+    field.flags.writeable = False
+    return field
 
 
-def grid_lines(times, values):
-    """The (t, index..., value) lines of an array whose leading axis runs
-    over ``times``, one bytearray of whole rows of its last axis per
-    formatter call; a complex value gives re, im."""
-    index = _index_field(values.shape[1:])
-    count = len(times) * len(index)
-    # one number per line, or two for a complex value: re and im
-    numbers = values.reshape(count, -1).view(np.float64)
-    # a time repeats on many lines, so its text is formed once per call, in
-    # a field of the longest time text plus the NUL column ``_join`` needs
-    t_text = [b"%.17g" % t for t in times.tolist()]
-    t_text = _padded(t_text, 1 + max(map(len, t_text), default=0))
-    row = values.shape[-1]
-    for s in _calls(count // row, numbers.shape[1] * row):
-        first = s.start * row
-        chunk = numbers[first:s.stop * row]
-        t_index, i_index = np.divmod(np.arange(first, first + len(chunk)), len(index))
-        text = format_floats(chunk).reshape(len(chunk), numbers.shape[1], -1)
-        yield _join(t_text.take(t_index, axis=0), index.take(i_index, axis=0),
-                    *text.swapaxes(0, 1))
+class CsvWriter:
+    """CSV lines written to the binary file ``fh`` after ``header``, in
+    formatter calls of ``CALL_NUMBERS`` numbers however the lines arrive.
+
+    ``rows(*columns)`` adds the lines of equal-length 1-D columns (a boolean
+    column is written as the numbers 0 and 1), and ``grid(times, values)``
+    the (t, index..., value) lines of an array whose leading axis runs over
+    ``times``, where a complex value gives re, im; one file takes one kind.
+    The numbers of pending lines wait in one call's buffer and are
+    formatted and written when it fills, and by ``flush``.  A call takes
+    whole rows, a grid's rows being the lines of its last axis: at most
+    ``CALL_NUMBERS`` numbers unless one row has more.  A grid's times are
+    formatted once per call, with Python's ``'%.17g'``, into a time field
+    only as wide as the call's longest time text.
+    """
+
+    def __init__(self, fh, header):
+        fh.write(header.encode() + b"\n")
+        self._fh = fh
+        self._buffer = None  # (lines of a call, numbers per line) float64
+        self._pending = 0  # lines in the buffer
+        self._written = 0  # lines formatted before them
+        self._index = None  # a grid's index field, one row per line of a time
+        self._times = []  # a grid's times, from that of the first unwritten line
+
+    def rows(self, *columns):
+        self._add([np.reshape(c, (-1, 1)) for c in columns])
+
+    def grid(self, times, values):
+        if self._index is None:
+            self._index = _index_field(values.shape[1:])
+        self._times.extend(times.tolist())
+        # one number per line, or two for a complex value: re and im
+        self._add([values.reshape(len(times) * len(self._index), -1).view(np.float64)],
+                  values.shape[-1])
+
+    def flush(self):
+        """Format and write the pending lines; the file's last ones wait
+        for this call."""
+        if self._pending:
+            self._write(self._buffer[:self._pending])
+            self._pending = 0
+
+    def _add(self, parts, row=1):
+        """Take the lines whose numbers are the columns of ``parts``, 2-D
+        arrays of equal length; a call takes whole rows of ``row`` lines."""
+        if self._buffer is None:
+            per_line = sum(part.shape[1] for part in parts)
+            rows = max(1, CALL_NUMBERS // (row * per_line))
+            self._buffer = np.empty((rows * row, per_line))
+        count, start = len(parts[0]), 0
+        while start < count:
+            take = min(count - start, len(self._buffer) - self._pending)
+            np.concatenate([part[start:start + take] for part in parts], axis=1,
+                           out=self._buffer[self._pending:self._pending + take])
+            self._pending += take
+            start += take
+            if self._pending == len(self._buffer):
+                self.flush()
+
+    def _write(self, numbers):
+        n, per_line = numbers.shape
+        fields = []
+        if self._index is not None:
+            per_time = len(self._index)
+            first = self._written // per_time
+            t_index, i_index = np.divmod(np.arange(self._written, self._written + n),
+                                         per_time)
+            t_index -= first
+            # a time repeats on many lines, so its text is formed once per call
+            t_text = [b"%.17g" % t for t in self._times[:t_index[-1] + 1]]
+            t_text = _padded(t_text, 1 + max(map(len, t_text)))
+            fields = [t_text.take(t_index, axis=0), self._index.take(i_index, axis=0)]
+            del self._times[:(self._written + n) // per_time - first]
+        self._written += n
+        text = format_floats(numbers).reshape(n, per_line, WIDTH)
+        self._fh.write(_join(*fields, *text.swapaxes(0, 1)))

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import resource
@@ -206,34 +207,71 @@ def test_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, capsys, comman
         assert all((out / name).read_bytes() == expected for out in outs[1:]), name
 
 
-@pytest.mark.parametrize("lines, count", [
+class LineCount:
+    """A binary file that keeps only the number of lines written to it."""
+
+    lines = 0
+
+    def write(self, text):
+        self.lines += text.count(b"\n")
+
+
+@pytest.mark.parametrize("add, inputs, count", [
     # 100,000 rows of three columns, and a (20, 100, 100) complex grid:
     # 200,000 lines of 400,000 numbers
-    (lambda: oscbath.floatfmt.lines(*(np.arange(100_000.0) * np.pi + k for k in range(3))),
-     100_000),
-    (lambda: oscbath.floatfmt.grid_lines(
-        np.arange(20) * 0.1,
-        np.arange(200_000.0).reshape(20, 100, 100) * (np.e + 1j * np.pi)), 200_000),
+    ("rows", lambda: [np.arange(100_000.0) * np.pi + k for k in range(3)], 100_000),
+    ("grid", lambda: [np.arange(20) * 0.1,
+                      np.arange(200_000.0).reshape(20, 100, 100) * (np.e + 1j * np.pi)],
+     200_000),
 ], ids=["columns", "complex grid"])
-def test_text_is_formed_one_block_at_a_time(lines, count):
+def test_text_is_formed_one_block_at_a_time(add, inputs, count):
     # as text the whole input would be 8 MB or more; a formatter call takes
     # CALL_NUMBERS numbers, whose text and temporaries peak near 300 bytes
     # a number
     oscbath.floatfmt._index_field((100, 100))  # cached, and not counted
-    lines = lines()
+    inputs = inputs()
+    fh = LineCount()
     tracemalloc.start()
     try:
-        assert sum(text.count(b"\n") for text in lines) == count
+        csv = oscbath.floatfmt.CsvWriter(fh, "header")
+        getattr(csv, add)(*inputs)
+        csv.flush()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert fh.lines == 1 + count
     assert peak <= 512 * oscbath.floatfmt.CALL_NUMBERS, peak
+
+
+def test_master_formats_full_calls(tmp_path, monkeypatch):
+    # the CSV writer keeps each file's lines across the engine's blocks, so
+    # every formatter call of an n51 master run takes a full share of its
+    # file's rows (CALL_NUMBERS // numbers per row), except each file's
+    # last; block by block, the residual file made calls of 6 numbers
+    sizes = []
+    format_floats = oscbath.floatfmt.format_floats
+    monkeypatch.setattr(oscbath.floatfmt, "format_floats",
+                        lambda x: sizes.append(np.size(x)) or format_floats(x))
+    assert main(["master", "--config", N51, "--out", str(tmp_path)]) == 0
+
+    def calls(rows, per_row):
+        full = oscbath.floatfmt.CALL_NUMBERS // per_row
+        return [full * per_row] * (rows // full) + [rows % full * per_row] * (rows % full > 0)
+
+    # populations.csv a row of dim numbers per time, w_coeffs.csv dim rows
+    # of dim, master_residual.csv a row of three
+    times, dim = len(load_config(N51).time_grid()), 52
+    expected = calls(times, dim) + calls(times * dim, dim) + calls(times, 3)
+    assert sorted(sizes) == sorted(expected)
+    assert len(sizes) == 71
+    # singular_points.txt has no lines to format
+    assert (tmp_path / "singular_points.txt").read_text() == "# no singular time points\n"
 
 
 def test_w_coeffs_lines_match_python_formatting(tmp_path):
     # n51's first and last blocks of W with their "t,n,k," prefixes, written
     # by Python's own %-formatting, are the first and last lines of the file,
-    # and the lines that floatfmt.grid_lines makes of each block
+    # and the lines that a floatfmt.CsvWriter makes of each block alone
     assert main(["master", "--config", N51, "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "w_coeffs.csv").read_text().splitlines(keepends=True)
     cfg = load_config(N51)
@@ -248,8 +286,11 @@ def test_w_coeffs_lines_match_python_formatting(tmp_path):
     assert lines[1:1 + len(first)] == first
     assert lines[-len(last):] == last
     for blk, expected in ((blocks[0], first), (blocks[-1], last)):
-        written = b"".join(oscbath.floatfmt.grid_lines(blk.times, blk.w)).decode()
-        assert written.splitlines(keepends=True) == expected
+        fh = io.BytesIO()
+        csv = oscbath.floatfmt.CsvWriter(fh, "t,n,k,W")
+        csv.grid(blk.times, blk.w)
+        csv.flush()
+        assert fh.getvalue().decode().splitlines(keepends=True)[1:] == expected
 
 
 def singular_report_times(out):

@@ -1,10 +1,11 @@
-"""``floatfmt.format_floats`` and the CSV writers ``floatfmt.lines`` and
-``floatfmt.grid_lines`` built on it, against Python's own ``'%.17g' % x`` as
-the oracle."""
+"""``floatfmt.format_floats`` and the CSV writer ``floatfmt.CsvWriter``
+built on it, against Python's own ``'%.17g' % x`` as the oracle."""
 
+import io
 from decimal import Decimal
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,17 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 def formatted(x):
     return [row[row != 0].tobytes().decode() for row in floatfmt.format_floats(x)]
+
+
+def csv_text(add, *arrays, pieces=(slice(None),)):
+    """The lines ``CsvWriter.<add>`` writes of ``arrays``, handed to it one
+    slice of ``pieces`` at a time, as one string."""
+    fh = io.BytesIO()
+    csv = floatfmt.CsvWriter(fh, "")
+    for s in pieces:
+        getattr(csv, add)(*(a[s] for a in arrays))
+    csv.flush()
+    return fh.getvalue().decode().removeprefix("\n")
 
 
 def oracle(x):
@@ -96,6 +108,15 @@ def test_special_values():
          2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 0.5, 1.0, 100.0]
     assert formatted(x) == oracle(x)
     assert formatted([0.0, -0.0, np.inf, -np.inf])[:4] == ["0", "-0", "inf", "-inf"]
+    # zeros and non-finite values come from a table of rows, here at varied
+    # places among ordinary values, runs of them included
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal(1_500) * 10.0 ** rng.integers(-30, 30, 1_500)
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf])
+    places = rng.choice(len(x), 300, replace=False)
+    x[places] = special[np.arange(300) % 6]
+    x[700:712] = np.tile(special, 2)
+    assert formatted(x) == oracle(x)
 
 
 def test_last_column_is_free():
@@ -113,7 +134,7 @@ def test_last_column_is_free():
 def test_complex_grid(values, times):
     # the lines of a (times, 2) complex grid, "t,n,re,im", as Python writes them
     grid = np.array(values, dtype=np.complex128).reshape(len(times), 2)
-    lines = b"".join(floatfmt.grid_lines(np.array(times), grid)).decode()
+    lines = csv_text("grid", np.array(times), grid)
     expected = "".join("%.17g,%d,%.17g,%.17g\n" % (t, n, v.real, v.imag)
                        for t, row in zip(times, grid.tolist()) for n, v in enumerate(row))
     assert lines == expected
@@ -124,5 +145,32 @@ def test_complex_grid(values, times):
                 min_size=1, max_size=20))
 def test_columns_and_flags(rows):
     t, x, flag = (np.array(c) for c in zip(*rows))
-    lines = b"".join(floatfmt.lines(t, x, flag)).decode()
+    lines = csv_text("rows", t, x, flag)
     assert lines == "".join("%.17g,%.17g,%d\n" % row for row in rows)
+
+
+@pytest.mark.parametrize("call_numbers", [1, 7, 60, 4096])
+def test_grid_in_pieces(monkeypatch, call_numbers):
+    # a call cuts the lines of one time apart and spans the pieces a grid
+    # arrives in; the index field has one- and two-digit indices
+    monkeypatch.setattr(floatfmt, "CALL_NUMBERS", call_numbers)
+    rng = np.random.default_rng(2)
+    times = np.cumsum(rng.random(9)) * 10.0 ** rng.integers(-6, 18, 9)
+    values = rng.standard_normal((9, 11, 2)) + 1j * rng.standard_normal((9, 11, 2))
+    values[3] = 0.0
+    lines = csv_text("grid", times, values, pieces=(slice(0, 1), slice(1, 4), slice(4, 9)))
+    assert lines == "".join(
+        "%.17g,%d,%d,%.17g,%.17g\n" % (t, n, m, v.real, v.imag)
+        for t, v_t in zip(times.tolist(), values.tolist())
+        for n, row in enumerate(v_t) for m, v in enumerate(row))
+
+
+@pytest.mark.parametrize("call_numbers", [1, 7, 4096])
+def test_rows_in_pieces(monkeypatch, call_numbers):
+    monkeypatch.setattr(floatfmt, "CALL_NUMBERS", call_numbers)
+    rng = np.random.default_rng(3)
+    t, x = np.arange(10) * 0.1, rng.standard_normal(10)
+    flag = x > 0
+    lines = csv_text("rows", t, x, flag, pieces=(slice(0, 1), slice(1, 5), slice(5, 10)))
+    assert lines == "".join(
+        "%.17g,%.17g,%d\n" % row for row in zip(t.tolist(), x.tolist(), flag.tolist()))
