@@ -21,7 +21,8 @@ loss rate), ``amplitudes`` none and ``master`` all of them.
 Exit codes: 0 success, 1 validation failure, 2 config or I/O error
 (including a time grid or fit window that is not usable) or running out of
 memory, 3 numerical failure (LAPACK eigensolver non-convergence, a survival
-amplitude too small to fit).
+amplitude too small to fit, a numpy BLAS without the LAPACK routines of
+the W solve).
 """
 
 import argparse

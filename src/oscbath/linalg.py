@@ -16,7 +16,8 @@ import numpy as np
 
 class NumericalError(ArithmeticError):
     """A computed quantity fails a numerical sanity check (the log underflow
-    of the exponential fit); the CLI maps it to exit code 3."""
+    of the exponential fit), or numpy's BLAS lacks the LAPACK routines of
+    the W solve; the CLI maps it to exit code 3."""
 
 
 @dataclass(frozen=True)

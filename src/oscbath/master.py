@@ -4,7 +4,10 @@ P[n, m](t) = |A[n, m](t)|^2 is doubly stochastic because A is unitary.  The
 occupations evolve as N(t) = P(t) N(0), and differentiating and eliminating
 N(0) gives the time-local equation dN/dt = W(t) N(t) with
 W(t) = Pdot(t) P(t)^{-1}.  W exists only where P is invertible; singular
-times are flagged, never regularized.
+times are flagged, never regularized.  Each time's W comes from one LU of
+P (LAPACK ``dgetrf``, ``dgetrs`` and ``dgecon``, through ``lapack``), and
+P counts as singular where LAPACK's estimate of its 1-norm condition
+number exceeds a cap or the LU meets an exactly zero pivot.
 
 Everything dense is computed by one engine, ``time_blocks``, which walks a
 time grid in blocks of consecutive times and stacks each block's matrices
@@ -20,11 +23,11 @@ values only until the next block is drawn, and a consumer that keeps them
 longer copies them.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import lapack
 from .amplitudes import block_slices
 
 DEFAULT_CONDITION_CAP = 1e10
@@ -35,56 +38,43 @@ class TimeBlock:
     """Consecutive grid times and the dense quantities at each of them;
     every array's leading axis indexes ``times``.  ``a`` and ``p`` are
     views of buffers that ``time_blocks`` reuses: they are valid only until
-    the next block is drawn."""
+    the next block is drawn.  ``condition`` is LAPACK ``dgecon``'s estimate
+    of the 1-norm condition number of P, a lower bound on it."""
 
     times: np.ndarray       # (K,)
     a: np.ndarray           # (K, dim, dim) complex, unitary
     p: np.ndarray           # (K, dim, dim) real, doubly stochastic
     pdot: np.ndarray        # (K, rows, dim) leading rows of d|A|^2/dt = 2 Re(conj(A) Adot)
     w: np.ndarray | None    # (K, rows, dim) the same rows of W, nan where singular
-    condition: np.ndarray | None  # (K,) ||P||_1 ||P^{-1}||_1, inf where P is exactly singular
+    condition: np.ndarray | None  # (K,) <= ||P||_1 ||P^{-1}||_1, inf where P is exactly singular
     singular: np.ndarray | None  # (K,) bool, P singular to the condition cap
-
-
-def _solve(a, b):
-    """``np.linalg.solve(a, b)`` over stacks.  numpy rejects the whole stack
-    if one matrix of ``a`` is exactly singular; then solve one time at a
-    time, with inf in place of each rejected solution."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        if len(a) == 1:
-            return np.full(b.shape, np.inf)
-        return np.concatenate([_solve(a[k:k + 1], b[k:k + 1]) for k in range(len(a))])
 
 
 def _coefficients(p, pdot, condition_cap, scratch):
     """Rows of W = Pdot P^{-1} for a stack of P of shape (K, dim, dim).
 
     ``pdot`` holds the leading r rows of Pdot, shape (K, r, dim); the same r
-    rows of W are returned.  Returns ``(w, condition, singular)``.
-    ``condition`` is the exact 1-norm condition number ||P||_1 ||P^{-1}||_1,
-    inf where P is exactly singular; ||P||_1 is the largest column sum of
-    P, whose entries |A|^2 are never negative.  P counts as singular, and
-    W is nan-filled, where the condition is not finite or exceeds
-    ``condition_cap``.  The solve's right-hand side is written into
-    ``scratch``, a contiguous complex array of P's shape.
+    rows of W are returned.  Returns ``(w, condition, singular)``.  Each
+    time makes one LU of P (``lapack.solve_right``), which solves the r
+    rows and gives ``condition``, LAPACK ``dgecon``'s estimate of the
+    1-norm condition number ||P||_1 ||P^{-1}||_1: a lower bound on it, inf
+    where P is exactly singular.  ||P||_1 is the largest column sum of P,
+    whose entries |A|^2 are never negative.  P counts as singular, and W is
+    nan-filled, where the estimate is not finite or exceeds
+    ``condition_cap``.  The LU is written into ``scratch``, a contiguous
+    complex array of P's shape.
     """
-    dim, r = p.shape[-1], pdot.shape[-2]
-    # one factorization of P^T per time solves P^T [W_r^T | P^{-T}] = [Pdot_r^T | I],
-    # with both halves of the right-hand side written into one array
-    shape = p.shape[:-1] + (r + dim,)
-    rhs = scratch.reshape(-1).view(np.float64)[:math.prod(shape)].reshape(shape)
-    rhs.fill(0.0)
-    rhs[..., :r] = pdot.swapaxes(-1, -2)
-    diagonal = np.arange(dim)
-    rhs[..., diagonal, r + diagonal] = 1.0
-    x = _solve(p.swapaxes(-1, -2), rhs)
-    # ||P^{-1}||_1 is the largest row sum of |P^{-T}|
-    condition = (p.sum(axis=-2).max(axis=-1)
-                 * np.abs(x[..., r:]).sum(axis=-1).max(axis=-1))
+    r = pdot.shape[-2]
+    # one right-hand side takes another path through dgetrs, with other
+    # rounding; a zero second row keeps W's bytes those of numpy's solve
+    x = np.zeros(p.shape[:-2] + (max(r, 2), p.shape[-1]))
+    x[:, :r] = pdot
+    rcond = lapack.solve_right(p, x, p.sum(axis=-2).max(axis=-1),
+                               scratch.reshape(-1).view(np.float64))
+    with np.errstate(divide="ignore"):
+        condition = 1.0 / rcond
     singular = ~(condition <= condition_cap) | ~np.isfinite(condition)
-    w = x[..., :r].swapaxes(-1, -2).copy()
+    w = x[:, :r]
     w[singular] = np.nan
     return w, condition, singular
 
@@ -95,7 +85,7 @@ def time_blocks(sd, times, rows=None, condition_cap=DEFAULT_CONDITION_CAP):
     A and Adot are the spectral sums of the ``amplitudes`` docstring.  Each
     block's Pdot and W hold the leading ``rows`` rows (all if None), and
     only those rows of Adot are formed; W, the condition of P and the
-    singular mask come from one solve under ``condition_cap``.  For
+    singular mask come from one LU per time under ``condition_cap``.  For
     ``rows=0`` no W is solved, and ``w``, ``condition`` and ``singular``
     are None.  The blocks are ``amplitudes.block_slices(len(times),
     dim**2)``, so each (times, dim, dim) array is about ``BLOCK_ENTRIES``
@@ -103,10 +93,9 @@ def time_blocks(sd, times, rows=None, condition_cap=DEFAULT_CONDITION_CAP):
 
     The engine owns its buffers: three (times, dim, dim) arrays allocated
     at the first block, which is the longest, hold A, P, and a complex
-    scratch for the operands of A and Adot and then the solve's right-hand
-    side (r + dim <= 2 dim float64 columns).  Every block writes into
-    them, so its ``a`` and ``p`` are valid only until the next block is
-    drawn.
+    scratch for the operands of A and Adot and then the LU of each time's
+    P (dim**2 float64).  Every block writes into them, so its ``a`` and
+    ``p`` are valid only until the next block is drawn.
     """
     times = np.asarray(times, dtype=np.float64)
     bad = times[~np.isfinite(times)]

@@ -16,6 +16,7 @@ import oscbath.amplitudes
 import oscbath.cli
 import oscbath.config
 import oscbath.floatfmt
+import oscbath.lapack
 import oscbath.langevin
 import oscbath.master
 import oscbath.model
@@ -477,28 +478,30 @@ class TestRowsRead:
     @staticmethod
     def spy(monkeypatch):
         """Lists that collect the (rows, dim) of Pdot, and so of Adot, from
-        every block that ``master.time_blocks`` yields, and the rows of
-        Pdot in the right-hand side of every ``master._solve`` call."""
+        every block that ``master.time_blocks`` yields, and the rows of the
+        right-hand side of every ``lapack.solve_right`` call."""
         pdot_shapes, solve_rows = [], []
-        time_blocks, solve = oscbath.master.time_blocks, oscbath.master._solve
+        time_blocks, solve = oscbath.master.time_blocks, oscbath.lapack.solve_right
 
         def blocks_spy(*args, **kwargs):
             for blk in time_blocks(*args, **kwargs):
                 pdot_shapes.append(blk.pdot.shape[-2:])
                 yield blk
 
-        def solve_spy(a, b):
-            solve_rows.append(b.shape[-1] - a.shape[-1])  # b is [Pdot_r^T | I]
-            return solve(a, b)
+        def solve_spy(a, b, anorm, lu):
+            solve_rows.append(b.shape[-2])
+            return solve(a, b, anorm, lu)
 
         monkeypatch.setattr(oscbath.master, "time_blocks", blocks_spy)
-        monkeypatch.setattr(oscbath.master, "_solve", solve_spy)
+        monkeypatch.setattr(oscbath.lapack, "solve_right", solve_spy)
         return pdot_shapes, solve_rows
 
     def test_golden_reads_row_0(self, tmp_path, monkeypatch):
         pdot_shapes, solve_rows = self.spy(monkeypatch)
         assert main(["golden", "--config", N51, "--out", str(tmp_path)]) == 0
-        assert solve_rows and set(solve_rows) == {1}
+        # row 0 and the zero row that makes it the two right-hand sides
+        # dgetrs rounds as numpy's solve does
+        assert solve_rows and set(solve_rows) == {2}
         assert set(pdot_shapes) == {(1, 52)}
 
     def test_amplitudes_reads_no_row(self, tmp_path, monkeypatch):
@@ -797,6 +800,18 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "numerical failure" in err
 
+
+    def test_blas_without_lapack_symbols(self, tmp_path, capsys, monkeypatch):
+        # a numpy built against another BLAS exports no scipy_dgetrf_64_:
+        # each command that solves W fails with one line, and the others run
+        monkeypatch.setattr(oscbath.lapack, "PREFIX", "missing_")
+        oscbath.lapack._routines.cache_clear()
+        for command, code in (("master", 3), ("golden", 3), ("amplitudes", 0)):
+            assert main([command, "--config", N51, "--out", str(tmp_path)]) == code
+            err = capsys.readouterr().err.splitlines()
+            assert err == ([] if code == 0 else [
+                "numerical failure: numpy's BLAS has no missing_dgetrf_64_: the W solve "
+                "needs the scipy-openblas64 build of numpy's wheels"])
 
     def test_warning_from_any_command_is_one_line(self, tmp_path, capsys, monkeypatch,
                                                    recwarn):

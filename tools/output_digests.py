@@ -7,10 +7,11 @@ command of the matrix below in-process through ``oscbath.cli.main`` with
 ``--out`` in a fresh temporary directory, and prints one line
 ``<command> <config> <flags> <item> <sha256>`` per output file, and one
 each for the run's stdout, stderr and exit code.  Three ``#`` lines come
-first: the numpy version, and the build string and thread count that the
-loaded OpenBLAS reports, since the n201 digests depend on all three.  The
-checkout and output paths in stderr are replaced by placeholders before
-hashing, so two checkouts compare with ``diff`` of their two listings.
+first: the numpy version, and the build string and thread count that
+numpy's OpenBLAS reports through ``oscbath.lapack``, since the n201
+digests depend on all three.  The checkout and output paths in stderr are
+replaced by placeholders before hashing, so two checkouts compare with
+``diff`` of their two listings.
 ``tests/golden/output_digests.txt`` is this listing at two BLAS threads
 (``OPENBLAS_NUM_THREADS=2``), and a test compares it with a fresh run.
 
@@ -22,7 +23,6 @@ complex, and a complex Hermitian ``bath_bath`` block.
 """
 
 import contextlib
-import ctypes
 import hashlib
 import io
 import json
@@ -68,30 +68,13 @@ MATRIX = (
 )
 
 
-def _openblas(name, restype):
-    """The result of OpenBLAS's ``name`` function in the library loaded into
-    this process, or None if no loaded library has it."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
-    except OSError:
-        return None
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
-            function = getattr(lib, symbol, None)
-            if function is not None:
-                function.restype, function.argtypes = restype, []
-                return function()
-    return None
-
-
 def context():
     """The listing's ``#`` header lines."""
-    build = _openblas("get_config", ctypes.c_char_p)
+    from oscbath import lapack
+
     return [f"# numpy {np.__version__}",
-            f"# blas {build.decode() if build else 'unknown'}",
-            f"# blas threads {_openblas('get_num_threads', ctypes.c_int)}"]
+            f"# blas {lapack.build()}",
+            f"# blas threads {lapack.threads()}"]
 
 
 def _sha256(data):
