@@ -23,11 +23,13 @@ omega_max - omega_min.  The spectrum, coupling and bath_bath keys are read
 only when n > 0.
 
 Every number is a JSON number: true, false and quoted numbers such as "2"
-are rejected.  Complex numbers are written as a plain number or a
-two-element [re, im] list.  Optional top-level keys: "tolerances" (name ->
-number overrides) and "fit_window" ([t1, t2] for the exponential fit; both
-finite, t1 < t2).  ``RunConfig`` resolves every time grid a command computes
-on: the output grid, the fit window, and the noise-covariance and W00 grids.
+are rejected.  An object may hold only the keys its type reads, each once:
+a misspelled or repeated key is an error, not ignored.  Complex numbers
+are written as a plain number or a two-element [re, im] list.  Optional
+top-level keys: "tolerances" (name -> number overrides) and "fit_window"
+([t1, t2] for the exponential fit; both finite, t1 < t2).  ``RunConfig``
+resolves every time grid a command computes on: the output grid, the fit
+window, and the noise-covariance and W00 grids.
 """
 
 import json
@@ -159,6 +161,24 @@ def _get(d, path, kind, default=None):
     return _value(d[key], path, kind)
 
 
+def _known(obj, path, *keys):
+    """Reject a key of the object at ``path`` (the top level if empty) that
+    the schema does not read there, as a misspelling would be."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"unknown key '{path + '.' if path else ''}{key}'")
+
+
+def _unique(pairs):
+    """A decoded JSON object; a key given twice in it is an error."""
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key '{key}'")
+        obj[key] = val
+    return obj
+
+
 def parse_config(data):
     """Build a RunConfig from a decoded JSON document."""
     try:
@@ -172,12 +192,15 @@ def parse_config(data):
 
 def _parse(data):
     system = _get(data, "system", dict)
+    _known(data, "", "system", "bath", "initial", "time", "tolerances", "fit_window")
+    _known(system, "system", "omega", "mass", "v_self")
     omega = _get(system, "system.omega", float)
     mass = _get(system, "system.mass", float, 1.0)
     v_self = _get(system, "system.v_self", float, 0.0)
 
     bath = _get(data, "bath", dict)
     n = _get(bath, "bath.n", int)
+    _known(bath, "bath", "n", "spectrum", "coupling", "bath_bath")
     if n < 0:
         raise ConfigError(f"bath.n must be >= 0, got {n}")
 
@@ -190,8 +213,10 @@ def _parse(data):
         ctype = _get(coupling, "bath.coupling.type", str)
 
         if ctype == "uniform":
+            _known(coupling, "bath.coupling", "type", "g")
             gs = np.full(n, _get(coupling, "bath.coupling.g", complex))
         elif ctype == "explicit":
+            _known(coupling, "bath.coupling", "type", "gs")
             gs = np.array(_items(coupling, "bath.coupling.gs", complex, n))
         else:
             raise ConfigError(f"unknown bath.coupling.type '{ctype}'")
@@ -207,6 +232,7 @@ def _parse(data):
             raise ConfigError("bath.bath_bath must be \"zero\" or a matrix")
 
         if stype == "linear":
+            _known(spectrum, "bath.spectrum", "type", "omega_min", "omega_max")
             lo = _get(spectrum, "bath.spectrum.omega_min", float)
             hi = _get(spectrum, "bath.spectrum.omega_max", float)
             # a span that overflows a double would make np.linspace warn
@@ -215,6 +241,7 @@ def _parse(data):
                                   f"omega_min < omega_max, got [{lo}, {hi}]")
             omegas = np.linspace(lo, hi, n)
         elif stype == "explicit":
+            _known(spectrum, "bath.spectrum", "type", "omegas")
             omegas = _items(spectrum, "bath.spectrum.omegas", float, n)
         else:
             raise ConfigError(f"unknown bath.spectrum.type '{stype}'")
@@ -224,15 +251,18 @@ def _parse(data):
     initial = _get(data, "initial", dict)
     itype = _get(initial, "initial.type", str)
     if itype == "thermal":
+        _known(initial, "initial", "type", "beta", "system_occupation")
         init = thermal_populations(
             spec, _get(initial, "initial.beta", float),
             system_occupation=_get(initial, "initial.system_occupation", float, 1.0))
     elif itype == "explicit":
+        _known(initial, "initial", "type", "occupations")
         init = explicit_populations(spec, _items(initial, "initial.occupations", float))
     else:
         raise ConfigError(f"unknown initial.type '{itype}'")
 
     time = _get(data, "time", dict)
+    _known(time, "time", "t_max", "dt")
     t_max = _get(time, "time.t_max", float)
     dt = _get(time, "time.dt", float)
 
@@ -253,10 +283,11 @@ def _parse(data):
 def load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except ValueError as exc:
-        # bad syntax, text that is not UTF-8, an integer past int's digit limit
+        # bad syntax, text that is not UTF-8, an integer past int's digit limit,
+        # a key given twice in one object
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return parse_config(data)

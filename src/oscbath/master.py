@@ -5,9 +5,10 @@ occupations evolve as N(t) = P(t) N(0), and differentiating and eliminating
 N(0) gives the time-local equation dN/dt = W(t) N(t) with
 W(t) = Pdot(t) P(t)^{-1}.  W exists only where P is invertible; singular
 times are flagged, never regularized.  Each time's W comes from one LU of
-P (LAPACK ``dgetrf``, ``dgetrs`` and ``dgecon``, through ``lapack``), and
-P counts as singular where LAPACK's estimate of its 1-norm condition
-number exceeds a cap or the LU meets an exactly zero pivot.
+P (LAPACK ``dgesv`` and ``dgecon``, through ``lapack.solve_right``), and P
+counts as singular where LAPACK's estimate of its 1-norm condition number
+exceeds a cap or is not finite, as where the LU meets an exactly zero
+pivot.
 
 Everything dense is computed by one engine, ``time_blocks``, which walks a
 time grid in blocks of consecutive times and stacks each block's matrices
@@ -48,35 +49,6 @@ class TimeBlock:
     w: np.ndarray | None    # (K, rows, dim) the same rows of W, nan where singular
     condition: np.ndarray | None  # (K,) <= ||P||_1 ||P^{-1}||_1, inf where P is exactly singular
     singular: np.ndarray | None  # (K,) bool, P singular to the condition cap
-
-
-def _coefficients(p, pdot, condition_cap, scratch):
-    """Rows of W = Pdot P^{-1} for a stack of P of shape (K, dim, dim).
-
-    ``pdot`` holds the leading r rows of Pdot, shape (K, r, dim); the same r
-    rows of W are returned.  Returns ``(w, condition, singular)``.  Each
-    time makes one LU of P (``lapack.solve_right``), which solves the r
-    rows and gives ``condition``, LAPACK ``dgecon``'s estimate of the
-    1-norm condition number ||P||_1 ||P^{-1}||_1: a lower bound on it, inf
-    where P is exactly singular.  ||P||_1 is the largest column sum of P,
-    whose entries |A|^2 are never negative.  P counts as singular, and W is
-    nan-filled, where the estimate is not finite or exceeds
-    ``condition_cap``.  The LU is written into ``scratch``, a contiguous
-    complex array of P's shape.
-    """
-    r = pdot.shape[-2]
-    # one right-hand side takes another path through dgetrs, with other
-    # rounding; a zero second row keeps W's bytes those of numpy's solve
-    x = np.zeros(p.shape[:-2] + (max(r, 2), p.shape[-1]))
-    x[:, :r] = pdot
-    rcond = lapack.solve_right(p, x, p.sum(axis=-2).max(axis=-1),
-                               scratch.reshape(-1).view(np.float64))
-    with np.errstate(divide="ignore"):
-        condition = 1.0 / rcond
-    singular = ~(condition <= condition_cap) | ~np.isfinite(condition)
-    w = x[:, :r]
-    w[singular] = np.nan
-    return w, condition, singular
 
 
 def time_blocks(sd, times, rows=None, condition_cap=DEFAULT_CONDITION_CAP):
@@ -122,7 +94,11 @@ def time_blocks(sd, times, rows=None, condition_cap=DEFAULT_CONDITION_CAP):
         del adot  # freed before the solve: the caller still holds the previous block's pdot and w
         w = condition = singular = None
         if pdot.shape[-2]:
-            w, condition, singular = _coefficients(p, pdot, condition_cap, scratch)
+            # ||P||_1 is P's largest column sum: its entries |A|^2 are never negative
+            w, condition = lapack.solve_right(p, pdot, p.sum(axis=-2).max(axis=-1),
+                                              scratch.reshape(-1).view(np.float64))
+            singular = ~(condition <= condition_cap) | ~np.isfinite(condition)
+            w[singular] = np.nan
         yield TimeBlock(times=t, a=a, p=p, pdot=pdot, w=w, condition=condition,
                         singular=singular)
 

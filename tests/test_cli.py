@@ -499,9 +499,7 @@ class TestRowsRead:
     def test_golden_reads_row_0(self, tmp_path, monkeypatch):
         pdot_shapes, solve_rows = self.spy(monkeypatch)
         assert main(["golden", "--config", N51, "--out", str(tmp_path)]) == 0
-        # row 0 and the zero row that makes it the two right-hand sides
-        # dgetrs rounds as numpy's solve does
-        assert solve_rows and set(solve_rows) == {2}
+        assert solve_rows and set(solve_rows) == {1}
         assert set(pdot_shapes) == {(1, 52)}
 
     def test_amplitudes_reads_no_row(self, tmp_path, monkeypatch):
@@ -632,6 +630,19 @@ class TestErrorPaths:
         cfg.write_text(json.dumps({"system": {"omega": 1.0}}))
         assert main(["amplitudes", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "bath" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("system_key, line", [
+        ('"v_slef": 0.5', "unknown key 'system.v_slef'"),
+        ('"v_self": 0.0, "v_self": 0.5', "invalid JSON in <CFG>: duplicate key 'v_self'"),
+    ], ids=["misspelled", "repeated"])
+    def test_unknown_or_repeated_key(self, tmp_path, capsys, system_key, line):
+        with open(N51) as fh:
+            shipped = fh.read()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(shipped.replace('"v_self": 0.0', system_key))
+        assert main(["master", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: " + line.replace("<CFG>", str(cfg))]
 
     def test_bad_window(self, tmp_path):
         cfg = write_bare_config(tmp_path)
@@ -802,7 +813,7 @@ class TestErrorPaths:
 
 
     def test_blas_without_lapack_symbols(self, tmp_path, capsys, monkeypatch):
-        # a numpy built against another BLAS exports no scipy_dgetrf_64_:
+        # a numpy built against another BLAS exports no scipy_dgesv_64_:
         # each command that solves W fails with one line, and the others run
         monkeypatch.setattr(oscbath.lapack, "PREFIX", "missing_")
         oscbath.lapack._routines.cache_clear()
@@ -810,7 +821,7 @@ class TestErrorPaths:
             assert main([command, "--config", N51, "--out", str(tmp_path)]) == code
             err = capsys.readouterr().err.splitlines()
             assert err == ([] if code == 0 else [
-                "numerical failure: numpy's BLAS has no missing_dgetrf_64_: the W solve "
+                "numerical failure: numpy's BLAS has no missing_dgesv_64_: the W solve "
                 "needs the scipy-openblas64 build of numpy's wheels"])
 
     def test_warning_from_any_command_is_one_line(self, tmp_path, capsys, monkeypatch,

@@ -347,6 +347,24 @@ class TestConfig:
         pytest.param(lambda d: d.__setitem__("fit_window", ["10", 20]),
                      r"key 'fit_window\[0\]' must be a number, got a string",
                      id="fit_window entry quoted"),
+        # a key that the object's type does not read, once silently ignored
+        pytest.param(lambda d: d["system"].__setitem__("v_slef", 0.5),
+                     "unknown key 'system.v_slef'", id="system key misspelled"),
+        pytest.param(lambda d: d.__setitem__("fit_windw", [1.0, 2.0]),
+                     "unknown key 'fit_windw'", id="top-level key misspelled"),
+        pytest.param(lambda d: d["bath"]["coupling"].__setitem__("gg", 0.5),
+                     "unknown key 'bath.coupling.gg'", id="coupling key misspelled"),
+        pytest.param(lambda d: d["bath"].__setitem__("nn", 2),
+                     "unknown key 'bath.nn'", id="bath key misspelled"),
+        pytest.param(lambda d: d["time"].__setitem__("t_mx", 2.0),
+                     "unknown key 'time.t_mx'", id="time key misspelled"),
+        pytest.param(lambda d: d["bath"]["coupling"].update(type="explicit", gs=[0.1]),
+                     "unknown key 'bath.coupling.g'", id="uniform key in explicit coupling"),
+        pytest.param(lambda d: d["bath"]["spectrum"].__setitem__("omega_min", 0.5),
+                     "unknown key 'bath.spectrum.omega_min'",
+                     id="linear key in explicit spectrum"),
+        pytest.param(lambda d: d["initial"].__setitem__("beta", 1.0),
+                     "unknown key 'initial.beta'", id="thermal key in explicit initial"),
     ])
     def test_schema_errors(self, mutation, fragment):
         doc = {
@@ -360,6 +378,15 @@ class TestConfig:
         mutation(doc)
         with pytest.raises(ConfigError, match=fragment):
             parse_config(doc)
+
+    def test_objects_unread_without_a_bath_stay_unchecked(self):
+        cfg = parse_config({
+            "system": {"omega": 1.0},
+            "bath": {"n": 0, "spectrum": {"typo": 1}, "coupling": {"gg": 0.5}},
+            "initial": {"type": "explicit", "occupations": [1.0]},
+            "time": {"t_max": 1.0, "dt": 0.5},
+        })
+        assert cfg.spec.dim == 1
 
     def test_one_model_spec_per_linear_config(self, monkeypatch):
         made = []

@@ -55,6 +55,8 @@ MADE = {
 }
 COMMANDS = ("amplitudes", "master", "langevin", "golden", "validate")
 SINGULAR_GRID = ("--dt", "0.015707963267948967", "--t-max", "70")  # hits t = pi / (4 g)
+# the grid [0, pi / (4 g)], where P's LU meets an exactly zero pivot
+EXACT_SINGULAR = ("--dt", "7.853981633974483", "--t-max", "7.853981633974483")
 MATRIX = (
     [(command, config, ()) for config in (TWO_OSC, N51) for command in COMMANDS]
     + [("golden", N201, ("--window", "10,100")),
@@ -63,6 +65,7 @@ MATRIX = (
        ("amplitudes", N201, ("--t-max", "2")),
        ("master", TWO_OSC, SINGULAR_GRID),
        ("langevin", TWO_OSC, SINGULAR_GRID),
+       ("master", TWO_OSC, EXACT_SINGULAR),
        ("golden", N51_EXPLICIT, ())]
     + [(command, config, ()) for config in MADE for command in ("master", "langevin", "golden")]
 )
