@@ -195,7 +195,7 @@ def main(argv=None):
                 except ValueError as exc:
                     raise ConfigError(f"bad --window '{args.window}': expected t1,t2") from exc
                 overrides["fit_window"] = (t1, t2)
-            # replace() re-runs RunConfig's time-grid and fit-window checks
+            # replace() re-runs RunConfig's time-grid, phase and fit-window checks
             cfg = dataclasses.replace(cfg, **overrides)
             os.makedirs(args.out, exist_ok=True)
             sd = eigendecompose(model.build_hamiltonian(cfg.spec))

@@ -29,7 +29,9 @@ are written as a plain number or a two-element [re, im] list.  Optional
 top-level keys: "tolerances" (name -> number overrides) and "fit_window"
 ([t1, t2] for the exponential fit; both finite, t1 < t2).  ``RunConfig``
 resolves every time grid a command computes on: the output grid, the fit
-window, and the noise-covariance and W00 grids.
+window, and the noise-covariance and W00 grids.  It rejects a model whose
+bound on ||H||_inf times t_max is not below 2**52, where the phases
+alpha t are lost to rounding, for a t_max from the file or an override.
 """
 
 import json
@@ -78,6 +80,11 @@ class RunConfig:
             raise ConfigError(f"time.dt must be finite and positive, got {self.dt}")
         if not (math.isfinite(self.t_max) and self.t_max >= self.dt):
             raise ConfigError(f"time.t_max must be finite and >= dt, got {self.t_max}")
+        # from 2**52 on, rounding alpha * t alone costs half a radian of phase
+        phase = self.spec.norm_bound * self.t_max
+        if not phase < 2.0 ** 52:
+            raise ConfigError(f"||H||_inf * t_max = {phase:.3g} is not below 2**52: the "
+                              "phases exp(-i alpha t) would be lost to rounding")
         if self.fit_window is not None:
             t1, t2 = self.fit_window
             if not (math.isfinite(t1) and math.isfinite(t2) and t1 < t2):

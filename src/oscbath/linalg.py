@@ -3,10 +3,11 @@
 The eigensolver is numpy's ``linalg.eigh`` (LAPACK's divide-and-conquer
 ``syevd``/``heevd``), run in real arithmetic whenever the matrix has no
 imaginary part, and a single closed-form Jacobi rotation for matrices of
-dimension 2 or less.  Eigenvalues come out ascending and every
-eigenvector carries a fixed phase convention, so identical input bytes
-give identical output bytes at a fixed BLAS thread count.  LAPACK
-non-convergence raises ``numpy.linalg.LinAlgError``.
+dimension 2 or less.  Eigenvalues come out ascending: LAPACK returns them
+in that order, and the rotation sorts its own pair.  Every eigenvector
+carries a fixed phase convention, so identical input bytes give identical
+output bytes at a fixed BLAS thread count.  LAPACK non-convergence raises
+``numpy.linalg.LinAlgError``.
 """
 
 from dataclasses import dataclass
@@ -52,14 +53,21 @@ def check_hermitian(h):
     return h
 
 
+def _rotated(p, q, c, s, phase):
+    """The pair (p, q) after one Jacobi rotation; both results are formed
+    before the caller writes either."""
+    return c * p - (s * phase) * q, s * p + (c * phase) * q
+
+
 def _rotate_small(h):
-    """Closed-form eigenpairs of a Hermitian matrix of dim 1 or 2.
+    """Closed-form eigenpairs of a Hermitian matrix of dim 1 or 2, ascending.
 
     One complex Jacobi rotation zeroes the off-diagonal of a 2x2 matrix.
     The array operations are kept as a general sweep performs them: the
     two-oscillator golden outputs depend on their exact rounding, which
     differs from LAPACK's in the last bits (1 ulp on the two-oscillator
-    eigenvalues).
+    eigenvalues).  The rotation may leave the pair descending, so it is
+    sorted here.
     """
     a = h.copy()
     v = np.eye(a.shape[0], dtype=np.complex128)
@@ -82,27 +90,20 @@ def _rotate_small(h):
         c = 1.0 / np.sqrt(t * t + 1.0)
         s = t * c
 
-        colp = a[:, 0].copy()
-        colq = a[:, 1].copy()
-        a[:, 0] = c * colp - (s * phc) * colq
-        a[:, 1] = s * colp + (c * phc) * colq
-        rowp = a[0, :].copy()
-        rowq = a[1, :].copy()
-        a[0, :] = c * rowp - (s * ph) * rowq
-        a[1, :] = s * rowp + (c * ph) * rowq
-
-        colp = v[:, 0].copy()
-        colq = v[:, 1].copy()
-        v[:, 0] = c * colp - (s * phc) * colq
-        v[:, 1] = s * colp + (c * phc) * colq
-    return np.diag(a).real.copy(), v
+        a[:, 0], a[:, 1] = _rotated(a[:, 0], a[:, 1], c, s, phc)
+        a[0, :], a[1, :] = _rotated(a[0, :], a[1, :], c, s, ph)
+        v[:, 0], v[:, 1] = _rotated(v[:, 0], v[:, 1], c, s, phc)
+    eigenvalues = np.diag(a).real
+    order = np.argsort(eigenvalues, kind="stable")
+    return eigenvalues[order], v[:, order]
 
 
 def eigendecompose(h):
     """Eigendecomposition of a Hermitian matrix.
 
-    Deterministic: eigenvalues sorted ascending, each eigenvector rephased
-    so its largest-magnitude component is real and positive.
+    Deterministic: eigenvalues ascending, as LAPACK and ``_rotate_small``
+    return them, and each eigenvector rephased so its largest-magnitude
+    component is real and positive.
 
     Raises
     ------
@@ -122,10 +123,6 @@ def eigendecompose(h):
         # less accurate on it
         eigenvalues, vectors = np.linalg.eigh(h.real)
         vectors = vectors.astype(np.complex128)
-
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vectors = vectors[:, order]
 
     # phase convention: largest-magnitude component real positive.  Each
     # column's phase divides by hypot, the exact |.| of a complex scalar:

@@ -73,6 +73,18 @@ class ModelSpec:
         return self.n_bath + 1
 
     @property
+    def norm_bound(self):
+        """An upper bound on ||H||_inf, the largest absolute row sum of
+        ``build_hamiltonian(self)``, from the fields without building H; by
+        Gershgorin it bounds every |alpha_k|.  inf if a sum overflows."""
+        with np.errstate(over="ignore"):
+            rows = self.bath_frequencies + np.abs(self.couplings)
+            if self.bath_bath is not None:
+                rows += np.abs(self.bath_bath).sum(axis=1)
+            system = abs(self.omega + self.self_shift) + np.abs(self.couplings).sum()
+            return float(max(system, rows.max(initial=0.0)))
+
+    @property
     def level_spacing(self):
         """Smallest positive gap between bath frequencies, 0 if there is none."""
         # sort, not np.unique: unique's masked-array check imports numpy.ma

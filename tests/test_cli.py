@@ -736,6 +736,28 @@ class TestErrorPaths:
         if bad.startswith("omega_"):
             assert err.startswith("config error: bath.spectrum needs a finite")
 
+    @pytest.mark.parametrize("command", ["amplitudes", "master", "langevin", "golden",
+                                         "validate"])
+    @pytest.mark.parametrize("section, key, value, product", [
+        ("coupling", "gs", [1e200], "5e+200"),
+        ("system", "omega", 1e20, "5e+20"),
+        ("system", "omega", 1e308, "inf"),
+    ], ids=["gs 1e200", "omega 1e20", "omega 1e308"])
+    def test_phases_beyond_rounding(self, tmp_path, capsys, recwarn, command, section, key,
+                                    value, product):
+        # once exit 0 (validate 1) with up to 19 numpy warning lines, or, at
+        # omega 1e20, silently with |alpha| t up to 5e20, past 2**53
+        with open(TWO_OSC) as fh:
+            doc = json.load(fh)
+        (doc["system"] if section == "system" else doc["bath"][section])[key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: ||H||_inf * t_max = {product} is not below 2**52: the phases "
+            "exp(-i alpha t) would be lost to rounding"]
+        assert not recwarn.list
+
     def test_noise_covariance_overflow(self, tmp_path, capsys):
         # at M Omega = 1.2e-308, (2 max_m N_m + 1) / (2 M Omega) is 4.2e307
         # for an empty bath mode, below the max / 4 bound, and 4.6e308 for 5

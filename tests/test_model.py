@@ -207,6 +207,25 @@ def test_level_spacing_matches_unique(freqs):
     assert np.float64(spacing).tobytes() == np.float64(expected).tobytes()
 
 
+@pytest.mark.parametrize("bath_bath", [None, np.array([[0.3, 0.1j, 0.0],
+                                                       [-0.1j, -0.2, 0.05],
+                                                       [0.0, 0.05, 0.0]])],
+                         ids=["arrowhead", "bath_bath"])
+def test_norm_bound(bath_bath):
+    # the largest row sum of |H| for an arrowhead H, and above it here,
+    # where bath_bath's diagonal lowers H's
+    spec = ModelSpec(omega=1.0, bath_frequencies=np.array([0.5, 1.5, 2.0]),
+                     couplings=np.array([0.1 + 0.2j, -0.3, 0.0]), self_shift=-0.05,
+                     bath_bath=bath_bath)
+    h = build_hamiltonian(spec)
+    row_sums = np.abs(h).sum(axis=1)
+    if bath_bath is None:
+        assert spec.norm_bound == pytest.approx(row_sums.max(), rel=1e-15)
+    else:
+        assert spec.norm_bound > row_sums.max()
+    assert np.abs(ob.eigendecompose(h).eigenvalues).max() <= spec.norm_bound
+
+
 class TestConfig:
     def test_roundtrip_identical_matrix(self, tmp_path):
         # the linear grid's frequencies written out as an explicit spectrum
@@ -451,6 +470,21 @@ class TestConfig:
         })
         with pytest.raises(ConfigError, match=fragment):
             dataclasses.replace(cfg, fit_window=window)
+
+    def test_phase_bound_on_every_t_max(self):
+        # ||H||_inf = 1.1, so 2**52 / 1.1 = 4.09e15 is the largest t_max, and
+        # replace() checks a t_max override as load_config checks the file
+        cfg = parse_config({
+            "system": {"omega": 1.0},
+            "bath": {"n": 1, "spectrum": {"type": "explicit", "omegas": [1.0]},
+                     "coupling": {"type": "explicit", "gs": [0.1]}},
+            "initial": {"type": "explicit", "occupations": [1.0, 0.0]},
+            "time": {"t_max": 10.0, "dt": 0.5},
+        })
+        assert dataclasses.replace(cfg, t_max=4.09e15).t_max == 4.09e15
+        with pytest.raises(ConfigError, match=r"^\|\|H\|\|_inf \* t_max = 4\.51e\+15 is not "
+                                              r"below 2\*\*52: "):
+            dataclasses.replace(cfg, t_max=4.1e15)
 
     def test_fit_window_holds_two_grid_points(self):
         cfg = parse_config({

@@ -121,7 +121,13 @@ def test_resonant_two_mode_closed_forms(omega, g, fractions):
 # the largest error of the dim-2 amplitudes against their closed forms, in
 # units of eps (1 + max|alpha| t), was 3.3 over 6,000 random parameter sets
 # with t <= 100 or t <= 1000 (numpy 2.4, OpenBLAS 0.3.31): it does not grow
-# with t beyond that unit
+# with t beyond that unit.  The largest error of W, in units of
+# eps (1 + max|alpha| t) (max|alpha| + |W00|) / |2p - 1|, was 1.8 over 12,000
+# random sets of 8 times each, up to t = 10, 100 or 1000, and did not grow
+# with t or as |2p - 1| fell to 1e-5.  Without the (1 + max|alpha| t) factor
+# it grew with t (24 units at t <= 10, 1,800 at t <= 1000).  Without the
+# |W00| term, which carries the rounding of P through 1 / (2p - 1), it grew
+# as |2p - 1| fell (1,300 units below |2p - 1| = 1e-4)
 DETUNED_C = 8.0
 
 
@@ -134,8 +140,11 @@ def test_detuned_two_mode_closed_forms(omega, omega_1, g_abs, phase, v_self, res
     # delta = (Omega' - omega_1) / 2 and R = sqrt(delta^2 + |g|^2):
     # A00 = e^{-i Sigma t} (cos Rt - i (delta / R) sin Rt),
     # |A00|^2 = 1 - (|g| / R)^2 sin^2 Rt and A01 = -i (g / R) e^{-i Sigma t} sin Rt,
-    # the amplitude from the system into the bath mode.  Rounding of the phases alpha t
-    # grows with t, hence the unit eps (1 + max|alpha| t)
+    # the amplitude from the system into the bath mode, and
+    # W = pdot / (2p - 1) [[1, -1], [-1, 1]] with p = |A00|^2 and
+    # pdot = -(|g|^2 / R) sin 2Rt, at every time not flagged singular.
+    # Rounding of the phases alpha t grows with t, hence the unit
+    # eps (1 + max|alpha| t)
     if resonant:
         omega_1 = omega + v_self
     g = g_abs * np.exp(2j * np.pi * phase)
@@ -148,9 +157,15 @@ def test_detuned_two_mode_closed_forms(omega, omega_1, g_abs, phase, v_self, res
     a00 = np.exp(-1j * sigma * times) * (np.cos(r * times) - 1j * (delta / r) * np.sin(r * times))
     p00 = 1 - (g_abs / r) ** 2 * np.sin(r * times) ** 2
     a01 = -1j * (g / r) * np.exp(-1j * sigma * times) * np.sin(r * times)
-    tol = DETUNED_C * np.finfo(float).eps * (1 + np.abs(sd.eigenvalues).max() * times)
-    (blk,) = time_blocks(sd, times, rows=0)
+    w00 = -(g_abs ** 2 / r) * np.sin(2 * r * times) / (2 * p00 - 1)
+    alpha_max = np.abs(sd.eigenvalues).max()
+    tol = DETUNED_C * np.finfo(float).eps * (1 + alpha_max * times)
+    (blk,) = time_blocks(sd, times)
     assert np.all(np.abs(survival_series(sd, times)[0] - a00) <= tol)
     assert np.all(np.abs(blk.a[:, 0, 0] - a00) <= tol)
     assert np.all(np.abs(blk.p[:, 0, 0] - p00) <= tol)
     assert np.all(np.abs(blk.a[:, 0, 1] - a01) <= tol)
+    ok = ~blk.singular
+    w_err = np.abs(blk.w - w00[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    w_tol = tol * (alpha_max + np.abs(w00)) / np.abs(2 * p00 - 1)
+    assert np.all(w_err.max(axis=(-2, -1))[ok] <= w_tol[ok])
