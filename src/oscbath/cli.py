@@ -22,7 +22,9 @@ Exit codes: 0 success, 1 validation failure, 2 config or I/O error
 (including a time grid or fit window that is not usable) or running out of
 memory, 3 numerical failure (LAPACK eigensolver non-convergence, a survival
 amplitude too small to fit, a numpy BLAS without the LAPACK routines of
-the W solve).
+the W solve, a floating-point overflow, invalid operation or division by
+zero: each command runs under ``np.errstate`` set to raise, outside the
+few local blocks where a nan or inf is documented output).
 """
 
 import argparse
@@ -198,11 +200,12 @@ def main(argv=None):
             # replace() re-runs RunConfig's time-grid, phase and fit-window checks
             cfg = dataclasses.replace(cfg, **overrides)
             os.makedirs(args.out, exist_ok=True)
-            sd = eigendecompose(model.build_hamiltonian(cfg.spec))
-            return args.handler(cfg, sd, args.out)
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                sd = eigendecompose(model.build_hamiltonian(cfg.spec))
+                return args.handler(cfg, sd, args.out)
     except ConfigError as exc:
         message, code = f"config error: {exc}", 2
-    except (np.linalg.LinAlgError, NumericalError) as exc:
+    except (np.linalg.LinAlgError, NumericalError, FloatingPointError) as exc:
         message, code = f"numerical failure: {exc}", 3
     except OSError as exc:
         message, code = f"i/o error: {exc}", 2

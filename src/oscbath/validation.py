@@ -111,32 +111,58 @@ def run_suite(cfg, sd):
 
 
 def two_mode_oracle():
-    """Closed-form resonant two-oscillator reference (g = 0.1, Omega = 1).
+    """Closed-form two-oscillator references, Omega = 1 and g = 0.1, each
+    reduced block by block as ``master.time_blocks`` yields it.
 
+    Resonant (omega_1 = 1), at 40 times in [0.05, 0.9 pi / (4g)]:
     A00 = exp(-it) cos(gt), W = g tan(2gt) [[-1, 1], [1, -1]],
     Gamma = 2 g tan(gt), Omega2 = Omega^2 + g^2 + 2 g^2 tan(gt)^2.
+    Detuned (omega_1 = 1.3), at 40 times in [0.05, 2 pi / R], with
+    Sigma = (Omega + omega_1) / 2, delta = (Omega - omega_1) / 2 and
+    R = sqrt(delta^2 + g^2): A00 = exp(-i Sigma t)(cos Rt - i (delta/R) sin Rt),
+    W = pdot / (2p - 1) [[1, -1], [-1, 1]] with p = 1 - (g/R)^2 sin^2 Rt and
+    pdot = -(g^2/R) sin 2Rt.  delta^2 > g^2 keeps |2p - 1| >= 0.386, so no
+    time is singular.  A nan error stays nan, so it fails its row.
     """
     g = 0.1
-    spec = model.ModelSpec(omega=1.0, bath_frequencies=np.array([1.0]),
-                           couplings=np.array([g]))
-    sd = eigendecompose(model.build_hamiltonian(spec))
-    times = np.linspace(0.05, 0.9 * np.pi / (4 * g), 40)
-    a00, w = [], []
-    for blk in master.time_blocks(sd, times):
-        a00.append(blk.a[:, 0, 0].copy())  # the engine reuses blk.a
-        w.append(blk.w)
-    a00, w = np.concatenate(a00), np.concatenate(w)
-    worst_a = np.abs(a00 - np.exp(-1j * times) * np.cos(g * times)).max()
-    w_exact = (g * np.tan(2 * g * times))[:, None, None] * np.array([[-1.0, 1.0],
-                                                                     [1.0, -1.0]])
-    worst_w = np.abs(w - w_exact).max()
-    series = langevin.langevin_series(sd, times)
-    tan = np.tan(g * times)
-    worst_lang = np.abs(np.concatenate([
-        series.gamma - 2 * g * tan,
-        series.omega_sq - (1.0 + g ** 2 + 2 * g ** 2 * tan ** 2)])).max()
-    return [
-        ("two-mode survival closed form", worst_a, 1e-12),
-        ("two-mode W closed form", worst_w, 1e-8),
-        ("two-mode Langevin closed form", worst_lang, 1e-8),
-    ]
+    sigma, delta = (1.0 + 1.3) / 2, (1.0 - 1.3) / 2
+    r = np.sqrt(delta ** 2 + g ** 2)
+
+    def detuned(t):
+        sin = np.sin(r * t)
+        p = 1 - (g / r) ** 2 * sin ** 2
+        return (np.exp(-1j * sigma * t) * (np.cos(r * t) - 1j * (delta / r) * sin),
+                -(g ** 2 / r) * np.sin(2 * r * t) / (2 * p - 1))
+
+    def resonant_langevin(t):
+        tan = np.tan(g * t)
+        return 2 * g * tan, 1.0 + g ** 2 + 2 * g ** 2 * tan ** 2
+
+    # (row label, omega_1, last time, (A00, W00) closed form, (Gamma, Omega2) or None)
+    cases = (
+        ("two-mode", 1.0, 0.9 * np.pi / (4 * g),
+         lambda t: (np.exp(-1j * t) * np.cos(g * t), -g * np.tan(2 * g * t)),
+         resonant_langevin),
+        ("detuned", 1.3, 2 * np.pi / r, detuned, None),
+    )
+    rows = []
+    for label, omega_1, t_end, closed_form, langevin_form in cases:
+        spec = model.ModelSpec(omega=1.0, bath_frequencies=np.array([omega_1]),
+                               couplings=np.array([g]))
+        sd = eigendecompose(model.build_hamiltonian(spec))
+        times = np.linspace(0.05, t_end, 40)
+        worst_a = worst_w = 0.0
+        for blk in master.time_blocks(sd, times):
+            a00, w00 = closed_form(blk.times)
+            w_exact = w00[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+            worst_a = np.maximum(worst_a, np.abs(blk.a[:, 0, 0] - a00).max())
+            worst_w = np.maximum(worst_w, np.abs(blk.w - w_exact).max())
+        rows += [(f"{label} survival closed form", worst_a, 1e-12),
+                 (f"{label} W closed form", worst_w, 1e-8)]
+        if langevin_form is not None:
+            series = langevin.langevin_series(sd, times)
+            gamma, omega_sq = langevin_form(times)
+            worst_lang = np.maximum(np.abs(series.gamma - gamma).max(),
+                                    np.abs(series.omega_sq - omega_sq).max())
+            rows.append((f"{label} Langevin closed form", worst_lang, 1e-8))
+    return rows

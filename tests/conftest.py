@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oscbath as ob
+from oscbath.master import DEFAULT_CONDITION_CAP, TimeBlock, time_blocks
 
 TWO_OSC_G = 0.1
 
@@ -12,6 +15,27 @@ def linear_bath(n, omega_min, omega_max, omega, g, **fields):
     coupled with ``g``; ``fields`` are further ``ModelSpec`` fields."""
     return ob.ModelSpec(omega=omega, bath_frequencies=np.linspace(omega_min, omega_max, n),
                         couplings=np.full(n, g, dtype=np.complex128), **fields)
+
+
+def uncoupled_sd(omega=1.0, bath=0.5):
+    """The decomposition of a system at ``omega`` and one bath mode at
+    ``bath``, with no coupling between them."""
+    spec = ob.ModelSpec(omega=omega, bath_frequencies=np.array([bath]),
+                        couplings=np.zeros(1))
+    return ob.eigendecompose(ob.build_hamiltonian(spec))
+
+
+def grid(sd, times, rows=None, condition_cap=DEFAULT_CONDITION_CAP):
+    """One TimeBlock over ``times`` (a grid or one time), joined from the
+    engine's blocks, with the leading ``rows`` rows of Pdot and W (all if
+    None; for 0, ``w``, ``condition`` and ``singular`` are None).  Each
+    block is copied before the next is drawn, which reuses the arrays of
+    ``a`` and ``p``."""
+    blocks = [dataclasses.replace(b, a=b.a.copy(), p=b.p.copy())
+              for b in time_blocks(sd, np.atleast_1d(times), rows, condition_cap)]
+    return TimeBlock(*(None if getattr(blocks[0], f.name) is None
+                       else np.concatenate([getattr(b, f.name) for b in blocks])
+                       for f in dataclasses.fields(TimeBlock)))
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oscbath as ob
+from conftest import grid
 from oscbath.amplitudes import BLOCK_ENTRIES, survival_series, system_row_series
 from oscbath.master import time_blocks
 
@@ -12,25 +13,16 @@ EPS = np.finfo(np.float64).eps
 SHIPPED_SDS = ["two_osc_sd", "bath51_sd", "bath201_sd"]
 
 
-def dense(sd, times, rows=None):
-    """A, P and Pdot over ``times`` from ``time_blocks``, joined from its
-    blocks; each block's ``a`` and ``p`` are copied before the next is
-    drawn, which reuses their arrays."""
-    blocks = [(b.a.copy(), b.p.copy(), b.pdot)
-              for b in time_blocks(sd, np.atleast_1d(times), rows)]
-    return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
-
-
 class TestAmplitudesAt:
     """The dense A and Pdot of ``time_blocks``."""
 
     def test_t_zero_series(self, two_osc_sd, two_osc_spec, bath51_sd):
         h = ob.build_hamiltonian(two_osc_spec)
-        a = dense(two_osc_sd, 0.0)[0]
+        a = grid(two_osc_sd, 0.0).a
         assert np.abs(a[0] - np.eye(2)).max() <= 1e-15
         for sd in (two_osc_sd, bath51_sd):
             # |A_nm|^2 has a double zero off the diagonal
-            pdot = dense(sd, 0.0)[2][0]
+            pdot = grid(sd, 0.0).pdot[0]
             assert np.abs(pdot - np.diag(np.diag(pdot))).max() <= 1e-15
         _, adot00, addot00 = survival_series(two_osc_sd, [0.0])
         assert abs(adot00[0] - (-1j) * h[0, 0]) <= 1e-15
@@ -41,19 +33,19 @@ class TestAmplitudesAt:
                             couplings=np.zeros(2))
         sd = ob.eigendecompose(ob.build_hamiltonian(spec))
         t = 2.7
-        a = dense(sd, t)[0]
+        a = grid(sd, t).a
         expected = np.diag(np.exp(-1j * np.array([1.0, 0.5, 1.5]) * t))
         assert np.abs(a[0] - expected).max() <= 1e-14
 
     def test_resonant_closed_form(self, two_osc_sd):
         times = np.array([0.3, 1.7, 4.0])
-        a = dense(two_osc_sd, times)[0]
+        a = grid(two_osc_sd, times).a
         phase = np.exp(-1j * times)
         assert np.abs(a[:, 0, 0] - phase * np.cos(G * times)).max() <= 1e-12
         assert np.abs(a[:, 0, 1] - (-1j) * phase * np.sin(G * times)).max() <= 1e-12
 
     def test_unitarity_and_bound(self, bath51_sd):
-        a = dense(bath51_sd, [0.0, 1.0, 10.0, 50.0])[0]
+        a = grid(bath51_sd, [0.0, 1.0, 10.0, 50.0]).a
         gram = a @ a.conj().swapaxes(-1, -2)
         assert np.abs(gram - np.eye(bath51_sd.dim)).max() <= 1e-10
         assert np.abs(a).max() <= 1 + 1e-12
@@ -61,34 +53,35 @@ class TestAmplitudesAt:
     def test_derivative_finite_difference(self, bath51_sd):
         # Pdot is formed from the analytic Adot; P's central difference checks both
         t, step = 3.0, 1e-5
-        _, p, _ = dense(bath51_sd, [t - step, t + step])
-        pdot = dense(bath51_sd, t)[2]
+        p = grid(bath51_sd, [t - step, t + step]).p
+        pdot = grid(bath51_sd, t).pdot
         assert np.abs(pdot[0] - (p[1] - p[0]) / (2 * step)).max() <= 1e-6
 
     def test_stacked_equals_single_times(self, bath51_sd):
         # the stacked products must give the bytes of one time at a time
         times = np.linspace(0, 40, 7)
-        stacked = dense(bath51_sd, times)
-        assert [x.shape for x in stacked] == [(7, 52, 52)] * 3
+        stacked = grid(bath51_sd, times)
+        fields = ("a", "p", "pdot")
+        assert [getattr(stacked, f).shape for f in fields] == [(7, 52, 52)] * 3
         for i, t in enumerate(times):
-            for x, x_t in zip(stacked, dense(bath51_sd, t)):
-                assert np.array_equal(x[i], x_t[0])
+            one = grid(bath51_sd, t)
+            for f in fields:
+                assert np.array_equal(getattr(stacked, f)[i], getattr(one, f)[0])
 
     @pytest.mark.parametrize("rows", [0, 1, 5, 52])
     def test_adot_rows_match_full(self, bath51_sd, bath201_sd, rows):
         # only the leading rows of Adot and Pdot are formed; A and P stay whole
         for sd in (bath51_sd, bath201_sd):
             times = np.array([0.0, 3.0, 40.0])
-            a, p, pdot = dense(sd, times)
-            a_r, p_r, pdot_r = dense(sd, times, rows)
-            assert np.array_equal(a_r, a) and np.array_equal(p_r, p)
-            assert pdot_r.shape == (3, rows, sd.dim)
-            assert np.abs(pdot_r - pdot[:, :rows]).max(initial=0.0) <= 1e-15
+            full, part = grid(sd, times), grid(sd, times, rows)
+            assert np.array_equal(part.a, full.a) and np.array_equal(part.p, full.p)
+            assert part.pdot.shape == (3, rows, sd.dim)
+            assert np.abs(part.pdot - full.pdot[:, :rows]).max(initial=0.0) <= 1e-15
 
     def test_group_property(self, bath51_sd):
         rng = np.random.default_rng(11)
         for t1, t2 in rng.uniform(0, 10, size=(4, 2)):
-            a1, a2, a12 = dense(bath51_sd, [t1, t2, t1 + t2], rows=0)[0]
+            a1, a2, a12 = grid(bath51_sd, [t1, t2, t1 + t2], rows=0).a
             # A[n, m](t) = <m|e^{-iht}|n>  =>  matrices compose transposed
             assert np.abs(a12 - (a2.T @ a1.T).T).max() <= 1e-9
 
@@ -117,16 +110,16 @@ class TestSurvival:
         sd = request.getfixturevalue(sd)
         times = np.linspace(0, 100, 41)
         a00 = survival_series(sd, times)[0]
-        assert np.abs(a00 - dense(sd, times, rows=0)[0][:, 0, 0]).max() <= sd.dim * EPS
+        assert np.abs(a00 - grid(sd, times, rows=0).a[:, 0, 0]).max() <= sd.dim * EPS
         assert np.abs(a00).max() <= 1 + 1e-12
 
     def test_series_matches_pointwise(self, bath51_sd):
         times = np.linspace(0, 20, 9)
         a00, adot00, addot00 = survival_series(bath51_sd, times)
-        a, _, pdot = dense(bath51_sd, times)
-        assert np.abs(a00 - a[:, 0, 0]).max() <= 1e-13
+        blk = grid(bath51_sd, times)
+        assert np.abs(a00 - blk.a[:, 0, 0]).max() <= 1e-13
         # d|A00|^2/dt from the series is the engine's Pdot[0, 0]
-        assert np.abs(2.0 * (a00.conj() * adot00).real - pdot[:, 0, 0]).max() <= 1e-12
+        assert np.abs(2.0 * (a00.conj() * adot00).real - blk.pdot[:, 0, 0]).max() <= 1e-12
         # each derivative against a central difference of the one below it
         step = 1e-5
         plus, minus = survival_series(bath51_sd, times + step), survival_series(
@@ -148,7 +141,7 @@ class TestSurvival:
         sd = request.getfixturevalue(sd)
         times = np.linspace(0, 100, 41)
         rows = system_row_series(sd, times)
-        assert np.abs(rows - dense(sd, times, rows=0)[0][:, 0, :]).max() <= sd.dim * EPS
+        assert np.abs(rows - grid(sd, times, rows=0).a[:, 0, :]).max() <= sd.dim * EPS
 
 
 def test_survival_memory_is_one_block(bath201_sd):

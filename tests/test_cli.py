@@ -73,6 +73,16 @@ def write_huge_bath_config(tmp_path):
     return str(path)
 
 
+def write_tiny_grid_config(tmp_path):
+    """linear_bath_n51.json on a grid to t_max = 1e-190: golden's fit window
+    is so narrow that np.polyfit's column scale underflows to 0."""
+    doc = json.loads(open(N51).read())
+    doc["time"] = {"t_max": 1e-190, "dt": 1e-191}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def run_python(*args, **kwargs):
     """``python *args`` in a new process that imports this tree's package."""
     src = os.path.dirname(os.path.dirname(oscbath.cli.__file__))
@@ -606,9 +616,30 @@ class TestValidateCommand:
         ((value, ok),) = [(value, ok) for label, value, _, ok in rows if label == row]
         assert np.isnan(value) and not ok
 
+    def test_oracle_reduces_block_by_block(self, monkeypatch):
+        # the oracle's rows do not depend on how its 40 times are cut into
+        # blocks, and a nan at any block fails the survival and W rows
+        whole = oscbath.validation.two_mode_oracle()
+        monkeypatch.setattr(oscbath.amplitudes, "BLOCK_ENTRIES", 4 * 7)
+        assert oscbath.validation.two_mode_oracle() == whole
+        time_blocks = oscbath.master.time_blocks
+
+        def nan_in_the_third_block(*args, **kwargs):
+            for k, blk in enumerate(time_blocks(*args, **kwargs)):
+                if k == 2:
+                    blk.a[-1, 0, 0] = blk.w[0, 0, 0] = np.nan
+                yield blk
+
+        monkeypatch.setattr(oscbath.master, "time_blocks", nan_in_the_third_block)
+        rows = oscbath.validation.two_mode_oracle()
+        assert [name for name, value, _ in rows if np.isnan(value)] == [
+            "two-mode survival closed form", "two-mode W closed form",
+            "detuned survival closed form", "detuned W closed form"]
+
     def test_one_eigensolve_per_model(self, tmp_path, monkeypatch):
         # the configured model is decomposed once and the suite reuses it;
-        # the second call is the two-mode oracle's own model
+        # the second and third calls are the two-mode oracle's resonant and
+        # detuned models
         dims = []
         for module in (oscbath.cli, oscbath.validation):
             def counted(h, solve=module.eigendecompose):
@@ -616,7 +647,7 @@ class TestValidateCommand:
                 return solve(h)
             monkeypatch.setattr(module, "eigendecompose", counted)
         assert main(["validate", "--config", N51, "--out", str(tmp_path)]) == 0
-        assert dims == [52, 2]
+        assert dims == [52, 2, 2]
 
 
 class TestErrorPaths:
@@ -758,6 +789,27 @@ class TestErrorPaths:
             "exp(-i alpha t) would be lost to rounding"]
         assert not recwarn.list
 
+    @pytest.mark.parametrize("command, code", [
+        ("amplitudes", 3), ("master", 0), ("langevin", 3), ("golden", 3), ("validate", 3)])
+    def test_floating_point_overflow(self, tmp_path, capsys, recwarn, command, code):
+        # ||H||_inf * t_max = 5e10 passes the 2**52 rule, but alpha**2 of the
+        # d2A00 weights overflows: once exit 0 (validate 1, golden 3) with 4
+        # to 8 numpy warning lines.  master's outputs stay finite
+        with open(TWO_OSC) as fh:
+            doc = json.load(fh)
+        doc["bath"]["coupling"]["gs"] = [1e200]
+        doc["time"] = {"t_max": 1e-190, "dt": 1e-191}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code:
+            assert len(err) == 1 and err[0].startswith(
+                "numerical failure: overflow encountered in ")
+        else:
+            assert err == []
+        assert not recwarn.list
+
     def test_noise_covariance_overflow(self, tmp_path, capsys):
         # at M Omega = 1.2e-308, (2 max_m N_m + 1) / (2 M Omega) is 4.2e307
         # for an empty bath mode, below the max / 4 bound, and 4.6e308 for 5
@@ -887,8 +939,10 @@ class TestErrorPaths:
     (2, lambda tmp: ["master", "--config", TWO_OSC, "--window", "1,2"]),
     (3, lambda tmp: ["golden", "--config", TWO_OSC, *UNDERFLOW_FLAGS]),
     (2, lambda tmp: ["master", "--config", write_huge_bath_config(tmp)]),
+    # once six LAPACK DLASCL lines on stdout and four numpy warning lines
+    (3, lambda tmp: ["golden", "--config", write_tiny_grid_config(tmp)]),
 ], ids=["validate passes", "validate fails", "missing config", "usage error",
-        "survival underflow", "out of memory"])
+        "survival underflow", "out of memory", "fit window below rounding"])
 def test_exit_code_of_the_process(tmp_path, code, argv):
     # the exit status and stderr a shell sees, interpreter start-up included;
     # a validation failure reports on stdout, every error in one stderr line.
@@ -898,6 +952,7 @@ def test_exit_code_of_the_process(tmp_path, code, argv):
     assert proc.returncode == code
     assert len(proc.stderr.splitlines()) == (code >= 2), proc.stderr
     assert ("FAIL" in proc.stdout) == (code == 1)
+    assert (proc.stdout == "") == (code >= 2), proc.stdout
 
 
 class TestGoldenFiles:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oscbath as ob
+from conftest import uncoupled_sd
 from oscbath.amplitudes import survival_series
 from oscbath.langevin import (AMPLITUDE_NODE_TOL, WRONSKIAN_TOL, langevin_residual,
                               langevin_series, noise_covariance_grid)
@@ -13,15 +14,9 @@ G = 0.1
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
-def uncoupled_sd(omega=1.3):
-    spec = ob.ModelSpec(omega=omega, bath_frequencies=np.array([0.5]),
-                        couplings=np.zeros(1))
-    return ob.eigendecompose(ob.build_hamiltonian(spec))
-
-
 class TestCoefficients:
     def test_uncoupled(self):
-        series = langevin_series(uncoupled_sd(), [0.5, 2.0, 11.0])
+        series = langevin_series(uncoupled_sd(omega=1.3), [0.5, 2.0, 11.0])
         assert not series.singular.any()
         assert np.abs(series.omega_sq - 1.3 ** 2).max() <= 1e-12
         assert np.abs(series.gamma).max() <= 1e-12
@@ -62,7 +57,7 @@ def residual(sd, times):
 
 class TestResidual:
     def test_uncoupled_zero(self):
-        res = residual(uncoupled_sd(), np.linspace(0.5, 10, 20))
+        res = residual(uncoupled_sd(omega=1.3), np.linspace(0.5, 10, 20))
         assert np.nanmax(res) <= 1e-12
 
     def test_two_oscillator(self, two_osc_sd):
@@ -82,7 +77,7 @@ class TestResidual:
 
 class TestNoiseCovariance:
     def test_uncoupled_zero(self):
-        sd = uncoupled_sd()
+        sd = uncoupled_sd(omega=1.3)
         spec = ob.ModelSpec(omega=1.3, bath_frequencies=np.array([0.5]),
                             couplings=np.zeros(1))
         cov = noise_covariance_grid(sd, [2.0, 3.0], [1.0, 0.7], spec)

@@ -9,6 +9,7 @@ import scipy.linalg
 
 import oscbath as ob
 import oscbath.cli
+from conftest import grid, uncoupled_sd
 from oscbath.amplitudes import BLOCK_ENTRIES
 from oscbath.master import DEFAULT_CONDITION_CAP, TimeBlock, master_residual, time_blocks
 from oscbath.validation import grid_invariants
@@ -18,17 +19,6 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 N51 = os.path.join(CONFIG_DIR, "linear_bath_n51.json")
 N201 = os.path.join(CONFIG_DIR, "linear_bath_n201.json")
 MIB = 2 ** 20
-
-
-def grid(sd, times, rows=None, condition_cap=DEFAULT_CONDITION_CAP):
-    """One TimeBlock over the whole grid, joined from the engine's blocks,
-    with the leading ``rows`` rows of Pdot and W (all if None, at least
-    one).  Each block is copied before the next is drawn, which reuses the
-    arrays of ``a`` and ``p``."""
-    blocks = [dataclasses.replace(b, a=b.a.copy(), p=b.p.copy())
-              for b in time_blocks(sd, times, rows, condition_cap)]
-    return TimeBlock(*(np.concatenate([getattr(b, f.name) for b in blocks])
-                       for f in dataclasses.fields(TimeBlock)))
 
 
 def traced_peak(run):
@@ -41,12 +31,6 @@ def traced_peak(run):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def uncoupled_sd(bath=0.5):
-    spec = ob.ModelSpec(omega=1.0, bath_frequencies=np.array([bath]),
-                        couplings=np.zeros(1))
-    return ob.eigendecompose(ob.build_hamiltonian(spec))
 
 
 class TestTimeBlocks:
@@ -267,7 +251,7 @@ class TestEvolvePopulations:
         assert np.abs(occ[:, 0] - np.cos(G * times) ** 2).max() <= 1e-12
 
     def test_uncoupled_constant(self):
-        occ = grid(uncoupled_sd(0.7), [0, 2, 9]).p @ [0.3, 1.2]
+        occ = grid(uncoupled_sd(bath=0.7), [0, 2, 9]).p @ [0.3, 1.2]
         assert np.abs(occ - [0.3, 1.2]).max() <= 1e-13
 
     def test_conservation(self, bath51_sd, bath51_spec):
