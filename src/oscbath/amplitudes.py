@@ -7,8 +7,8 @@ propagator matrix elements are
 
 (the amplitude to reach state m at time t starting from state n), and each
 time derivative carries an extra factor (-i alpha_k).  This module gives
-the survival entry A[0, 0] with its first two derivatives as scalar sums
-(``survival_series``) and the system's row A[0, :] (``system_row_series``);
+the survival entry A[0, 0] as scalar sums, its derivatives only on request
+(``survival_series``), and the system's row A[0, :] (``system_row_series``);
 the dense A, P, Pdot and W come from the one engine ``master.time_blocks``.
 Everything is closed-form in t; derivatives are never computed by
 differencing.
@@ -34,30 +34,32 @@ def block_slices(count, entries_per_time):
     return (slice(start, start + step) for start in range(0, count, step))
 
 
-def survival_series(sd, times):
-    """(A00, dA00, d2A00) over a time grid, as three complex arrays.
+def survival_series(sd, times, derivatives=0):
+    """A00 and its first ``derivatives`` (0, 1 or 2) time derivatives over a
+    time grid: the rows of one complex (derivatives + 1, len(times)) array.
 
-    Scalar spectral sums over the weights |U[0, k]|^2.  The (times, dim)
-    phase matrix is formed one block of ``block_slices(len(times), dim)``
-    at a time, so beyond the three outputs memory stays one block however
-    long the grid is; each time's sums do not depend on the block length.
+    Scalar spectral sums over the weights |U[0, k]|^2, a derivative's formed
+    only when asked for.  The (times, dim) phase matrix is formed one block
+    of ``block_slices(len(times), dim)`` at a time, so beyond the output
+    memory stays one block; each time's sums do not depend on the block.
     """
     times = np.asarray(times, dtype=np.float64).ravel()
     alpha = sd.eigenvalues
-    weights = np.abs(sd.vectors[0, :]) ** 2
-    weights_dot = -1j * alpha * weights
-    weights_ddot = -(alpha ** 2) * weights
-    a, adot, addot = (np.empty(len(times), dtype=np.complex128) for _ in range(3))
+    weights = [np.abs(sd.vectors[0, :]) ** 2]
+    if derivatives >= 1:
+        weights.append(-1j * alpha * weights[0])
+    if derivatives == 2:
+        weights.append(-(alpha ** 2) * weights[0])
+    sums = np.empty((len(weights), len(times)), dtype=np.complex128)
     for s in block_slices(len(times), sd.dim):
         t = times[s]
         # numpy forms a one-row matrix-vector product as a dot product, which
         # rounds differently from a row of a longer block: a lone time is
         # repeated, so every time takes the matrix-vector path
         phases = np.exp(-1j * np.outer(np.resize(t, max(2, len(t))), alpha))
-        a[s] = (phases @ weights)[:len(t)]
-        adot[s] = (phases @ weights_dot)[:len(t)]
-        addot[s] = (phases @ weights_ddot)[:len(t)]
-    return a, adot, addot
+        for row, w in zip(sums, weights):
+            row[s] = (phases @ w)[:len(t)]
+    return sums
 
 
 def system_row_series(sd, times):

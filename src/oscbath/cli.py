@@ -70,7 +70,7 @@ def cmd_amplitudes(cfg, sd, out):
         for blk in master.time_blocks(sd, times, rows=0):
             csv.grid(blk.times, blk.a)
 
-    a00, _, _ = amplitudes.survival_series(sd, times)
+    a00 = amplitudes.survival_series(sd, times)[0]
     _write_csv(os.path.join(out, "survival.csv"), "t,re,im,abs",
                times, a00.real, a00.imag, np.hypot(a00.real, a00.imag))
     return 0
@@ -121,7 +121,7 @@ def _json_number(x):
 
 def cmd_golden(cfg, sd, out):
     window, times = cfg.fit_times()
-    a00, _, _ = amplitudes.survival_series(sd, times)
+    a00 = amplitudes.survival_series(sd, times)[0]
     fit = golden.fit_exponential(times, a00)
     pred = golden.perturbative_prediction(cfg.spec)
 

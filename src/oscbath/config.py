@@ -116,6 +116,9 @@ class RunConfig:
         if times.size < 2:
             raise ConfigError(f"fit window [{t1:g}, {t2:g}] holds fewer than "
                               f"2 points of the time grid [0, {grid[-1]:g}]")
+        if not np.any(times * times):  # np.polyfit scales its columns by sqrt(sum t^2)
+            raise ConfigError(f"fit window [{t1:g}, {t2:g}] is too close to t = 0: "
+                              "the square of each of its times underflows to 0")
         return (t1, t2), times
 
     def cov_times(self):

@@ -56,7 +56,7 @@ def langevin_series(sd, times):
     These real forms round exactly as the complex ratios with denominator
     A conj(Adot) - conj(A) Adot = 2i q, evaluated one time at a time with
     scalar complex arithmetic."""
-    a, adot, addot = survival_series(sd, times)
+    a, adot, addot = survival_series(sd, times, derivatives=2)
     q = _im_conj(a, adot)
     # hypot, not np.abs: it rounds as the scalar abs() of complex numbers
     mag = np.hypot(a.real, a.imag)

@@ -1,12 +1,12 @@
 """LU solves and condition estimates from the LAPACK that numpy itself loaded.
 
-numpy exposes no LU factors, so ``solve_right`` calls LAPACK's ``dgesv``
-and ``dgecon`` through ``ctypes`` in the OpenBLAS that numpy's ``linalg``
-extension links.  numpy's wheels export them with 64-bit integers as
-``scipy_dgesv_64_`` and ``scipy_dgecon_64_``.  The library is opened at the
-first call, not at import.  A numpy built against another BLAS lacks these
-names, and every call then raises ``NumericalError``: there is no second
-solver path.
+numpy exposes no LU factors, so ``solve_right`` calls LAPACK's ``dlange``,
+``dgesv`` and ``dgecon`` through ``ctypes`` in the OpenBLAS that numpy's
+``linalg`` extension links.  numpy's wheels export them with 64-bit
+integers as ``scipy_dlange_64_``, ``scipy_dgesv_64_`` and
+``scipy_dgecon_64_``.  The library is opened at the first call, not at
+import.  A numpy built against another BLAS lacks these names, and every
+call then raises ``NumericalError``: there is no second solver path.
 """
 
 import ctypes
@@ -21,6 +21,7 @@ _P, _C = ctypes.c_void_p, ctypes.c_char_p
 _SIGNATURES = {  # symbol stem: (argtypes, restype)
     "dgesv_64_": ((_P,) * 8, None),
     "dgecon_64_": ((_C,) + (_P,) * 8, None),
+    "dlange_64_": ((_C,) + (_P,) * 5, ctypes.c_double),
     "openblas_get_config64_": ((), _C),
     "openblas_get_num_threads64_": ((), ctypes.c_int),
 }
@@ -60,30 +61,28 @@ def _address(array):
     return array.__array_interface__["data"][0]
 
 
-def solve_right(a, b, anorm, lu):
+def solve_right(a, b, lu):
     """``x[k] = b[k] a[k]^{-1}`` for each k, and the 1-norm condition of
     each ``a[k]``.  Returns ``(x, condition)``.
 
     ``a`` is a C-ordered float64 stack (K, n, n) and ``b`` a real stack
-    (K, m, n); ``anorm`` holds the K 1-norms ||a[k]||_1, and ``lu`` is
-    C-ordered float64 scratch of at least n*n entries.  Each time makes one
-    ``dgesv`` of the Fortran-ordered a[k]^T, which factors it and solves
-    the rows, and one ``dgecon`` of the same factors.  The condition,
+    (K, m, n); ``lu`` is C-ordered float64 scratch of at least n*n entries.
+    Each time makes one ``dlange`` of ||a[k]||_1, the inf-norm of the
+    Fortran-ordered a[k]^T, one ``dgesv`` of a[k]^T, which factors it and
+    solves the rows, and one ``dgecon`` of the same factors.  The condition,
     1 / rcond, is ``dgecon``'s estimate of ||a[k]||_1 ||a[k]^{-1}||_1, a
     lower bound on it; it is inf where a[k] meets an exactly zero pivot,
     and x[k] is then b[k] as given.
     """
     routines = _routines()
-    gesv, gecon = routines["dgesv_64_"], routines["dgecon_64_"]
+    lange, gesv, gecon = (routines[stem] for stem in ("dlange_64_", "dgesv_64_", "dgecon_64_"))
     count, n = a.shape[:2]
     m = b.shape[-2]
-    anorm = np.ascontiguousarray(anorm, np.float64)
-    if (a.shape != (count, n, n) or b.shape != (count, m, n) or anorm.shape != (count,)
-            or lu.size < n * n
+    if (a.shape != (count, n, n) or b.shape != (count, m, n) or lu.size < n * n
             or not all(x.dtype == np.float64 and x.flags.c_contiguous for x in (a, lu))):
         raise ValueError(f"solve_right needs a C-ordered float64 stack (K, n, n), a "
-                         f"stack (K, m, n), K norms and n*n of scratch, got {a.shape}, "
-                         f"{b.shape}, {anorm.shape} and {lu.size}")
+                         f"stack (K, m, n) and n*n of scratch, got {a.shape}, "
+                         f"{b.shape} and {lu.size}")
     # OpenBLAS solves one right-hand side on another path, with other
     # rounding; a zero second row keeps the bytes of several
     rows = max(m, 2)
@@ -91,17 +90,18 @@ def solve_right(a, b, anorm, lu):
     x[:, :m] = b
     ints = np.array([n, rows, 0], np.int64)
     ipiv, iwork, work = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(4 * n)
-    rcond = np.zeros(count)
+    anorm, rcond = np.zeros(1), np.zeros(count)
     a_, x_, lu_, ints_, ipiv_, iwork_, work_, anorm_, rcond_ = map(
         _address, (a, x, lu, ints, ipiv, iwork, work, anorm, rcond))
     n_, rows_, info = ints_, ints_ + 8, ints_ + 16
     for k in range(count):
-        # C-ordered a[k] is the Fortran-ordered a[k]^T: a[k]^T x[k]^T = b[k]^T
+        # C-ordered a[k] is the Fortran-ordered a[k]^T: a[k]^T x[k]^T = b[k]^T,
+        # ||a||_1 = ||a^T||_inf and ||a^{-1}||_1 = ||a^{-T}||_inf
+        anorm[0] = lange(b"I", n_, n_, a_ + 8 * n * n * k, n_, work_)
         ctypes.memmove(lu_, a_ + 8 * n * n * k, 8 * n * n)
         gesv(n_, rows_, lu_, n_, ipiv_, x_ + 8 * rows * n * k, n_, info)
         if ints.item(2):
             continue
-        # ||a^{-1}||_1 = ||a^{-T}||_inf
-        gecon(b"I", n_, lu_, n_, anorm_ + 8 * k, rcond_ + 8 * k, work_, iwork_, info)
+        gecon(b"I", n_, lu_, n_, anorm_, rcond_ + 8 * k, work_, iwork_, info)
     with np.errstate(divide="ignore"):
         return x[:, :m], np.divide(1.0, rcond, out=rcond)

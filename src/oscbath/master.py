@@ -5,10 +5,10 @@ occupations evolve as N(t) = P(t) N(0), and differentiating and eliminating
 N(0) gives the time-local equation dN/dt = W(t) N(t) with
 W(t) = Pdot(t) P(t)^{-1}.  W exists only where P is invertible; singular
 times are flagged, never regularized.  Each time's W comes from one LU of
-P (LAPACK ``dgesv`` and ``dgecon``, through ``lapack.solve_right``), and P
-counts as singular where LAPACK's estimate of its 1-norm condition number
-exceeds a cap or is not finite, as where the LU meets an exactly zero
-pivot.
+P (LAPACK ``dgesv`` and ``dgecon``, through ``lapack.solve_right``, which
+finds ||P||_1 itself), and P counts as singular where LAPACK's estimate of
+its 1-norm condition number exceeds a cap or is not finite, as where the
+LU meets an exactly zero pivot.
 
 Everything dense is computed by one engine, ``time_blocks``, which walks a
 time grid in blocks of consecutive times and stacks each block's matrices
@@ -94,9 +94,7 @@ def time_blocks(sd, times, rows=None, condition_cap=DEFAULT_CONDITION_CAP):
         del adot  # freed before the solve: the caller still holds the previous block's pdot and w
         w = condition = singular = None
         if pdot.shape[-2]:
-            # ||P||_1 is P's largest column sum: its entries |A|^2 are never negative
-            w, condition = lapack.solve_right(p, pdot, p.sum(axis=-2).max(axis=-1),
-                                              scratch.reshape(-1).view(np.float64))
+            w, condition = lapack.solve_right(p, pdot, scratch.reshape(-1).view(np.float64))
             singular = ~(condition <= condition_cap) | ~np.isfinite(condition)
             w[singular] = np.nan
         yield TimeBlock(times=t, a=a, p=p, pdot=pdot, w=w, condition=condition,

@@ -24,7 +24,7 @@ class TestAmplitudesAt:
             # |A_nm|^2 has a double zero off the diagonal
             pdot = grid(sd, 0.0).pdot[0]
             assert np.abs(pdot - np.diag(np.diag(pdot))).max() <= 1e-15
-        _, adot00, addot00 = survival_series(two_osc_sd, [0.0])
+        _, adot00, addot00 = survival_series(two_osc_sd, [0.0], derivatives=2)
         assert abs(adot00[0] - (-1j) * h[0, 0]) <= 1e-15
         assert abs(addot00[0] - (-(h @ h))[0, 0]) <= 1e-14
 
@@ -115,15 +115,15 @@ class TestSurvival:
 
     def test_series_matches_pointwise(self, bath51_sd):
         times = np.linspace(0, 20, 9)
-        a00, adot00, addot00 = survival_series(bath51_sd, times)
+        a00, adot00, addot00 = survival_series(bath51_sd, times, derivatives=2)
         blk = grid(bath51_sd, times)
         assert np.abs(a00 - blk.a[:, 0, 0]).max() <= 1e-13
         # d|A00|^2/dt from the series is the engine's Pdot[0, 0]
         assert np.abs(2.0 * (a00.conj() * adot00).real - blk.pdot[:, 0, 0]).max() <= 1e-12
         # each derivative against a central difference of the one below it
         step = 1e-5
-        plus, minus = survival_series(bath51_sd, times + step), survival_series(
-            bath51_sd, times - step)
+        plus, minus = (survival_series(bath51_sd, times + sign * step, derivatives=1)
+                       for sign in (1, -1))
         assert np.abs(adot00 - (plus[0] - minus[0]) / (2 * step)).max() <= 1e-6
         assert np.abs(addot00 - (plus[1] - minus[1]) / (2 * step)).max() <= 1e-6
 
@@ -132,9 +132,24 @@ class TestSurvival:
         # several blocks
         times = np.linspace(0, 200, 401)
         for sd in (bath51_sd, bath201_sd):
-            alone = [survival_series(sd, [t]) for t in times]
-            for k, series in enumerate(survival_series(sd, times)):
+            alone = [survival_series(sd, [t], derivatives=2) for t in times]
+            for k, series in enumerate(survival_series(sd, times, derivatives=2)):
                 assert np.array_equal(series, [s[k][0] for s in alone])
+
+    def test_derivatives_only_on_request(self):
+        # alpha ~ +-1e200: alpha**2 of the d2A00 weights overflows, and
+        # A00 alone never forms it
+        spec = ob.ModelSpec(omega=1.0, bath_frequencies=np.array([1.0]),
+                            couplings=np.array([1e200]))
+        sd = ob.eigendecompose(ob.build_hamiltonian(spec))
+        assert np.abs(sd.eigenvalues).min() >= 1e199
+        times = [0.0, 1e-201, 2e-201]
+        with np.errstate(over="raise"):
+            a00 = survival_series(sd, times)
+            assert a00.shape == (1, 3) and np.all(np.isfinite(a00))
+            assert np.array_equal(a00[0], survival_series(sd, times, derivatives=1)[0])
+            with pytest.raises(FloatingPointError):
+                survival_series(sd, times, derivatives=2)
 
     @pytest.mark.parametrize("sd", SHIPPED_SDS)
     def test_system_row_series(self, request, sd):
@@ -151,7 +166,7 @@ def test_survival_memory_is_one_block(bath201_sd):
     times = np.arange(8001) * 0.1
     tracemalloc.start()
     try:
-        survival_series(bath201_sd, times)
+        survival_series(bath201_sd, times, derivatives=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -74,8 +74,8 @@ def write_huge_bath_config(tmp_path):
 
 
 def write_tiny_grid_config(tmp_path):
-    """linear_bath_n51.json on a grid to t_max = 1e-190: golden's fit window
-    is so narrow that np.polyfit's column scale underflows to 0."""
+    """linear_bath_n51.json on a grid to t_max = 1e-190: every time of
+    golden's fit window squares to 0, so np.polyfit's column scale would be 0."""
     doc = json.loads(open(N51).read())
     doc["time"] = {"t_max": 1e-190, "dt": 1e-191}
     path = tmp_path / "tiny.json"
@@ -498,9 +498,9 @@ class TestRowsRead:
                 pdot_shapes.append(blk.pdot.shape[-2:])
                 yield blk
 
-        def solve_spy(a, b, anorm, lu):
+        def solve_spy(a, b, lu):
             solve_rows.append(b.shape[-2])
-            return solve(a, b, anorm, lu)
+            return solve(a, b, lu)
 
         monkeypatch.setattr(oscbath.master, "time_blocks", blocks_spy)
         monkeypatch.setattr(oscbath.lapack, "solve_right", solve_spy)
@@ -790,11 +790,13 @@ class TestErrorPaths:
         assert not recwarn.list
 
     @pytest.mark.parametrize("command, code", [
-        ("amplitudes", 3), ("master", 0), ("langevin", 3), ("golden", 3), ("validate", 3)])
+        ("amplitudes", 0), ("master", 0), ("langevin", 3), ("golden", 2), ("validate", 3)])
     def test_floating_point_overflow(self, tmp_path, capsys, recwarn, command, code):
         # ||H||_inf * t_max = 5e10 passes the 2**52 rule, but alpha**2 of the
         # d2A00 weights overflows: once exit 0 (validate 1, golden 3) with 4
-        # to 8 numpy warning lines.  master's outputs stay finite
+        # to 8 numpy warning lines.  Only langevin (and validate, which runs
+        # it) forms those weights, so amplitudes' and master's outputs stay
+        # finite; every fit time squares to 0, so golden's window is refused
         with open(TWO_OSC) as fh:
             doc = json.load(fh)
         doc["bath"]["coupling"]["gs"] = [1e200]
@@ -803,11 +805,18 @@ class TestErrorPaths:
         cfg.write_text(json.dumps(doc))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == code
         err = capsys.readouterr().err.splitlines()
-        if code:
+        if code == 3:
             assert len(err) == 1 and err[0].startswith(
                 "numerical failure: overflow encountered in ")
+        elif code == 2:
+            assert err == ["config error: fit window [1e-191, 1e-190] is too close to "
+                           "t = 0: the square of each of its times underflows to 0"]
         else:
             assert err == []
+            paths = sorted(tmp_path.glob("*.csv"))
+            assert len(paths) == {"amplitudes": 2, "master": 3}[command]
+            values = [float(x) for path in paths for row in read_csv(path) for x in row.values()]
+            assert values and np.all(np.isfinite(values))
         assert not recwarn.list
 
     def test_noise_covariance_overflow(self, tmp_path, capsys):
@@ -911,6 +920,24 @@ class TestErrorPaths:
         assert capsys.readouterr().err.splitlines() == ["warning: a warning from langevin"]
         assert not recwarn.list
 
+    def test_other_warning_categories_pass_through(self, tmp_path, capsys, monkeypatch):
+        # only a UserWarning becomes a "warning:" line; any other category
+        # reaches the warnings module as raised, with its filters
+        class Notice(Warning):
+            pass
+
+        langevin_series = oscbath.langevin.langevin_series
+
+        def warns(*args):
+            warnings.warn("a notice from langevin", Notice)
+            return langevin_series(*args)
+
+        monkeypatch.setattr(oscbath.langevin, "langevin_series", warns)
+        with pytest.warns(Notice, match="^a notice from langevin$") as record:
+            assert main(["langevin", "--config", TWO_OSC, "--out", str(tmp_path)]) == 0
+        assert len(record) == 1 and record[0].filename == __file__
+        assert capsys.readouterr().err == ""
+
     def test_warning_prints_before_the_error(self, tmp_path, capsys, monkeypatch):
         # golden warns before it solves W, and then runs out of memory
         def no_memory(*args, **kwargs):
@@ -939,8 +966,9 @@ class TestErrorPaths:
     (2, lambda tmp: ["master", "--config", TWO_OSC, "--window", "1,2"]),
     (3, lambda tmp: ["golden", "--config", TWO_OSC, *UNDERFLOW_FLAGS]),
     (2, lambda tmp: ["master", "--config", write_huge_bath_config(tmp)]),
-    # once six LAPACK DLASCL lines on stdout and four numpy warning lines
-    (3, lambda tmp: ["golden", "--config", write_tiny_grid_config(tmp)]),
+    # once six LAPACK DLASCL lines on stdout and four numpy warning lines,
+    # then a numpy division by zero inside np.polyfit
+    (2, lambda tmp: ["golden", "--config", write_tiny_grid_config(tmp)]),
 ], ids=["validate passes", "validate fails", "missing config", "usage error",
         "survival underflow", "out of memory", "fit window below rounding"])
 def test_exit_code_of_the_process(tmp_path, code, argv):

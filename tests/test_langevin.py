@@ -172,7 +172,7 @@ def test_real_form_equals_complex_formula(grid, n_singular):
     and the real form reproduces its real parts and flags bit for bit."""
     sd, times = grid()
     series = langevin_series(sd, times)
-    omega_sq, gamma, singular, imag = complex_formula(*survival_series(sd, times))
+    omega_sq, gamma, singular, imag = complex_formula(*survival_series(sd, times, derivatives=2))
     assert imag == 0.0
     assert series.omega_sq.tobytes() == omega_sq.tobytes()
     assert series.gamma.tobytes() == gamma.tobytes()

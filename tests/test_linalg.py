@@ -78,6 +78,12 @@ class TestEigendecompose:
         with pytest.raises(ValueError, match="Hermitian"):
             eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (2,), (1, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match=f"square matrix of dim >= 1, got shape "
+                                             rf"\({shape[0]},"):
+            eigendecompose(np.zeros(shape, dtype=complex))
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             eigendecompose(np.array([[np.nan]], dtype=complex))
