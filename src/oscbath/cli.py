@@ -12,9 +12,9 @@ exact bytes of Python's ``'%.17g' % x``, Unix line endings, singular time
 points written as nan plus a sidecar ``singular_points.txt``.  Every CSV
 file is written by one ``floatfmt.CsvWriter``: ``amplitudes`` and ``master``
 hand it each block of ``master.time_blocks`` as the block arrives, and it
-formats each file's lines in calls of ``floatfmt.CALL_NUMBERS`` numbers
-across blocks, so memory is bounded by one block, one call's pending
-numbers per file and a few per-time vectors.  Each command asks the engine
+formats each file's lines in calls of at most ``floatfmt.CALL_NUMBERS``
+numbers across blocks, so memory is bounded by one block, one call's
+pending numbers per file and a few per-time vectors.  Each command asks the engine
 for only the rows of Pdot and W it reads: ``golden`` row 0 (its W[0, 0]
 loss rate), ``amplitudes`` none and ``master`` all of them.
 

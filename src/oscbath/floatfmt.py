@@ -2,10 +2,11 @@
 
 ``CsvWriter`` writes the CSV lines of equal-length columns, or of arrays
 over a time grid given block by block, to a file.  It keeps the numbers of
-pending lines across the pieces it is given and formats them in calls of
-``CALL_NUMBERS`` numbers, so the call size, never the size of a piece,
-decides every formatter call; the text and temporaries of one call peak
-near 300 bytes a number (1.2 MB) whatever the input size.
+pending lines across the pieces it is given and formats them in calls of at
+most ``CALL_NUMBERS`` numbers, so the call size, never the size of a piece
+or the length of a grid's last axis, decides every formatter call; the text
+and temporaries of one call peak near 300 bytes a number (1.2 MB) whatever
+the input size.
 
 ``format_floats(x)`` turns an array into an (x.size, ``WIDTH``) uint8 matrix
 whose row i holds the bytes of ``'%.17g' % x[i]`` with NUL bytes in between
@@ -21,10 +22,10 @@ double-double arithmetic: Dekker's exact two-product of |x| with hi, plus
 Python integers on first use.  For a scaled value q < 2^57 the error of that
 sum is below about 2^-47, so rounding it to an integer gives the 17
 correctly rounded digits unless its fraction lies within 2^-38 of one half.
-Zeros and non-finite values take constant rows from a table.  Possible
-ties, values whose scaled integer falls outside [10^16, 10^17) (log10
-misjudged E, or the rounding carried into an 18th digit), and |x| outside
-[1e-270, 1e270] are formatted by Python's own ``'%.17g' % x``.  The digits
+One fallback, Python's own ``'%.17g' % x``, formats every value the fast
+path leaves: zeros, non-finite values, possible ties, values whose scaled
+integer falls outside [10^16, 10^17) (log10 misjudged E, or the rounding
+carried into an 18th digit), and |x| outside [1e-270, 1e270].  The digits
 come out eight at a time from 64-bit integer arithmetic, and the text is
 laid out in 64-bit words, so no step loops over the characters of a row.
 """
@@ -54,10 +55,6 @@ def _padded(texts, width):
     """Byte strings NUL-padded to ``width``, as a read-only uint8 matrix."""
     return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts),
                          dtype=np.uint8).reshape(-1, width)
-
-
-# the text of 0, -0, inf and -inf at row 2 isinf + signbit, and of nan at 4
-_CONSTANT_ROWS = _padded([b"0", b"-0", b"inf", b"-inf", b"nan"], WIDTH)
 
 
 @functools.cache
@@ -205,20 +202,8 @@ def format_floats(x):
     q[slow] = 10 ** 16
     out = _layout(np.signbit(x), q, e)
     if slow.any():
-        out[slow] = _slow_rows(x[slow])
+        out[slow] = _padded([b"%.17g" % v for v in x[slow].tolist()], WIDTH)
     return out
-
-
-def _slow_rows(x):
-    """Rows of the values the fast path leaves: 0, -0, inf, -inf and nan
-    (of either sign) from a table of their text, the rest by Python's own
-    ``'%.17g' % x``."""
-    nan, inf = np.isnan(x), np.isinf(x)
-    rows = _CONSTANT_ROWS.take(np.where(nan, 4, 2 * inf + np.signbit(x)), axis=0)
-    rest = ~(nan | inf | (x == 0))
-    if rest.any():
-        rows[rest] = _padded([b"%.17g" % v for v in x[rest].tolist()], WIDTH)
-    return rows
 
 
 def _join(*fields):
@@ -262,10 +247,10 @@ class CsvWriter:
     ``times``, where a complex value gives re, im; one file takes one kind.
     The numbers of pending lines wait in one call's buffer and are
     formatted and written when it fills, and by ``flush``.  A call takes
-    whole rows, a grid's rows being the lines of its last axis: at most
-    ``CALL_NUMBERS`` numbers unless one row has more.  A grid's times are
-    formatted once per call, with Python's ``'%.17g'``, into a time field
-    only as wide as the call's longest time text.
+    ``CALL_NUMBERS // numbers per line`` lines (at least one), however long
+    a grid's last axis is, so the lines of one time may span two calls.  A
+    grid's times are formatted once per call, with Python's ``'%.17g'``,
+    into a time field only as wide as the call's longest time text.
     """
 
     def __init__(self, fh, header):
@@ -285,8 +270,7 @@ class CsvWriter:
             self._index = _index_field(values.shape[1:])
         self._times.extend(times.tolist())
         # one number per line, or two for a complex value: re and im
-        self._add([values.reshape(len(times) * len(self._index), -1).view(np.float64)],
-                  values.shape[-1])
+        self._add([values.reshape(len(times) * len(self._index), -1).view(np.float64)])
 
     def flush(self):
         """Format and write the pending lines; the file's last ones wait
@@ -295,13 +279,12 @@ class CsvWriter:
             self._write(self._buffer[:self._pending])
             self._pending = 0
 
-    def _add(self, parts, row=1):
+    def _add(self, parts):
         """Take the lines whose numbers are the columns of ``parts``, 2-D
-        arrays of equal length; a call takes whole rows of ``row`` lines."""
+        arrays of equal length."""
         if self._buffer is None:
             per_line = sum(part.shape[1] for part in parts)
-            rows = max(1, CALL_NUMBERS // (row * per_line))
-            self._buffer = np.empty((rows * row, per_line))
+            self._buffer = np.empty((max(1, CALL_NUMBERS // per_line), per_line))
         count, start = len(parts[0]), 0
         while start < count:
             take = min(count - start, len(self._buffer) - self._pending)

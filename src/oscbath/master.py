@@ -52,7 +52,9 @@ class TimeBlock:
 
 
 def time_blocks(sd, times, rows=None, condition_cap=DEFAULT_CONDITION_CAP):
-    """Yield a TimeBlock for each run of consecutive finite ``times``.
+    """Yield a TimeBlock for each run of consecutive ``times``, which must
+    all be finite: a nan or infinite time raises ValueError before any
+    block.
 
     A and Adot are the spectral sums of the ``amplitudes`` docstring.  Each
     block's Pdot and W hold the leading ``rows`` rows (all if None), and

@@ -45,10 +45,11 @@ def grid_invariants(blocks, initial):
     total quantum number (the absolute drift if the initial total is 0).
     Where the blocks carry every row of W, this adds ``master_residual``,
     the largest master-equation residual at the times not flagged singular
-    (0 if every point is singular).  A nan defect stays nan.
+    (0 if every point is singular).  A nan defect stays nan, and a grid
+    with no times has every defect 0.
     """
     initial = np.asarray(initial, dtype=np.float64)
-    worst = {}
+    worst = dict.fromkeys(("unitarity", "rows", "cols", "positivity", "drift"), 0.0)
     total0 = None
     for blk in blocks:
         occ = blk.p @ initial
@@ -67,7 +68,7 @@ def grid_invariants(blocks, initial):
             block_worst["master_residual"] = res[~blk.singular].max(initial=0.0)
         for key, value in block_worst.items():
             worst[key] = float(np.maximum(worst.get(key, 0.0), value))
-    worst["conservation"] = worst.pop("drift") / (abs(total0) or 1.0)
+    worst["conservation"] = worst.pop("drift") / (abs(total0 or 0.0) or 1.0)
     return worst
 
 

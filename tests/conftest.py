@@ -1,4 +1,8 @@
 import dataclasses
+import importlib.util
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +11,26 @@ import oscbath as ob
 from oscbath.master import DEFAULT_CONDITION_CAP, TimeBlock, time_blocks
 
 TWO_OSC_G = 0.1
+REPO_ROOT = os.path.realpath(os.path.join(os.path.dirname(__file__), ".."))
+DIGEST_TOOL = os.path.join(REPO_ROOT, "tools", "output_digests.py")
+
+
+def run_python(*args, **kwargs):
+    """``python *args`` in a new process that imports this tree's package."""
+    src = os.path.dirname(os.path.dirname(ob.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          **kwargs)
+
+
+def load_digest_tool():
+    """``tools/output_digests.py`` as a module: its matrix of runs and the
+    configs it writes."""
+    spec = importlib.util.spec_from_file_location("output_digests", DIGEST_TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def linear_bath(n, omega_min, omega_max, omega, g, **fields):

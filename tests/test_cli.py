@@ -4,8 +4,6 @@ import json
 import os
 import resource
 import shlex
-import subprocess
-import sys
 import tracemalloc
 import warnings
 
@@ -21,6 +19,7 @@ import oscbath.langevin
 import oscbath.master
 import oscbath.model
 import oscbath.validation
+from conftest import run_python
 from oscbath.cli import main
 from oscbath.config import load_config
 from oscbath.linalg import eigendecompose
@@ -81,15 +80,6 @@ def write_tiny_grid_config(tmp_path):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(doc))
     return str(path)
-
-
-def run_python(*args, **kwargs):
-    """``python *args`` in a new process that imports this tree's package."""
-    src = os.path.dirname(os.path.dirname(oscbath.cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          **kwargs)
 
 
 def limit_address_space():
@@ -228,19 +218,24 @@ class LineCount:
 
 
 @pytest.mark.parametrize("add, inputs, count", [
-    # 100,000 rows of three columns, and a (20, 100, 100) complex grid:
-    # 200,000 lines of 400,000 numbers
+    # 100,000 rows of three columns, a (20, 100, 100) complex grid: 200,000
+    # lines of 400,000 numbers, and a (2, 10,000) complex grid, whose last
+    # axis alone holds 20,000 numbers
     ("rows", lambda: [np.arange(100_000.0) * np.pi + k for k in range(3)], 100_000),
     ("grid", lambda: [np.arange(20) * 0.1,
                       np.arange(200_000.0).reshape(20, 100, 100) * (np.e + 1j * np.pi)],
      200_000),
-], ids=["columns", "complex grid"])
+    ("grid", lambda: [np.arange(2) * 0.1,
+                      np.arange(20_000.0).reshape(2, 10_000) * (np.e + 1j * np.pi)],
+     20_000),
+], ids=["columns", "complex grid", "long row"])
 def test_text_is_formed_one_block_at_a_time(add, inputs, count):
-    # as text the whole input would be 8 MB or more; a formatter call takes
-    # CALL_NUMBERS numbers, whose text and temporaries peak near 300 bytes
-    # a number
-    oscbath.floatfmt._index_field((100, 100))  # cached, and not counted
+    # as text the whole input would be 1 MB or more; a formatter call takes
+    # at most CALL_NUMBERS numbers, whose text and temporaries peak near 300
+    # bytes a number, however long a grid's last axis is
     inputs = inputs()
+    if add == "grid":
+        oscbath.floatfmt._index_field(inputs[1].shape[1:])  # cached, and not counted
     fh = LineCount()
     tracemalloc.start()
     try:
@@ -256,25 +251,26 @@ def test_text_is_formed_one_block_at_a_time(add, inputs, count):
 
 def test_master_formats_full_calls(tmp_path, monkeypatch):
     # the CSV writer keeps each file's lines across the engine's blocks, so
-    # every formatter call of an n51 master run takes a full share of its
-    # file's rows (CALL_NUMBERS // numbers per row), except each file's
-    # last; block by block, the residual file made calls of 6 numbers
+    # every formatter call of an n51 master run takes a full call's lines
+    # (CALL_NUMBERS // numbers per line), except each file's last; block by
+    # block, the residual file made calls of 6 numbers
     sizes = []
     format_floats = oscbath.floatfmt.format_floats
     monkeypatch.setattr(oscbath.floatfmt, "format_floats",
                         lambda x: sizes.append(np.size(x)) or format_floats(x))
     assert main(["master", "--config", N51, "--out", str(tmp_path)]) == 0
 
-    def calls(rows, per_row):
-        full = oscbath.floatfmt.CALL_NUMBERS // per_row
-        return [full * per_row] * (rows // full) + [rows % full * per_row] * (rows % full > 0)
+    def calls(lines, per_line):
+        full = oscbath.floatfmt.CALL_NUMBERS // per_line
+        return [full * per_line] * (lines // full) + [lines % full * per_line] * (lines % full > 0)
 
-    # populations.csv a row of dim numbers per time, w_coeffs.csv dim rows
-    # of dim, master_residual.csv a row of three
+    # populations.csv dim lines of one number per time, w_coeffs.csv dim**2,
+    # master_residual.csv one line of three: the grid files' calls take
+    # exactly CALL_NUMBERS numbers
     times, dim = len(load_config(N51).time_grid()), 52
-    expected = calls(times, dim) + calls(times * dim, dim) + calls(times, 3)
+    expected = calls(times * dim, 1) + calls(times * dim ** 2, 1) + calls(times, 3)
     assert sorted(sizes) == sorted(expected)
-    assert len(sizes) == 71
+    assert len(sizes) == 70
     # singular_points.txt has no lines to format
     assert (tmp_path / "singular_points.txt").read_text() == "# no singular time points\n"
 

@@ -1,14 +1,20 @@
 """A seeded, derandomized fuzz of the shipped configs through ``cli.main``.
 
-Each example takes one shipped config, cuts a linear bath to at most 64
-modes, sets up to two of its numbers to ordinary, tiny, huge or non-finite
-values, gives it one of a few short time grids and runs every command on
-it in process.  Whatever the input, a run ends with a documented exit
-code and at most one error line, and its CSV files hold no inf and a nan
-only at the times named in ``singular_points.txt``.
+Each example takes one of four base configs: the three shipped ones and
+``tools/output_digests.py``'s ``complex_bath.json``, with complex couplings
+and a complex Hermitian ``bath_bath`` block.  It cuts a linear bath to at
+most 64 modes, sets up to two of its numbers to ordinary, tiny, huge or
+non-finite values (an off-diagonal ``bath_bath`` entry together with its
+conjugate partner, so the block stays Hermitian), gives it one of a few
+short time grids and runs every command on it in process.  Whatever the
+input, a run ends with a documented exit code and at most one error line,
+and its CSV files hold no inf and a nan only at the times named in
+``singular_points.txt``.  One run per base in a fresh process also sees
+what LAPACK prints from C, which an in-process run cannot capture.
 """
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -19,11 +25,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import REPO_ROOT, load_digest_tool, run_python
 from oscbath.cli import main
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+CONFIG_DIR = os.path.join(REPO_ROOT, "configs")
+MADE = {"complex_bath.json": load_digest_tool().MADE["complex_bath.json"]}
 COMMANDS = ("amplitudes", "master", "langevin", "golden", "validate")
-# the numbers each shipped config has, by key path
+# the numbers each base config has, by key path
 MUTABLE = {
     "two_oscillator.json": [("system", "omega"), ("system", "mass"), ("system", "v_self"),
                             ("bath", "spectrum", "omegas", 0), ("bath", "coupling", "gs", 0),
@@ -34,6 +42,11 @@ MUTABLE = {
                              ("initial", "beta"), ("initial", "system_occupation")],
     "linear_bath_n201.json": [("system", "omega"), ("bath", "coupling", "g"),
                               ("bath", "spectrum", "omega_max"), ("fit_window", 0)],
+    # a complex number is an [re, im] pair
+    "complex_bath.json": [("system", "v_self"), ("bath", "coupling", "gs", 1, 0),
+                          ("bath", "coupling", "gs", 1, 1), ("bath", "bath_bath", 0, 1, 0),
+                          ("bath", "bath_bath", 0, 1, 1), ("bath", "bath_bath", 0, 2),
+                          ("bath", "bath_bath", 1, 2)],
 }
 NUMBERS = st.one_of(
     st.floats(0.0, 3.0),
@@ -46,21 +59,37 @@ GRIDS = [(5.0, 0.1), (50.0, 0.5), (1e-190, 1e-191), (7.853981633974483, 7.853981
          (math.nan, 0.1), (1.0, math.inf)]
 
 
-@st.composite
-def configs(draw):
-    name = draw(st.sampled_from(sorted(MUTABLE)))
+def base(name, n):
+    """The base config ``name``, a linear bath given ``n`` modes."""
+    if name in MADE:
+        return copy.deepcopy(MADE[name])
     with open(os.path.join(CONFIG_DIR, name)) as fh:
         doc = json.load(fh)
     if doc["bath"]["spectrum"]["type"] == "linear":
-        doc["bath"]["n"] = n = draw(st.integers(0, 64))
+        doc["bath"]["n"] = n
         if doc["initial"]["type"] == "explicit":
             doc["initial"]["occupations"] = [1.0] + [0.0] * n
+    return doc
+
+
+def put(doc, path, value):
+    *parents, key = path
+    for part in parents:
+        doc = doc[part]
+    doc[key] = value
+
+
+@st.composite
+def configs(draw):
+    name = draw(st.sampled_from(sorted(MUTABLE)))
+    doc = base(name, draw(st.integers(0, 64)))
     for path in draw(st.lists(st.sampled_from(MUTABLE[name]), max_size=2, unique=True)):
-        *parents, key = path
-        target = doc
-        for part in parents:
-            target = target[part]
-        target[key] = draw(NUMBERS)
+        value = draw(NUMBERS)
+        put(doc, path, value)
+        if path[:2] == ("bath", "bath_bath"):
+            # the conjugate partner: the same real part, the opposite imaginary one
+            i, j, *part = path[2:]
+            put(doc, ("bath", "bath_bath", j, i, *part), -value if part == [1] else value)
     doc["time"] = dict(zip(("t_max", "dt"), draw(st.sampled_from(GRIDS))))
     return doc
 
@@ -103,3 +132,28 @@ def test_any_mutation_ends_cleanly(command, doc):
                     assert not {"inf", "-inf"} & set(row), (name, row)
                     if "nan" in row:
                         assert row[0] in singular, (name, row)
+
+
+# every command on one config in one process, each followed by its exit code
+FRESH = """import sys
+from oscbath.cli import main
+cfg, outputs, *commands = sys.argv[1:]
+for command in commands:
+    print(command, main([command, "--config", cfg, "--out", outputs]), flush=True)
+"""
+
+
+@pytest.mark.parametrize("name", sorted(MUTABLE))
+def test_fresh_process_prints_what_main_does(tmp_path, name):
+    # each base on the grid [0, 1e-190] in steps of 1e-191, where golden's
+    # fit once made LAPACK print DLASCL errors to the process's stdout
+    doc = base(name, 64)
+    doc["time"] = {"t_max": 1e-190, "dt": 1e-191}
+    cfg, outputs = str(tmp_path / "cfg.json"), str(tmp_path / "out")
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    runs = [(command, *run(command, cfg, outputs)) for command in COMMANDS]
+    proc = run_python("-c", FRESH, cfg, outputs, *COMMANDS, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(f"{out}{command} {code}\n" for command, code, out, _ in runs)
+    assert proc.stderr.splitlines() == [line for *_, err in runs for line in err]

@@ -108,8 +108,9 @@ def test_special_values():
          2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 0.5, 1.0, 100.0]
     assert formatted(x) == oracle(x)
     assert formatted([0.0, -0.0, np.inf, -np.inf])[:4] == ["0", "-0", "inf", "-inf"]
-    # zeros and non-finite values come from a table of rows, here at varied
-    # places among ordinary values, runs of them included
+    # zeros and non-finite values go to Python's own formatting with every
+    # other value the fast path leaves, here at varied places among
+    # ordinary values, runs of them included
     rng = np.random.default_rng(1)
     x = rng.standard_normal(1_500) * 10.0 ** rng.integers(-30, 30, 1_500)
     special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf])

@@ -260,6 +260,13 @@ class TestEvolvePopulations:
         assert worst["conservation"] <= 1e-10
         assert worst["positivity"] <= 1e-12
 
+    def test_no_times(self, two_osc_sd):
+        # a grid with no times has no defect, as an all-singular grid has
+        # no master-equation residual
+        worst = grid_invariants(time_blocks(two_osc_sd, []), [1.0, 0.0])
+        assert worst == dict.fromkeys(
+            ("unitarity", "rows", "cols", "positivity", "conservation"), 0.0)
+
     def test_schrodinger_oracle(self, two_osc_spec, two_osc_sd):
         """One quantum in a 2-mode model: populations must match direct
         wavefunction evolution |psi(t)> = expm(-iht) |psi(0)|."""

@@ -8,13 +8,12 @@ at one thread names the outputs whose bytes depend on the thread count.
 Re-baselining the listing is recorded in CHANGES.md, as for any golden file.
 """
 
-import importlib.util
 import os
 import subprocess
 import sys
 
-REPO_ROOT = os.path.realpath(os.path.join(os.path.dirname(__file__), ".."))
-TOOL = os.path.join(REPO_ROOT, "tools", "output_digests.py")
+from conftest import DIGEST_TOOL, REPO_ROOT, load_digest_tool
+
 LISTING = os.path.join(REPO_ROOT, "tests", "golden", "output_digests.txt")
 
 
@@ -39,22 +38,15 @@ def committed():
 
 def run_tool(threads):
     """The tool's listing of this checkout at ``threads`` OpenBLAS threads."""
-    proc = subprocess.run([sys.executable, TOOL, REPO_ROOT], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, DIGEST_TOOL, REPO_ROOT], capture_output=True, text=True,
                           env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)},
                           timeout=600)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("output_digests", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
-
-
 def test_outputs_match_the_committed_listing():
-    tool = load_tool()
+    tool = load_digest_tool()
     expected = committed()
     # one matrix: every run of the tool's matrix has lines in the listing
     runs = {tuple(line.split()[:3]) for line in expected if not line.startswith("#")}
