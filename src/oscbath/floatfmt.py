@@ -52,9 +52,9 @@ CALL_NUMBERS = 4096  # numbers turned into text by one formatter call
 
 
 def _padded(texts, width):
-    """Byte strings NUL-padded to ``width``, as a read-only uint8 matrix."""
-    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts),
-                         dtype=np.uint8).reshape(-1, width)
+    """Byte strings of at most ``width`` bytes, NUL-padded to it, as a uint8
+    matrix."""
+    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
 
 
 @functools.cache

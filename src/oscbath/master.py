@@ -21,7 +21,10 @@ blocks its caller asks the engine for.
 The engine owns its buffers: it writes every block's A and P into two
 arrays it allocates once per grid, so a block's ``a`` and ``p`` hold its
 values only until the next block is drawn, and a consumer that keeps them
-longer copies them.
+longer copies them.  A third, the scratch, holds in turn the operands of A
+and Adot, the conj(A) rows, and each time's LU; the rows of Adot, into
+which their product conj(A) Adot is written, are the step's only
+transient block.
 """
 
 from dataclasses import dataclass
@@ -67,9 +70,12 @@ def time_blocks(sd, times, rows=None, condition_cap=DEFAULT_CONDITION_CAP):
 
     The engine owns its buffers: three (times, dim, dim) arrays allocated
     at the first block, which is the longest, hold A, P, and a complex
-    scratch for the operands of A and Adot and then the LU of each time's
-    P (dim**2 float64).  Every block writes into them, so its ``a`` and
-    ``p`` are valid only until the next block is drawn.
+    scratch.  The scratch holds the operands of A and Adot, then the
+    conj(A) rows, then the LU of each time's P (dim**2 float64).  Adot's
+    rows are the step's only transient block: conj(A) Adot is formed in
+    them, and they are freed before the solve.  Every block writes into the
+    three buffers, so its ``a`` and ``p`` are valid only until the next
+    block is drawn.
     """
     times = np.asarray(times, dtype=np.float64)
     bad = times[~np.isfinite(times)]
@@ -92,7 +98,11 @@ def time_blocks(sd, times, rows=None, condition_cap=DEFAULT_CONDITION_CAP):
         adot = uc[:rows] @ scratch.swapaxes(-1, -2)
         del phases, uc  # a generator's locals live across the yield
         np.square(np.abs(a, out=p), out=p)
-        pdot = 2.0 * (a[:, :rows].conj() * adot).real
+        # the scratch is free until the LU: it takes conj(A)'s rows, and
+        # their product with Adot goes into Adot, in this operand order,
+        # which numpy's complex multiply need not round as the other
+        ca = np.conjugate(a[:, :rows], out=scratch[:, :rows])
+        pdot = np.multiply(2.0, np.multiply(ca, adot, out=adot).real)
         del adot  # freed before the solve: the caller still holds the previous block's pdot and w
         w = condition = singular = None
         if pdot.shape[-2]:

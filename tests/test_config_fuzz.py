@@ -6,7 +6,10 @@ and a complex Hermitian ``bath_bath`` block.  It cuts a linear bath to at
 most 64 modes, sets up to two of its numbers to ordinary, tiny, huge or
 non-finite values (an off-diagonal ``bath_bath`` entry together with its
 conjugate partner, so the block stays Hermitian), gives it one of a few
-short time grids and runs every command on it in process.  Whatever the
+short time grids and runs every command on it in process, with ``--t-max``
+and ``--dt`` flags that may override the file's grid.  A two-oscillator
+grid may step onto the odd multiples of pi / (4 g) for the drawn coupling
+g, where P is singular when the two modes are resonant.  Whatever the
 input, a run ends with a documented exit code and at most one error line,
 and its CSV files hold no inf and a nan only at the times named in
 ``singular_points.txt``.  One run per base in a fresh process also sees
@@ -22,7 +25,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import REPO_ROOT, load_digest_tool, run_python
@@ -57,6 +60,7 @@ NUMBERS = st.one_of(
 GRIDS = [(5.0, 0.1), (50.0, 0.5), (1e-190, 1e-191), (7.853981633974483, 7.853981633974483),
          (7.853981633974483, 0.07853981633974483), (0.0, 0.1), (1e300, 1e298),
          (math.nan, 0.1), (1.0, math.inf)]
+FLAGS = ("--t-max", "--dt")
 
 
 def base(name, n):
@@ -79,8 +83,27 @@ def put(doc, path, value):
     doc[key] = value
 
 
+def grids(g):
+    """``GRIDS``, after, for a finite nonzero coupling ``g``, the grids whose
+    step divides pi / (4 g) and which end on its first or third multiple."""
+    quarter = math.pi / (4 * abs(g)) if math.isfinite(g) and g else math.inf
+    steps = (1, 7, 33) if math.isfinite(quarter) else ()
+    return st.sampled_from([(ends * quarter, quarter / n) for n in steps for ends in (1, 3)]
+                           + GRIDS)
+
+
+def short_or_refused(t_max, dt):
+    """Whether a run makes at most 101 times or refuses the grid at once:
+    between those, ``RunConfig.time_grid`` would allocate the whole grid."""
+    if not (dt > 0 and t_max >= dt and math.isfinite(t_max / dt)):
+        return True
+    return round(t_max / dt) <= 100 or t_max / dt >= 2.0 ** 63
+
+
 @st.composite
 def configs(draw):
+    """A mutated base config and the ``--t-max`` and ``--dt`` flags of a
+    run on it."""
     name = draw(st.sampled_from(sorted(MUTABLE)))
     doc = base(name, draw(st.integers(0, 64)))
     for path in draw(st.lists(st.sampled_from(MUTABLE[name]), max_size=2, unique=True)):
@@ -90,31 +113,40 @@ def configs(draw):
             # the conjugate partner: the same real part, the opposite imaginary one
             i, j, *part = path[2:]
             put(doc, ("bath", "bath_bath", j, i, *part), -value if part == [1] else value)
-    doc["time"] = dict(zip(("t_max", "dt"), draw(st.sampled_from(GRIDS))))
-    return doc
+    g = doc["bath"]["coupling"]["gs"][0] if name == "two_oscillator.json" else math.nan
+    grid, overrides = draw(grids(g)), draw(grids(g))
+    doc["time"] = dict(zip(("t_max", "dt"), grid))
+    # each flag drawn overrides the file's value with another grid's
+    flagged = draw(st.lists(st.sampled_from([0, 1]), max_size=2, unique=True))
+    flags = [text for i in flagged for text in (FLAGS[i], repr(overrides[i]))]
+    assume(short_or_refused(*(overrides[i] if i in flagged else grid[i] for i in (0, 1))))
+    return doc, flags
 
 
-def run(command, cfg, outputs):
+def run(command, cfg, outputs, flags=()):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--config", cfg, "--out", outputs])
+        code = main([command, "--config", cfg, "--out", outputs, *flags])
     return code, out.getvalue(), err.getvalue().splitlines()
 
 
-def csv_rows(path):
+def csv_rows(path, words=("",)):
+    """The rows after the header whose line holds one of ``words``."""
     with open(path) as fh:
-        return [line.split(",") for line in fh.read().splitlines()[1:]]
+        return [line.split(",") for line in fh.read().splitlines()[1:]
+                if any(word in line for word in words)]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(configs())
 @pytest.mark.parametrize("command", COMMANDS)
-def test_any_mutation_ends_cleanly(command, doc):
+def test_any_mutation_ends_cleanly(command, case):
+    doc, flags = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg, outputs = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
         with open(cfg, "w") as fh:
             json.dump(doc, fh)  # writes NaN and Infinity, which json reads back
-        code, out, err = run(command, cfg, outputs)
+        code, out, err = run(command, cfg, outputs, flags)
         assert code in ({0, 1, 2, 3} if command == "validate" else {0, 2, 3})
         # zero or more warnings, then exactly one error line if the run failed
         assert all(line.startswith("warning: ") for line in err[:len(err) - (code >= 2)])
@@ -128,7 +160,8 @@ def test_any_mutation_ends_cleanly(command, doc):
                     else set())
         for name in os.listdir(outputs):
             if name.endswith(".csv"):
-                for row in csv_rows(os.path.join(outputs, name)):
+                # only a line with "inf" or "nan" in it can hold either field
+                for row in csv_rows(os.path.join(outputs, name), ("inf", "nan")):
                     assert not {"inf", "-inf"} & set(row), (name, row)
                     if "nan" in row:
                         assert row[0] in singular, (name, row)

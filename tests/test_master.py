@@ -345,11 +345,13 @@ class TestHeldMemory:
     def test_full_row_grid_invariants(self, bath51_sd, bath51_spec):
         # validate's dense pass on n51: 101 times, six per block, every row;
         # the unitarity defect names no Gram matrix that outlives it, and
-        # takes the identity off the Gram matrix in place
+        # takes the identity off the Gram matrix in place.  The engine forms
+        # Pdot in its scratch and Adot: a block-sized conj(A) or product,
+        # 0.25 MiB each at six dim-52 times, would not fit
         init = ob.thermal_populations(bath51_spec, beta=1.0)
         times = np.linspace(0, 50, 101)
         peak = traced_peak(lambda: grid_invariants(time_blocks(bath51_sd, times), init))
-        assert peak <= 1.66 * MIB, peak
+        assert peak <= 1.41 * MIB, peak
 
     def test_master_command(self, tmp_path):
         # the master command on n51: its dense blocks and the CSV text of one
