@@ -2,7 +2,8 @@
 
 Subcommands: amplitudes | master | langevin | golden | validate.  ``main``
 runs each one: it reads the config, applies ``--t-max``, ``--dt`` and
-``--window``, creates ``--out``, eigensolves once and calls
+``--window`` (whose value may follow after a space even when it starts with
+'-'), creates ``--out``, eigensolves once and calls
 ``cmd_<name>(cfg, sd, out)``, which reduces engine blocks and writes its
 files.  ``main`` prints every stderr line: one per error, and one
 ``warning: <message>`` per UserWarning a command raises.  ``cli`` holds no
@@ -156,6 +157,24 @@ def cmd_validate(cfg, sd, out):
     return 0 if passed == len(results) else 1
 
 
+# flags whose value may start with '-' (-1e-3, -inf, -5,10): argparse reads
+# such a value as an option of its own unless '=' joins it to its flag
+VALUE_FLAGS = ("--t-max", "--dt", "--window")
+
+
+def _join_values(argv):
+    """``argv`` with each of ``VALUE_FLAGS``, or a prefix of one that
+    argparse would expand to it (``--d``), joined by '=' to the argument
+    after it, so that argument reaches the flag's conversion and the run
+    configuration's checks whatever its first character."""
+    joined, args = [], iter(argv)
+    for arg in args:
+        flag = len(arg) > 2 and any(f.startswith(arg) for f in VALUE_FLAGS)
+        value = next(args, None) if flag else None
+        joined.append(arg if value is None else f"{arg}={value}")
+    return joined
+
+
 class _Parser(argparse.ArgumentParser):
     """Subcommand parsers are made of this class too, so every usage error
     prints one line on stderr and exits 2, as a config error does."""
@@ -184,7 +203,7 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     overrides = {k: v for k, v in (("t_max", args.t_max), ("dt", args.dt)) if v is not None}
     caught = []
     try:

@@ -27,12 +27,22 @@ def _spectral_checks(h, sd):
 
 
 def _unitarity_defect(a):
-    """max |A A^H - I| over a stack of A: 1 comes off the diagonal of the
-    Gram matrices in place, so no third block array is formed."""
-    gram = a @ a.conj().swapaxes(-1, -2)
-    diagonal = np.arange(a.shape[-1])
-    gram[..., diagonal, diagonal] -= 1.0
-    return np.abs(gram).max()
+    """max |A A^H - I| over a stack of A, or over one matrix, reduced one
+    time at a time in three (dim, dim) buffers made once per call: conj(A_k),
+    its Gram A_k conj(A_k)^T, from which 1 comes off the diagonal in place,
+    and the Gram's modulus.  Each Gram is the zgemm that a stacked matmul
+    makes for its slice, so the defect is bit-equal to the stacked
+    formula's, and a nan stays nan."""
+    dim = a.shape[-1]
+    conj, gram = np.empty((2, dim, dim), np.complex128)
+    mag = np.empty((dim, dim))
+    diagonal = gram.reshape(-1)[::dim + 1]
+    worst = 0.0
+    for a_k in a.reshape(-1, dim, dim):
+        np.matmul(a_k, np.conjugate(a_k, out=conj).T, out=gram)
+        diagonal -= 1.0
+        worst = np.maximum(worst, np.abs(gram, out=mag).max())
+    return worst
 
 
 def grid_invariants(blocks, initial):

@@ -97,3 +97,15 @@ def random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (a + a.conj().T) / 2
+
+
+def complex_model(dim, seed):
+    """A seeded dim-``dim`` model with complex couplings, a complex Hermitian
+    ``bath_bath`` block and a nonzero ``v_self``, so H is a full complex
+    matrix."""
+    rng = np.random.default_rng(seed)
+    n = dim - 1
+    return ob.ModelSpec(omega=1.0, bath_frequencies=rng.uniform(0.0, 2.0, n),
+                        couplings=0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+                        self_shift=rng.uniform(-0.1, 0.1),
+                        bath_bath=0.05 * random_hermitian(n, seed))

@@ -713,6 +713,37 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "t_max" in err
 
+    @pytest.mark.parametrize("flags, line", [
+        (["--dt", "-1e-3"], "time.dt must be finite and positive, got -0.001"),
+        (["--dt=-1e-3"], "time.dt must be finite and positive, got -0.001"),
+        (["--d", "-1e-3"], "time.dt must be finite and positive, got -0.001"),
+        (["--t-max", "-inf"], "time.t_max must be finite and >= dt, got -inf"),
+        (["--t-max", "-nan"], "time.t_max must be finite and >= dt, got nan"),
+        (["--t-max", "-5"], "time.t_max must be finite and >= dt, got -5.0"),
+    ], ids=["dt-exponent", "dt-joined", "dt-prefix", "t-max-inf", "t-max-nan",
+            "t-max-integer"])
+    def test_negative_value_after_a_space(self, tmp_path, capsys, flags, line):
+        # argparse would read -1e-3 or -inf as an option and exit from
+        # parse_args; the value reaches the run configuration's check instead
+        assert main(["master", "--config", TWO_OSC, "--out", str(tmp_path), *flags]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {line}"]
+
+    def test_negative_window_after_a_space(self, tmp_path, capsys):
+        runs = []
+        for flags in (["--window", "-5,10"], ["--window=-5,10"]):
+            out = tmp_path / str(len(runs))
+            code = main(["golden", "--config", TWO_OSC, "--out", str(out), *flags])
+            runs.append((code, capsys.readouterr(), (out / "golden_report.json").read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and b"-5.0" in runs[0][2]
+
+    def test_flag_without_value(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["master", "--config", TWO_OSC, "--out", str(tmp_path), "--dt"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "oscbath master: error: argument --dt: expected one argument"]
+
     def test_window_not_a_pair(self, tmp_path, capsys):
         assert main(["golden", "--config", TWO_OSC, "--out", str(tmp_path),
                      "--window", "1"]) == 2

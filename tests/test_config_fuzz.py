@@ -7,7 +7,9 @@ most 64 modes, sets up to two of its numbers to ordinary, tiny, huge or
 non-finite values (an off-diagonal ``bath_bath`` entry together with its
 conjugate partner, so the block stays Hermitian), gives it one of a few
 short time grids and runs every command on it in process, with ``--t-max``
-and ``--dt`` flags that may override the file's grid.  A two-oscillator
+and ``--dt`` flags that may override the file's grid, their values written
+after a space, some with a leading minus (``-1e-3``, ``-inf``, ``-nan``)
+that argparse alone would read as an option.  A two-oscillator
 grid may step onto the odd multiples of pi / (4 g) for the drawn coupling
 g, where P is singular when the two modes are resonant.  Whatever the
 input, a run ends with a documented exit code and at most one error line,
@@ -61,6 +63,9 @@ GRIDS = [(5.0, 0.1), (50.0, 0.5), (1e-190, 1e-191), (7.853981633974483, 7.853981
          (7.853981633974483, 0.07853981633974483), (0.0, 0.1), (1e300, 1e298),
          (math.nan, 0.1), (1.0, math.inf)]
 FLAGS = ("--t-max", "--dt")
+# (t_max, dt) flag texts with a leading minus: the run configuration refuses
+# each, so a run given one of them ends with a config error
+NEGATIVE_FLAGS = [("-1e-3", "-2.5e+300"), ("-inf", "-nan")]
 
 
 def base(name, n):
@@ -88,8 +93,7 @@ def grids(g):
     step divides pi / (4 g) and which end on its first or third multiple."""
     quarter = math.pi / (4 * abs(g)) if math.isfinite(g) and g else math.inf
     steps = (1, 7, 33) if math.isfinite(quarter) else ()
-    return st.sampled_from([(ends * quarter, quarter / n) for n in steps for ends in (1, 3)]
-                           + GRIDS)
+    return [(ends * quarter, quarter / n) for n in steps for ends in (1, 3)] + GRIDS
 
 
 def short_or_refused(t_max, dt):
@@ -114,12 +118,16 @@ def configs(draw):
             i, j, *part = path[2:]
             put(doc, ("bath", "bath_bath", j, i, *part), -value if part == [1] else value)
     g = doc["bath"]["coupling"]["gs"][0] if name == "two_oscillator.json" else math.nan
-    grid, overrides = draw(grids(g)), draw(grids(g))
+    grid = draw(st.sampled_from(grids(g)))
+    overrides = draw(st.sampled_from([tuple(map(repr, pair)) for pair in grids(g)]
+                                     + NEGATIVE_FLAGS))
     doc["time"] = dict(zip(("t_max", "dt"), grid))
-    # each flag drawn overrides the file's value with another grid's
+    # each flag drawn overrides the file's value with another grid's, or
+    # with a negative text
     flagged = draw(st.lists(st.sampled_from([0, 1]), max_size=2, unique=True))
-    flags = [text for i in flagged for text in (FLAGS[i], repr(overrides[i]))]
-    assume(short_or_refused(*(overrides[i] if i in flagged else grid[i] for i in (0, 1))))
+    flags = [text for i in flagged for text in (FLAGS[i], overrides[i])]
+    assume(short_or_refused(*(float(overrides[i]) if i in flagged else grid[i]
+                              for i in (0, 1))))
     return doc, flags
 
 
@@ -153,6 +161,8 @@ def test_any_mutation_ends_cleanly(command, case):
         if code >= 2:
             assert err and not err[-1].startswith("warning: ")
         assert ("FAIL" in out) == (code == 1)
+        if any(text in flags for pair in NEGATIVE_FLAGS for text in pair):
+            assert code == 2 and err[-1].startswith("config error: "), err
         if code >= 2:
             return
         report = os.path.join(outputs, "singular_points.txt")

@@ -9,10 +9,10 @@ import scipy.linalg
 
 import oscbath as ob
 import oscbath.cli
-from conftest import grid, uncoupled_sd
+from conftest import complex_model, grid, uncoupled_sd
 from oscbath.amplitudes import BLOCK_ENTRIES
 from oscbath.master import DEFAULT_CONDITION_CAP, TimeBlock, master_residual, time_blocks
-from oscbath.validation import grid_invariants
+from oscbath.validation import _unitarity_defect, grid_invariants
 
 G = 0.1
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -279,6 +279,43 @@ class TestEvolvePopulations:
             assert np.abs(occ[i] - np.abs(psi) ** 2).max() <= 1e-10
 
 
+def stacked_defect(a):
+    """max |A A^H - I| in one stacked matmul, the form the per-time
+    reduction must equal bit for bit."""
+    return np.abs(a @ a.conj().swapaxes(-1, -2) - np.eye(a.shape[-1])).max()
+
+
+class TestUnitarityDefect:
+    """``validation._unitarity_defect`` reduces one time at a time."""
+
+    def assert_bit_equal(self, a):
+        got, want = _unitarity_defect(a), stacked_defect(a)
+        assert got == want, (got, want)
+
+    def test_n51_blocks(self, bath51_sd):
+        for blk in time_blocks(bath51_sd, np.linspace(0, 50, 101), rows=0):
+            self.assert_bit_equal(blk.a)
+
+    def test_n201_block(self, bath201_sd):
+        (blk,) = time_blocks(bath201_sd, [37.5], rows=0)
+        self.assert_bit_equal(blk.a)
+
+    def test_complex_model(self):
+        sd = ob.eigendecompose(ob.build_hamiltonian(complex_model(10, seed=10)))
+        for blk in time_blocks(sd, np.linspace(0, 30, 200), rows=0):
+            self.assert_bit_equal(blk.a)
+
+    def test_eigenvector_matrix(self, bath51_sd, bath201_sd):
+        # the one 2-D matrix that validate's spectral check passes in
+        for sd in (bath51_sd, bath201_sd):
+            self.assert_bit_equal(sd.vectors.conj().T)
+
+    def test_nan_stays_nan(self, bath51_sd):
+        a = grid(bath51_sd, np.linspace(0, 5, 6)).a
+        a[2, 5, 7] = np.nan
+        assert np.isnan(_unitarity_defect(a))
+
+
 class TestMasterResidual:
     @staticmethod
     def residual(sd, times, initial):
@@ -343,15 +380,15 @@ class TestHeldMemory:
         assert alone <= 2.35 * MIB, alone
 
     def test_full_row_grid_invariants(self, bath51_sd, bath51_spec):
-        # validate's dense pass on n51: 101 times, six per block, every row;
-        # the unitarity defect names no Gram matrix that outlives it, and
-        # takes the identity off the Gram matrix in place.  The engine forms
-        # Pdot in its scratch and Adot: a block-sized conj(A) or product,
-        # 0.25 MiB each at six dim-52 times, would not fit
+        # validate's dense pass on n51: 101 times, six per block, every row.
+        # The unitarity defect reduces one time at a time in three dim-52
+        # buffers, and the engine forms Pdot in its scratch and Adot: a
+        # block-sized conj(A), Gram or product, 0.25 MiB each at six dim-52
+        # times, would not fit
         init = ob.thermal_populations(bath51_spec, beta=1.0)
         times = np.linspace(0, 50, 101)
         peak = traced_peak(lambda: grid_invariants(time_blocks(bath51_sd, times), init))
-        assert peak <= 1.41 * MIB, peak
+        assert peak <= 1.29 * MIB, peak
 
     def test_master_command(self, tmp_path):
         # the master command on n51: its dense blocks and the CSV text of one

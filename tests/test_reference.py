@@ -1,8 +1,9 @@
 """Package outputs against a 40-digit reference that shares no code with
 numpy's LAPACK: mpmath's ``eighe`` of H's exact doubles.
 
-The models have complex couplings, a complex Hermitian ``bath_bath`` block
-and a nonzero ``v_self``, so H is a full complex matrix.
+The models, ``conftest.complex_model``, have complex couplings, a complex
+Hermitian ``bath_bath`` block and a nonzero ``v_self``, so H is a full
+complex matrix.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from mpmath import mp
 
 import oscbath as ob
-from conftest import random_hermitian
+from conftest import complex_model
 
 EPS = np.finfo(np.float64).eps
 # survival_series' A00 error in units of eps (1 + max|alpha| t): the
@@ -18,20 +19,19 @@ EPS = np.finfo(np.float64).eps
 # it.  It falls at t = 0, where the error is that of sum_k |U[0, k]|^2 = 1
 # and moves in steps of eps / 2; for t > 0 it was at most 1.67
 A00_UNITS = 4.0
-
-
-def model(dim, seed):
-    rng = np.random.default_rng(seed)
-    n = dim - 1
-    return ob.ModelSpec(omega=1.0, bath_frequencies=rng.uniform(0.0, 2.0, n),
-                        couplings=0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
-                        self_shift=rng.uniform(-0.1, 0.1),
-                        bath_bath=0.05 * random_hermitian(n, seed))
+# the dense engine's A error in units of eps (dim + max|alpha| t), whose
+# dim eps term is that of sum_k conj(U[n, k]) U[m, k] = delta_nm at small t,
+# and its W error in units of eps (1 + max|alpha| t) condition
+# (max|alpha| + max|W|), with the engine's own condition estimate: the
+# measured maxima over the models and times below, 1.28 (dim 13, t = 30)
+# and 1.47 (dim 4, condition 2,925), rounded up
+A_UNITS = 2.0
+W_UNITS = 2.0
 
 
 @pytest.mark.parametrize("dim", [4, 8, 13, 21])
 def test_survival_amplitude(dim):
-    h = ob.build_hamiltonian(model(dim, seed=dim))
+    h = ob.build_hamiltonian(complex_model(dim, seed=dim))
     sd = ob.eigendecompose(h)
     times = np.linspace(0.0, 60.0, 120)
     got = ob.survival_series(sd, times)[0]
@@ -43,3 +43,50 @@ def test_survival_amplitude(dim):
     unit = EPS * (1.0 + np.abs(sd.eigenvalues).max() * times)
     ratio = np.array(error, dtype=np.float64) / unit
     assert ratio.max() <= A00_UNITS, (ratio.max(), times[ratio.argmax()])
+
+
+def dense_reference(h, times):
+    """A and W = Pdot P^-1 at each of ``times`` as mpmath matrices at the
+    working precision, from ``mp.eighe`` of ``h``'s exact doubles."""
+    dim = len(h)
+    alpha, u = mp.eighe(mp.matrix(h.tolist()))
+    # pairs[n][m][k] = conj(U[n, k]) U[m, k]
+    pairs = [[[mp.conj(u[n, k]) * u[m, k] for k in range(dim)] for m in range(dim)]
+             for n in range(dim)]
+    for t in times:
+        phases = [mp.expj(-a * t) for a in alpha]
+        rates = [-1j * a * ph for a, ph in zip(alpha, phases)]
+        a, p, pdot = (mp.matrix(dim, dim) for _ in range(3))
+        for n in range(dim):
+            for m in range(dim):
+                a[n, m] = mp.fdot(pairs[n][m], phases)
+                p[n, m] = abs(a[n, m]) ** 2
+                pdot[n, m] = 2 * mp.re(mp.conj(a[n, m]) * mp.fdot(pairs[n][m], rates))
+        yield a, pdot * mp.inverse(p)
+
+
+@pytest.mark.parametrize("dim", [4, 8, 13])
+def test_dense_amplitudes_and_w(dim):
+    h = ob.build_hamiltonian(complex_model(dim, seed=dim))
+    sd = ob.eigendecompose(h)
+    # a few fixed times and the six worst-conditioned of a fine scan
+    scan_times = np.linspace(0.3, 80.0, 400)
+    condition = np.concatenate([blk.condition for blk in ob.time_blocks(sd, scan_times)])
+    times = np.sort(np.concatenate([[0.0, 0.05, 0.3, 1.0, 7.0, 30.0],
+                                    scan_times[np.argsort(condition)[-6:]]]))
+    (blk,) = ob.time_blocks(sd, times)
+    assert not blk.singular.any()
+    max_alpha = np.abs(sd.eigenvalues).max()
+    a_ratio, w_ratio = [], []
+    with mp.workdps(40):
+        for i, (a, w) in enumerate(dense_reference(h, times.tolist())):
+            a, w = ([x for row in ref.tolist() for x in row] for ref in (a, w))
+            a_err = max(abs(mp.mpc(x) - y) for x, y in zip(blk.a[i].ravel().tolist(), a))
+            w_err = max(abs(mp.mpf(x) - y) for x, y in zip(blk.w[i].ravel().tolist(), w))
+            w_max = max(abs(y) for y in w)
+            a_ratio.append(a_err / (EPS * (dim + max_alpha * times[i])))
+            w_ratio.append(w_err / (EPS * (1.0 + max_alpha * times[i]) * blk.condition[i]
+                                    * (max_alpha + w_max)))
+    a_ratio, w_ratio = np.array(a_ratio, dtype=np.float64), np.array(w_ratio, dtype=np.float64)
+    assert a_ratio.max() <= A_UNITS, (a_ratio.max(), times[a_ratio.argmax()])
+    assert w_ratio.max() <= W_UNITS, (w_ratio.max(), times[w_ratio.argmax()])
