@@ -34,19 +34,19 @@ class ExponentialFit:
 def delta_t(alpha, t):
     """Finite-time delta surrogate, normalized to unit integral over alpha.
 
-    ``alpha`` and ``t`` broadcast against each other.  At t = 0 it takes
-    its t -> 0+ limit, 0 for every alpha (the peak t / (2 pi) vanishes
-    too), so a rate read at t = 0 is 0, as the exact W(0) = Pdot(0) = 0 is.
-    Negative times are rejected."""
+    ``alpha`` and ``t`` broadcast against each other.  Where |alpha t / 2|
+    is below 2**-27, sin(x)^2 / x^2 rounds to 1 and delta_t is the peak
+    t / (2 pi): at alpha = 0, at an alpha whose square underflows (for t
+    below 1e146), and at t = 0, where the peak is 0 for every alpha, so a
+    rate read at t = 0 is 0, as the exact W(0) = Pdot(0) = 0 is.  Negative
+    times are rejected."""
     t = np.asarray(t, dtype=np.float64)
     if not np.all(t >= 0):
         raise ValueError(f"time must be non-negative, got {t}")
     alpha = np.asarray(alpha, dtype=np.float64)
-    peak = t / (2.0 * np.pi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = 2.0 * np.sin(alpha * t / 2.0) ** 2 / (np.pi * alpha ** 2 * t)
-    # both limits are the peak: alpha -> 0 at fixed t, and t -> 0+ (peak 0)
-    return np.where((alpha == 0.0) | (t == 0.0), peak, val)
+    half = alpha * t / 2.0
+    return np.divide(2.0 * np.sin(half) ** 2, np.pi * alpha ** 2 * t,
+                     out=np.full(half.shape, t / (2.0 * np.pi)), where=np.abs(half) >= 2.0 ** -27)
 
 
 def golden_rule_rate_00(spec, times):

@@ -55,17 +55,17 @@ def langevin_series(sd, times):
 
     These real forms round exactly as the complex ratios with denominator
     A conj(Adot) - conj(A) Adot = 2i q, evaluated one time at a time with
-    scalar complex arithmetic."""
+    scalar complex arithmetic.  1 / q is formed only at the non-singular
+    times; both coefficients are nan at the others."""
     a, adot, addot = survival_series(sd, times, derivatives=2)
     q = _im_conj(a, adot)
     # hypot, not np.abs: it rounds as the scalar abs() of complex numbers
     mag = np.hypot(a.real, a.imag)
     singular = ((np.abs(q) <= WRONSKIAN_TOL * (mag * np.hypot(adot.real, adot.imag)))
                 | (mag <= AMPLITUDE_NODE_TOL))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / q
-        omega_sq = np.where(singular, np.nan, _im_conj(adot, addot) * inv)
-        gamma = np.where(singular, np.nan, -(_im_conj(a, addot) * inv))
+    inv = np.divide(1.0, q, out=np.full_like(q, np.nan), where=~singular)
+    omega_sq = np.where(singular, np.nan, _im_conj(adot, addot) * inv)
+    gamma = np.where(singular, np.nan, -(_im_conj(a, addot) * inv))
     return LangevinSeries(a00=a, adot00=adot, addot00=addot, omega_sq=omega_sq,
                           gamma=gamma, singular=singular)
 

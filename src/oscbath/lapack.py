@@ -71,8 +71,8 @@ def solve_right(a, b, lu):
     Fortran-ordered a[k]^T, one ``dgesv`` of a[k]^T, which factors it and
     solves the rows, and one ``dgecon`` of the same factors.  The condition,
     1 / rcond, is ``dgecon``'s estimate of ||a[k]||_1 ||a[k]^{-1}||_1, a
-    lower bound on it; it is inf where a[k] meets an exactly zero pivot,
-    and x[k] is then b[k] as given.
+    lower bound on it.  It is formed only where rcond is nonzero: it is inf
+    where a[k] meets an exactly zero pivot, and x[k] is then b[k] as given.
     """
     routines = _routines()
     lange, gesv, gecon = (routines[stem] for stem in ("dlange_64_", "dgesv_64_", "dgecon_64_"))
@@ -103,5 +103,4 @@ def solve_right(a, b, lu):
         if ints.item(2):
             continue
         gecon(b"I", n_, lu_, n_, anorm_, rcond_ + 8 * k, work_, iwork_, info)
-    with np.errstate(divide="ignore"):
-        return x[:, :m], np.divide(1.0, rcond, out=rcond)
+    return x[:, :m], np.divide(1.0, rcond, out=np.full(count, np.inf), where=rcond != 0)

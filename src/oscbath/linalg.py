@@ -47,9 +47,8 @@ def check_hermitian(h):
         raise ValueError(f"expected a square matrix of dim >= 1, got shape {h.shape}")
     if not np.all(np.isfinite(h.view(np.float64))):
         raise ValueError("matrix has non-finite entries")
-    dev = np.abs(h - h.conj().T).max()
-    if dev != 0.0:
-        raise ValueError(f"matrix not exactly Hermitian: max|h - h^H| = {dev:.3e}")
+    if not np.array_equal(h, h.conj().T):
+        raise ValueError("matrix not exactly Hermitian")
     return h
 
 

@@ -60,9 +60,8 @@ class ModelSpec:
             if self.bath_bath.shape != (n, n):
                 raise ValueError(
                     f"bath_bath shape {self.bath_bath.shape} does not match bath size {n}")
-            dev = np.abs(self.bath_bath - self.bath_bath.conj().T).max() if n else 0.0
-            if dev > 0:
-                raise ValueError(f"bath_bath block not Hermitian: max deviation {dev:.3e}")
+            if not np.array_equal(self.bath_bath, self.bath_bath.conj().T):
+                raise ValueError("bath_bath block not Hermitian")
 
     @property
     def n_bath(self):

@@ -5,7 +5,8 @@ Each example takes one of four base configs: the three shipped ones and
 and a complex Hermitian ``bath_bath`` block.  It cuts a linear bath to at
 most 64 modes, sets up to two of its numbers to ordinary, tiny, huge or
 non-finite values (an off-diagonal ``bath_bath`` entry together with its
-conjugate partner, so the block stays Hermitian), gives it one of a few
+conjugate partner or alone, so the block may stop being Hermitian; one
+explicit example makes b - b^H overflow), gives it one of a few
 short time grids and runs every command on it in process, with ``--t-max``
 and ``--dt`` flags that may override the file's grid, their values written
 after a space, some with a leading minus (``-1e-3``, ``-inf``, ``-nan``)
@@ -27,7 +28,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import REPO_ROOT, load_digest_tool, run_python
@@ -113,8 +114,9 @@ def configs(draw):
     for path in draw(st.lists(st.sampled_from(MUTABLE[name]), max_size=2, unique=True)):
         value = draw(NUMBERS)
         put(doc, path, value)
-        if path[:2] == ("bath", "bath_bath"):
-            # the conjugate partner: the same real part, the opposite imaginary one
+        if path[:2] == ("bath", "bath_bath") and draw(st.booleans()):
+            # the conjugate partner, if drawn: the same real part, the opposite
+            # imaginary one
             i, j, *part = path[2:]
             put(doc, ("bath", "bath_bath", j, i, *part), -value if part == [1] else value)
     g = doc["bath"]["coupling"]["gs"][0] if name == "two_oscillator.json" else math.nan
@@ -145,8 +147,19 @@ def csv_rows(path, words=("",)):
                 if any(word in line for word in words)]
 
 
+def huge_non_hermitian():
+    """``complex_bath.json`` with both entries of one ``bath_bath`` conjugate
+    pair given the imaginary part 1e308, so b - b^H overflows: ``configs``
+    draws two huge values together too rarely to reach it."""
+    doc = base("complex_bath.json", 0)
+    for i, j in ((0, 1), (1, 0)):
+        put(doc, ("bath", "bath_bath", i, j, 1), 1e308)
+    return doc, []
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(configs())
+@example(huge_non_hermitian())
 @pytest.mark.parametrize("command", COMMANDS)
 def test_any_mutation_ends_cleanly(command, case):
     doc, flags = case

@@ -1,8 +1,10 @@
 import dataclasses
+import json
 import os
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 import oscbath as ob
 import oscbath.golden
@@ -66,6 +68,28 @@ class TestDeltaT:
         assert np.array_equal(delta_t(alphas, 0.0), np.zeros(4))
         assert delta_t(alphas[:, None], np.array([0.0, 1e-9]))[:, 1].max() <= 1e-9
         assert golden_rule_rate_00(linear_bath(5, 0.5, 1.5, 1.0, 0.01), [0.0]) == 0.0
+
+    def test_against_40_digit_reference(self):
+        alphas = np.array([0.0, 1e-300, -1e-300, 1e-200, -1e-200, 1e-162, -1e-162, 1e-160,
+                           -1e-160, 1e-12, -1e-12, 1e-3, 0.1, 1.0, 1e3])[:, None]
+        times = np.array([0.0, 1e-3, 1.0, 10.0, 1e4])
+        got = delta_t(alphas, times)
+        assert not np.isnan(got).any()
+        # below 2**-27 in |alpha t / 2|, where sin(x)^2 / x^2 rounds to 1:
+        # the peak t / (2 pi)
+        small = np.abs(alphas * times / 2.0) < 2.0 ** -27
+        peak = np.broadcast_to(times / (2.0 * np.pi), got.shape)
+        assert np.array_equal(got[small], peak[small])
+        # elsewhere, 4 ulp of the formula at the half-angle alpha t / 2 as
+        # it rounds: at alpha = 0.1, t = 1e4 that rounding alone moves
+        # delta_t by 670 ulp, which no evaluation from these doubles recovers
+        with mp.workdps(40):
+            for i, j in zip(*np.nonzero(~small)):
+                alpha, t = mp.mpf(alphas[i, 0]), mp.mpf(times[j])
+                ref = 2 * mp.sin(mp.mpf(alphas[i, 0] * times[j] / 2.0)) ** 2 / (
+                    mp.pi * alpha ** 2 * t)
+                ulps = abs(mp.mpf(got[i, j]) - ref) / np.spacing(float(ref))
+                assert ulps <= 4, (alphas[i, 0], times[j], float(ulps))
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -251,6 +275,20 @@ class TestCompareExactVsGolden:
         devs = [compare_exact_vs_golden(times[::k], exact_w00(bath201_sd, times[::k]),
                                         bath201_spec) for k in range(1, 6)]
         assert max(devs) - min(devs) < 0.05 * min(devs)
+
+    def test_tiny_detuning(self, tmp_path):
+        # every gap alpha = +-1e-170 squares to 0: delta_t once gave nan at
+        # each of them, and the report a null w_deviation
+        doc = {"system": {"omega": 2e-170},
+               "bath": {"n": 2, "spectrum": {"type": "explicit", "omegas": [1e-170, 3e-170]},
+                        "coupling": {"type": "explicit", "gs": [1e-150, 1e-150]}},
+               "initial": {"type": "explicit", "occupations": [1.0, 0.0, 0.0]},
+               "time": {"t_max": 5.0, "dt": 0.1}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["golden", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "golden_report.json").read_text())
+        assert report["w_deviation"] is not None and np.isfinite(report["w_deviation"])
 
     def test_cli_w00_matches_dense_reference(self, tmp_path, monkeypatch):
         # the golden command solves only row 0 of W; it must agree with the

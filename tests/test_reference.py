@@ -19,13 +19,20 @@ EPS = np.finfo(np.float64).eps
 # it.  It falls at t = 0, where the error is that of sum_k |U[0, k]|^2 = 1
 # and moves in steps of eps / 2; for t > 0 it was at most 1.67
 A00_UNITS = 4.0
+# the same for dA00 and d2A00, in one and two more factors of max|alpha|:
+# the measured maxima, 1.65 and 0.98 at dim 21, rounded up
+SERIES_UNITS = (A00_UNITS, 2.0, 1.5)
 # the dense engine's A error in units of eps (dim + max|alpha| t), whose
 # dim eps term is that of sum_k conj(U[n, k]) U[m, k] = delta_nm at small t,
 # and its W error in units of eps (1 + max|alpha| t) condition
 # (max|alpha| + max|W|), with the engine's own condition estimate: the
 # measured maxima over the models and times below, 1.28 (dim 13, t = 30)
-# and 1.47 (dim 4, condition 2,925), rounded up
+# and 1.47 (dim 4, condition 2,925), rounded up.  P's error in A's units
+# and Pdot's in one more factor of max|alpha|: measured 1.5 (dim 8) and
+# 0.19 (dim 4), rounded up
 A_UNITS = 2.0
+P_UNITS = 2.0
+PDOT_UNITS = 0.25
 W_UNITS = 2.0
 
 
@@ -34,20 +41,28 @@ def test_survival_amplitude(dim):
     h = ob.build_hamiltonian(complex_model(dim, seed=dim))
     sd = ob.eigendecompose(h)
     times = np.linspace(0.0, 60.0, 120)
-    got = ob.survival_series(sd, times)[0]
+    got = ob.survival_series(sd, times, derivatives=2)
     with mp.workdps(40):
         alpha, u = mp.eighe(mp.matrix(h.tolist()))
         weights = [abs(u[0, k]) ** 2 for k in range(dim)]
-        error = [abs(mp.mpc(g) - mp.fsum(w * mp.expj(-a * t) for w, a in zip(weights, alpha)))
-                 for g, t in zip(got.tolist(), times.tolist())]
-    unit = EPS * (1.0 + np.abs(sd.eigenvalues).max() * times)
-    ratio = np.array(error, dtype=np.float64) / unit
-    assert ratio.max() <= A00_UNITS, (ratio.max(), times[ratio.argmax()])
+        # A00, dA00 and d2A00: the sums weighted by 1, -i alpha and -alpha^2
+        factors = [[1, -1j * a, -a ** 2] for a in alpha]
+        error = np.zeros((3, len(times)))
+        for i, t in enumerate(times.tolist()):
+            terms = [w * mp.expj(-a * t) for w, a in zip(weights, alpha)]
+            for d in range(3):
+                ref = mp.fsum(x * f[d] for x, f in zip(terms, factors))
+                error[d, i] = abs(mp.mpc(got[d, i]) - ref)
+    max_alpha = np.abs(sd.eigenvalues).max()
+    ratio = error / (EPS * (1.0 + max_alpha * times) * max_alpha ** np.arange(3)[:, None])
+    for d, units in enumerate(SERIES_UNITS):
+        assert ratio[d].max() <= units, (d, ratio[d].max(), times[ratio[d].argmax()])
 
 
 def dense_reference(h, times):
-    """A and W = Pdot P^-1 at each of ``times`` as mpmath matrices at the
-    working precision, from ``mp.eighe`` of ``h``'s exact doubles."""
+    """A, P = |A|^2, Pdot and W = Pdot P^-1 at each of ``times`` as mpmath
+    matrices at the working precision, from ``mp.eighe`` of ``h``'s exact
+    doubles."""
     dim = len(h)
     alpha, u = mp.eighe(mp.matrix(h.tolist()))
     # pairs[n][m][k] = conj(U[n, k]) U[m, k]
@@ -62,7 +77,7 @@ def dense_reference(h, times):
                 a[n, m] = mp.fdot(pairs[n][m], phases)
                 p[n, m] = abs(a[n, m]) ** 2
                 pdot[n, m] = 2 * mp.re(mp.conj(a[n, m]) * mp.fdot(pairs[n][m], rates))
-        yield a, pdot * mp.inverse(p)
+        yield a, p, pdot, pdot * mp.inverse(p)
 
 
 @pytest.mark.parametrize("dim", [4, 8, 13])
@@ -77,16 +92,20 @@ def test_dense_amplitudes_and_w(dim):
     (blk,) = ob.time_blocks(sd, times)
     assert not blk.singular.any()
     max_alpha = np.abs(sd.eigenvalues).max()
-    a_ratio, w_ratio = [], []
+    ratios = {name: [] for name in ("a", "p", "pdot", "w")}
     with mp.workdps(40):
-        for i, (a, w) in enumerate(dense_reference(h, times.tolist())):
-            a, w = ([x for row in ref.tolist() for x in row] for ref in (a, w))
-            a_err = max(abs(mp.mpc(x) - y) for x, y in zip(blk.a[i].ravel().tolist(), a))
+        for i, refs in enumerate(dense_reference(h, times.tolist())):
+            a, p, pdot, w = ([x for row in ref.tolist() for x in row] for ref in refs)
+            a_unit = EPS * (dim + max_alpha * times[i])
+            for name, ref, unit in (("a", a, a_unit), ("p", p, a_unit),
+                                    ("pdot", pdot, a_unit * max_alpha)):
+                got = getattr(blk, name)[i].ravel().tolist()
+                ratios[name].append(max(abs(mp.mpmathify(x) - y)
+                                        for x, y in zip(got, ref)) / unit)
             w_err = max(abs(mp.mpf(x) - y) for x, y in zip(blk.w[i].ravel().tolist(), w))
             w_max = max(abs(y) for y in w)
-            a_ratio.append(a_err / (EPS * (dim + max_alpha * times[i])))
-            w_ratio.append(w_err / (EPS * (1.0 + max_alpha * times[i]) * blk.condition[i]
-                                    * (max_alpha + w_max)))
-    a_ratio, w_ratio = np.array(a_ratio, dtype=np.float64), np.array(w_ratio, dtype=np.float64)
-    assert a_ratio.max() <= A_UNITS, (a_ratio.max(), times[a_ratio.argmax()])
-    assert w_ratio.max() <= W_UNITS, (w_ratio.max(), times[w_ratio.argmax()])
+            ratios["w"].append(w_err / (EPS * (1.0 + max_alpha * times[i]) * blk.condition[i]
+                                        * (max_alpha + w_max)))
+    for name, units in (("a", A_UNITS), ("p", P_UNITS), ("pdot", PDOT_UNITS), ("w", W_UNITS)):
+        ratio = np.array(ratios[name], dtype=np.float64)
+        assert ratio.max() <= units, (name, ratio.max(), times[ratio.argmax()])
