@@ -34,11 +34,11 @@ def block_slices(count, entries_per_time):
     return (slice(start, start + step) for start in range(0, count, step))
 
 
-def survival_series(sd, times, derivatives=0):
-    """A00 and its first ``derivatives`` (0, 1 or 2) time derivatives over a
-    time grid: the rows of one complex (derivatives + 1, len(times)) array.
+def survival_series(sd, times, derivatives=False):
+    """A00 over a time grid, and with ``derivatives`` its first two time
+    derivatives too: the rows of one complex (1 or 3, len(times)) array.
 
-    Scalar spectral sums over the weights |U[0, k]|^2, a derivative's formed
+    Scalar spectral sums over the weights |U[0, k]|^2, derivatives formed
     only when asked for.  The (times, dim) phase matrix is formed one block
     of ``block_slices(len(times), dim)`` at a time, so beyond the output
     memory stays one block; each time's sums do not depend on the block.
@@ -46,10 +46,8 @@ def survival_series(sd, times, derivatives=0):
     times = np.asarray(times, dtype=np.float64).ravel()
     alpha = sd.eigenvalues
     weights = [np.abs(sd.vectors[0, :]) ** 2]
-    if derivatives >= 1:
-        weights.append(-1j * alpha * weights[0])
-    if derivatives == 2:
-        weights.append(-(alpha ** 2) * weights[0])
+    if derivatives:
+        weights += [-1j * alpha * weights[0], -(alpha ** 2) * weights[0]]
     sums = np.empty((len(weights), len(times)), dtype=np.complex128)
     for s in block_slices(len(times), sd.dim):
         t = times[s]

@@ -30,8 +30,8 @@ top-level keys: "tolerances" (name -> number overrides) and "fit_window"
 ([t1, t2] for the exponential fit; both finite, t1 < t2).  ``RunConfig``
 resolves every time grid a command computes on: the output grid, the fit
 window, and the noise-covariance and W00 grids.  It rejects a model whose
-bound on ||H||_inf times t_max is not below 2**52, where the phases
-alpha t are lost to rounding, for a t_max from the file or an override.
+bound on ||H||_inf times the last time of its grid, from the file or an
+override, is not below 2**52, where the phases alpha t are lost to rounding.
 """
 
 import json
@@ -80,22 +80,28 @@ class RunConfig:
             raise ConfigError(f"time.dt must be finite and positive, got {self.dt}")
         if not (math.isfinite(self.t_max) and self.t_max >= self.dt):
             raise ConfigError(f"time.t_max must be finite and >= dt, got {self.t_max}")
-        # from 2**52 on, rounding alpha * t alone costs half a radian of phase
-        phase = self.spec.norm_bound * self.t_max
+        # from 2**52 on, rounding alpha * t alone costs half a radian of phase;
+        # the grid ends at dt * round(t_max / dt), up to dt / 2 past t_max
+        phase = self.spec.norm_bound * (self.dt * self._steps())
         if not phase < 2.0 ** 52:
-            raise ConfigError(f"||H||_inf * t_max = {phase:.3g} is not below 2**52: the "
-                              "phases exp(-i alpha t) would be lost to rounding")
+            raise ConfigError(f"||H||_inf * t = {phase:.3g} at the grid's last time is not "
+                              "below 2**52: the phases exp(-i alpha t) would be lost to rounding")
         if self.fit_window is not None:
             t1, t2 = self.fit_window
             if not (math.isfinite(t1) and math.isfinite(t2) and t1 < t2):
                 raise ConfigError(f"fit window must be finite with t1 < t2, got [{t1}, {t2}]")
 
-    def time_grid(self):
+    def _steps(self, grid=int):
+        """``grid`` of round(t_max / dt), the time grid's number of steps; a
+        config error if the ratio is too large to round or the grid to make."""
         try:
-            return np.arange(int(round(self.t_max / self.dt)) + 1) * self.dt
+            return grid(round(self.t_max / self.dt))
         except (ValueError, OverflowError, MemoryError) as exc:
             raise ConfigError(f"time.dt = {self.dt} gives a time grid too long "
                               f"for t_max = {self.t_max}: {exc}") from exc
+
+    def time_grid(self):
+        return self._steps(lambda steps: np.arange(steps + 1) * self.dt)
 
     def fit_times(self):
         """The exponential-fit window and the grid times inside it: the
@@ -126,13 +132,11 @@ class RunConfig:
         return _subsample(self.time_grid(), MAX_COV_POINTS)
 
     def w00_times(self, gamma):
-        """The fit-window times up to the decay time 1 / ``gamma`` of |A00|^2
-        (all of them if ``gamma`` is 0), at most MAX_W00_POINTS: where the
-        perturbative regime lets W[0, 0] be compared with the golden rule."""
-        times = self.fit_times()[1]
-        if gamma > 0:
-            times = times[times <= 1.0 / gamma]
-        return _subsample(times, MAX_W00_POINTS)
+        """The fit-window times t with t ``gamma`` <= 1, within the decay time
+        of |A00|^2, at most MAX_W00_POINTS: where the perturbative regime
+        lets W[0, 0] be compared with the golden rule."""
+        times, gamma = self.fit_times()[1], float(gamma)  # a Python product overflows to inf
+        return _subsample(times[[t * gamma <= 1.0 for t in times.tolist()]], MAX_W00_POINTS)
 
 
 def _value(val, path, kind):

@@ -219,11 +219,10 @@ def _join(*fields):
     return text.translate(None, b"\0")
 
 
-@functools.cache
 def _index_field(shape):
     """The "i,j,..." text of each index of a ``shape`` array, C order, as a
-    read-only field, made of each axis's text ("i," and, on the last axis,
-    "j") formed once per index of that axis."""
+    field, made of each axis's text ("i," and, on the last axis, "j") formed
+    once per index of that axis."""
     parts = []
     for axis, n in enumerate(shape):
         comma = b"," if axis < len(shape) - 1 else b""
@@ -232,9 +231,7 @@ def _index_field(shape):
         # the earlier ones
         text = text.repeat(math.prod(shape[axis + 1:]), axis=0)
         parts.append(np.tile(text, (math.prod(shape[:axis]), 1)))
-    field = np.concatenate(parts, axis=1)
-    field.flags.writeable = False
-    return field
+    return np.concatenate(parts, axis=1)
 
 
 class CsvWriter:

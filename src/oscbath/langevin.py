@@ -57,7 +57,7 @@ def langevin_series(sd, times):
     A conj(Adot) - conj(A) Adot = 2i q, evaluated one time at a time with
     scalar complex arithmetic.  1 / q is formed only at the non-singular
     times; both coefficients are nan at the others."""
-    a, adot, addot = survival_series(sd, times, derivatives=2)
+    a, adot, addot = survival_series(sd, times, derivatives=True)
     q = _im_conj(a, adot)
     # hypot, not np.abs: it rounds as the scalar abs() of complex numbers
     mag = np.hypot(a.real, a.imag)

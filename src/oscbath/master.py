@@ -117,10 +117,10 @@ def master_residual(block, initial):
     """Residuals of the master equation at each time of a block with every
     row of W.
 
-    Returns ``(gain_loss, balance)``: max_n |dN_n/dt - sum_k W_nk N_k| for
-    the matrix form, and the same for the explicit gain-minus-loss form
-    built from the off-diagonals of W.  dN/dt comes from the analytic Pdot,
-    never from differencing the trajectory.  Singular points give nan.
+    Returns ``(residual, residual_balance)`` as master_residual.csv names
+    them: max_n |dN_n/dt - sum_k W_nk N_k| for the matrix form, the same for
+    the gain-minus-loss form from W's off-diagonals.  dN/dt is the analytic
+    Pdot, never a difference of the trajectory.  Singular points give nan.
     """
     initial = np.asarray(initial, dtype=np.float64)
     occ = block.p @ initial

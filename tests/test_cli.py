@@ -148,6 +148,42 @@ def test_silenced_regions_are_the_documented_ones():
     assert sorted(found) == ERRSTATE_BLOCKS
 
 
+# every functools cache of the package: (module, function, parameters).  A
+# cache keyed by its arguments grows without bound in a long-lived process,
+# so each one decorates a function without parameters and holds one value
+CACHED_FUNCTIONS = sorted([
+    ("floatfmt", "_body_masks", ""),
+    ("floatfmt", "_exponent_words", ""),
+    ("floatfmt", "_powers", ""),
+    ("lapack", "_routines", ""),
+])
+
+
+def cached_functions(path, module):
+    """(module, function, parameters) of each use of the name ``cache`` or
+    ``lru_cache`` in the file at ``path``; function and parameters are None
+    for a use outside a function's decorators."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    owner = {id(node): f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+             for decorator in f.decorator_list for node in ast.walk(decorator)}
+    found = []
+    for node in ast.walk(tree):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name in ("cache", "lru_cache"):
+            f = owner.get(id(node))
+            found.append((module, f and f.name, f and ast.unparse(f.args)))
+    return found
+
+
+def test_caches_take_no_arguments():
+    # a new cache fails here until it is listed above and in ROADMAP item 10
+    package = os.path.dirname(oscbath.cli.__file__)
+    found = [cache for name in sorted(os.listdir(package)) if name.endswith(".py")
+             for cache in cached_functions(os.path.join(package, name), name[:-3])]
+    assert sorted(found) == CACHED_FUNCTIONS
+
+
 class TestAmplitudesCommand:
     def test_bare_system_survival(self, tmp_path):
         cfg = write_bare_config(tmp_path)
@@ -280,8 +316,6 @@ def test_text_is_formed_one_block_at_a_time(add, inputs, count):
     # at most CALL_NUMBERS numbers, whose text and temporaries peak near 300
     # bytes a number, however long a grid's last axis is
     inputs = inputs()
-    if add == "grid":
-        oscbath.floatfmt._index_field(inputs[1].shape[1:])  # cached, and not counted
     fh = LineCount()
     tracemalloc.start()
     try:
@@ -498,6 +532,39 @@ class TestGoldenCommand:
         assert report["window"] == [20.0, 100.0]
         assert report["w_deviation"] is None
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("g", [1e-158, 2e-162])
+    def test_subnormal_decay_rate(self, tmp_path, capsys, g):
+        # gamma_pred is subnormal: 1 / gamma overflowed once (exit 3); every
+        # fit time t has t gamma <= 1
+        doc = json.loads(open(N51).read())
+        doc["bath"]["coupling"]["g"] = g
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["golden", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "golden_report.json").read_text())
+        assert 0 < report["gamma_pred"] < 2.3e-308
+        cfg = load_config(cfg)
+        assert np.array_equal(cfg.w00_times(report["gamma_pred"]), cfg.fit_times()[1])
+
+    def test_decay_rate_past_the_largest_product(self, tmp_path, capsys):
+        # gamma_pred = 3.1e300 on a grid to 1e8: t gamma overflows a double
+        # for t > 5.7e7, and only t = 0 has t gamma <= 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "system": {"omega": 1e-290},
+            "bath": {"n": 2, "spectrum": {"type": "linear", "omega_min": 1e-300,
+                                          "omega_max": 2e-290},
+                     "coupling": {"type": "uniform", "g": 1e5}},
+            "initial": {"type": "explicit", "occupations": [1.0, 0.0, 0.0]},
+            "time": {"t_max": 1e8, "dt": 1e6},
+        }))
+        assert main(["golden", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "golden_report.json").read_text())
+        assert report["gamma_pred"] == pytest.approx(np.pi * 1e300)
+        assert load_config(cfg).w00_times(report["gamma_pred"]).tolist() == [0.0]
 
     def test_survival_sums_only_in_the_window(self, tmp_path, monkeypatch):
         seen = []
@@ -873,9 +940,22 @@ class TestErrorPaths:
         cfg.write_text(json.dumps(doc))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"config error: ||H||_inf * t_max = {product} is not below 2**52: the phases "
-            "exp(-i alpha t) would be lost to rounding"]
+            f"config error: ||H||_inf * t = {product} at the grid's last time is not below "
+            "2**52: the phases exp(-i alpha t) would be lost to rounding"]
         assert not recwarn.list
+
+    @pytest.mark.parametrize("command", ["amplitudes", "master", "langevin", "golden",
+                                         "validate"])
+    def test_phases_beyond_rounding_at_the_grid_end(self, tmp_path, capsys, command):
+        # ||H||_inf * t_max = 0.75 * 2**52 passes, but t_max / dt = 1.5 rounds
+        # up, so the grid [0, 2**51, 2**52] ends past t_max: once exit 0
+        # (golden 2, on its fit window)
+        cfg = write_bare_config(tmp_path)
+        assert main([command, "--config", cfg, "--out", str(tmp_path),
+                     "--t-max", str(0.75 * 2 ** 52), "--dt", str(0.5 * 2 ** 52)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: ||H||_inf * t = 4.5e+15 at the grid's last time is not below "
+            "2**52: the phases exp(-i alpha t) would be lost to rounding"]
 
     @pytest.mark.parametrize("command, code", [
         ("amplitudes", 0), ("master", 0), ("langevin", 3), ("golden", 2), ("validate", 3)])

@@ -482,9 +482,25 @@ class TestConfig:
             "time": {"t_max": 10.0, "dt": 0.5},
         })
         assert dataclasses.replace(cfg, t_max=4.09e15).t_max == 4.09e15
-        with pytest.raises(ConfigError, match=r"^\|\|H\|\|_inf \* t_max = 4\.51e\+15 is not "
-                                              r"below 2\*\*52: "):
+        with pytest.raises(ConfigError, match=r"^\|\|H\|\|_inf \* t = 4\.51e\+15 at the grid's "
+                                              r"last time is not below 2\*\*52: "):
             dataclasses.replace(cfg, t_max=4.1e15)
+
+    @pytest.mark.parametrize("dt, reason", [
+        (5e-324, "cannot convert float infinity to integer"),
+        (1e-300, "Maximum allowed size exceeded"),
+    ], ids=["ratio too large to round", "grid too large to make"])
+    def test_time_grid_too_long(self, dt, reason):
+        # the first is refused at once, as the phase rule needs the grid's
+        # last time, the second when the grid is made
+        cfg = parse_config({
+            "system": {"omega": 1.0}, "bath": {"n": 0},
+            "initial": {"type": "explicit", "occupations": [1.0]},
+            "time": {"t_max": 10.0, "dt": 0.5},
+        })
+        with pytest.raises(ConfigError, match=f"^time.dt = {dt} gives a time grid too long "
+                                              f"for t_max = 10.0: {reason}$"):
+            dataclasses.replace(cfg, dt=dt).time_grid()
 
     def test_fit_window_holds_two_grid_points(self):
         cfg = parse_config({
