@@ -4,9 +4,14 @@
 over a time grid given block by block, to a file.  It keeps the numbers of
 pending lines across the pieces it is given and formats them in calls of at
 most ``CALL_NUMBERS`` numbers, so the call size, never the size of a piece
-or the length of a grid's last axis, decides every formatter call; the text
-and temporaries of one call peak near 300 bytes a number (1.2 MB) whatever
-the input size.
+or the length of a grid's last axis, decides every formatter call.  One
+call's working set, the writer's buffers with the call's text, its CSV
+lines and every temporary, peaked at 90 to 130 bytes a number (at most
+0.52 MB) under ``tracemalloc``, on columns, complex grids and long rows of
+any size; ``format_floats`` alone peaked at 85, 32 of them its result.
+Past its inputs, every step writes into one of a few arrays that it
+reuses in place, and the call's text matrix is freed before the CSV text
+drops its NUL bytes.
 
 ``format_floats(x)`` turns an array into an (x.size, ``WIDTH``) uint8 matrix
 whose row i holds the bytes of ``'%.17g' % x[i]`` with NUL bytes in between
@@ -70,43 +75,89 @@ def _powers():
         hi_num, hi_den = hi[-1].as_integer_ratio()
         lo.append((num * hi_den - hi_num * den) / (den * hi_den))
     hi, lo = np.array(hi), np.array(lo)
-    return np.stack((hi, lo, *_split(hi)))
+    head, tail = np.empty((2, len(hi)))
+    _split(hi, head, tail)
+    return np.stack((hi, lo, head, tail))
 
 
-def _split(a):
-    c = _SPLIT * a
-    head = c - (c - a)
-    return head, a - head
+def _split(a, head, tail):
+    """Dekker's split of ``a`` into ``head`` + ``tail``, written into those
+    two arrays."""
+    np.multiply(a, _SPLIT, out=head)
+    np.subtract(head, a, out=tail)
+    head -= tail
+    np.subtract(a, head, out=tail)
 
 
 def _scaled(a, e):
     """``round(a 10^(16-e))`` as int64, and a mask of the values it cannot
-    be trusted for: a possible tie, or a result outside [10^16, 10^17)."""
-    hi, lo, hi_head, hi_tail = _powers().take(e - _EXPONENTS.start, axis=1)
-    p = a * hi
-    a_head, a_tail = _split(a)
-    # Dekker: p + err == a * hi exactly
-    err = a_tail * hi_tail - (((p - a_head * hi_head) - a_tail * hi_head)
-                              - a_head * hi_tail)
-    rest = err + a * lo
-    whole = np.floor(rest)
-    frac = rest - whole
-    floor = p.astype(np.int64) + whole.astype(np.int64)
-    q = floor + (frac + 0.5).astype(np.int64)  # a tie may go either way
-    doubtful = ((np.abs(frac - 0.5) < _TIE_MARGIN)
-                | (floor < 10 ** 16) | (q >= 10 ** 17))
+    be trusted for: a possible tie, or a result outside [10^16, 10^17).
+    Apart from the table lookups, every step writes into one of four (n,)
+    arrays."""
+    hi, lo, hi_head, hi_tail = _powers()
+    k = e - _EXPONENTS.start
+    p = hi.take(k)
+    p *= a
+    head, tail, rest = np.empty((3, len(a)))
+    _split(a, head, tail)
+    # Dekker: p + err == a * hi exactly, where err is
+    # a_tail hi_tail - (((p - a_head hi_head) - a_tail hi_head) - a_head hi_tail)
+    factor = hi_head.take(k)
+    np.multiply(head, factor, out=rest)
+    np.subtract(p, rest, out=rest)
+    factor *= tail
+    rest -= factor
+    factor = hi_tail.take(k)
+    head *= factor
+    rest -= head
+    factor *= tail
+    np.subtract(factor, rest, out=rest)
+    factor = lo.take(k)
+    factor *= a
+    rest += factor  # err + a lo
+    whole = head
+    np.floor(rest, out=whole)
+    rest -= whole  # the fraction
+    # int64 views of arrays whose float values are used up; copyto with
+    # unsafe casting truncates as astype does
+    floor = tail.view(np.int64)
+    np.copyto(floor, p, casting="unsafe")
+    q = p.view(np.int64)
+    np.copyto(q, whole, casting="unsafe")
+    floor += q
+    np.add(rest, 0.5, out=whole)
+    np.copyto(q, whole, casting="unsafe")
+    q += floor  # a tie may go either way
+    rest -= 0.5
+    doubtful = np.abs(rest, out=rest) < _TIE_MARGIN
+    doubtful |= floor < 10 ** 16
+    doubtful |= q >= 10 ** 17
     return q, doubtful
 
 
 def _eight_digits(x):
-    """The eight decimal digits of each uint64 below 10^8, one per byte of
-    a uint64, most significant first in memory (little-endian)."""
-    hi = x // 10 ** 4
-    merged = hi | ((x - hi * 10 ** 4) << 32)  # two 4-digit lanes
-    top = ((merged * 10486) >> 20) & 0x7F_0000_007F  # lane // 100
-    pairs = ((merged - 100 * top) << 16) + top  # four 2-digit lanes
-    tens = ((pairs * 103) >> 10) & 0x000F_000F_000F_000F  # lane // 10
-    return tens + ((pairs - 10 * tens) << 8)
+    """Overwrite each uint64 of ``x``, all below 10^8, with its eight
+    decimal digits, one per byte of the uint64, most significant first in
+    memory (little-endian)."""
+    lanes = x // 10 ** 4
+    # each step splits every lane of x in two at 10^k: with lanes holding
+    # lane // 10^k, the split lanes are ((x - 10^k lanes) << s) + lanes,
+    # which is (x << s) - lanes (10^k 2^s - 1) in wrapping uint64 arithmetic
+    x <<= 32
+    lanes *= (10 ** 4 << 32) - 1
+    x -= lanes  # two 4-digit lanes
+    np.multiply(x, 10486, out=lanes)
+    lanes >>= 20
+    lanes &= 0x7F_0000_007F  # lane // 100
+    x <<= 16
+    lanes *= (100 << 16) - 1
+    x -= lanes  # four 2-digit lanes
+    np.multiply(x, 103, out=lanes)
+    lanes >>= 10
+    lanes &= 0x000F_000F_000F_000F  # lane // 10
+    x <<= 8
+    lanes *= (10 << 8) - 1
+    x -= lanes
 
 
 def _significant(mid, low):
@@ -116,21 +167,29 @@ def _significant(mid, low):
     float64 exponent of low 2^64 + mid + 1/2, where the 1/2 makes no
     nonzero byte read as none; rounding can carry into the byte, never out
     of it."""
-    top = low.astype(np.float64) * 2.0 ** 64 + mid.astype(np.float64) + 0.5
-    return 1 + (((top.view(np.int64) >> 52) - 1015) >> 3)
+    top = np.multiply(low, 2.0 ** 64)
+    top += mid
+    top += 0.5
+    count = top.view(np.int64)
+    count >>= 52
+    count -= 1015
+    count >>= 3
+    count += 1
+    return count
 
 
 @functools.cache
 def _body_masks():
     """Per (point, significant digits) layout: ``(keep, keep_shifted,
-    dot)``, each a (21 * 17, _WORDS) uint64 table whose row
-    ``(point - 1) * 17 + significant - 1`` selects the row bytes taken from
-    X, from X moved up one byte, and the point.
+    dot)``, each a (3, 21 * 17) uint64 table whose column
+    ``(point - 1) * 17 + significant - 1`` selects the bytes of row words
+    0-2 taken from X, from X moved up one byte, and the point.
 
     X is the unformatted row: sign, "0000", 17 digits, NUL, exponent.  The
     text shows X[1 + start:] up to the last kept digit, and the point goes
-    after the first ``point`` characters of "0000" + digits."""
-    tables = np.zeros((3, 21, 17, WIDTH), dtype=np.uint8)
+    after the first ``point`` characters of "0000" + digits.  Word 3, the
+    exponent, is kept whole: no moved byte or point reaches it."""
+    tables = np.zeros((3, 21, 17, 24), dtype=np.uint8)
     keep, keep_shifted, dot = tables
     for point in range(1, 22):
         start = min(point - 1, 4)
@@ -140,10 +199,9 @@ def _body_masks():
             keep[row][0] = 0xFF
             keep[row][1 + start:1 + min(point, last + 1)] = 0xFF
             keep_shifted[row][2 + point:3 + last] = 0xFF
-            keep[row][24:] = 0xFF
             if last >= point:
                 dot[row][1 + point] = ord(".")
-    return tuple(t.reshape(21 * 17, WIDTH).view(_U) for t in tables)
+    return tuple(np.ascontiguousarray(t.reshape(21 * 17, 24).view(_U).T) for t in tables)
 
 
 @functools.cache
@@ -159,34 +217,50 @@ def _layout(negative, q, e):
     """(n, WIDTH) uint8 rows of ``%.17g`` text for the 17-digit integers
     ``q`` in [10^16, 10^17) with decimal exponents ``e``."""
     n = len(q)
-    q = q.astype(_U)
-    top = q // 10 ** 8
-    lead = top // 10 ** 8
-    mid, low = _eight_digits(np.stack((top - lead * 10 ** 8, q - top * 10 ** 8)))
+    q = q.view(_U)
+    digits = np.empty((2, n), dtype=_U)
+    mid, low = digits
+    np.floor_divide(q, 10 ** 8, out=mid)
+    np.multiply(mid, 10 ** 8, out=low)
+    np.subtract(q, low, out=low)
+    lead = mid // 10 ** 8
+    mid -= lead * 10 ** 8
+    _eight_digits(digits)
+    code = _significant(mid, low)
     point = 5 + np.where((e >= -4) & (e < 17), e, 0)
-    code = (point - 1) * 17 + _significant(mid, low) - 1
-    mid += _ZEROS
-    low += _ZEROS
-    # X, row after row in one flat buffer of words; one word earlier the
-    # same buffer reads the word before, whose top byte moves up into the
-    # next when X moves up one byte
-    flat = np.zeros(n * _WORDS + 1, dtype=_U)
-    x = flat[1:].reshape(n, _WORDS)
-    x[:, 0] = (np.where(negative, _U(ord("-")), _U(0)) | 0x30303030 << 8
-               | (lead + ord("0")) << 40 | mid << 48)
-    x[:, 1] = mid >> 16 | low << 48
-    x[:, 2] = low >> 16
-    x[:, 3] = _exponent_words().take(e - _EXPONENTS.start)
+    code += (point - 1) * 17 - 1
+    del point
+    digits += _ZEROS
+    # X, one row of four words per number
+    x = np.empty((n, _WORDS), dtype=_U)
+    x0, x1, x2, x3 = x.T
+    lead += ord("0")
+    lead <<= 40
+    np.left_shift(mid, 48, out=x0)
+    x0 |= lead
+    x0 |= 0x30303030 << 8
+    np.bitwise_or(x0, ord("-"), out=x0, where=negative)
+    np.right_shift(mid, 16, out=x1)
+    np.left_shift(low, 48, out=x2)
+    x1 |= x2
+    np.right_shift(low, 16, out=x2)
+    del digits, mid, low, lead
+    x3[:] = _exponent_words().take(e - _EXPONENTS.start)
+    # X turns into the text word by word, from word 2 down, so that the
+    # word before each one still holds X: moving X up one byte carries that
+    # word's top byte into the next word, and word 0 gets the previous
+    # row's byte 31, always NUL
     keep, keep_shifted, dot = _body_masks()
-    text = keep.take(code, axis=0)
-    text &= x
-    shifted = x << 8
-    shifted |= flat[:-1].reshape(n, _WORDS) >> 56
-    shifted &= keep_shifted.take(code, axis=0)
-    text |= shifted
-    del shifted
-    text |= dot.take(code, axis=0)
-    return text.view(np.uint8)
+    for j in (2, 1, 0):
+        word = x[:, j]
+        shifted = word << 8
+        if j:
+            shifted |= x[:, j - 1] >> 56
+        shifted &= keep_shifted[j].take(code)
+        word &= keep[j].take(code)
+        word |= shifted
+        word |= dot[j].take(code)
+    return x.view(np.uint8)
 
 
 def format_floats(x):
@@ -194,11 +268,12 @@ def format_floats(x):
     uint8 matrix of text and NUL bytes."""
     x = np.asarray(x, dtype=np.float64).ravel()
     a = np.abs(x)
-    fast = (a >= _FAST_RANGE[0]) & (a <= _FAST_RANGE[1])
-    a = np.where(fast, a, 1.0)
+    slow = ~((a >= _FAST_RANGE[0]) & (a <= _FAST_RANGE[1]))
+    np.copyto(a, 1.0, where=slow)
     e = np.floor(np.log10(a)).astype(np.int64)
     q, doubtful = _scaled(a, e)
-    slow = ~fast | doubtful
+    del a
+    slow |= doubtful
     q[slow] = 10 ** 16
     out = _layout(np.signbit(x), q, e)
     if slow.any():
@@ -206,14 +281,17 @@ def format_floats(x):
     return out
 
 
-def _join(*fields):
-    """CSV text, a bytearray, of fields that are (n, width) uint8 matrices of
-    text and NUL bytes: each field's last column, always NUL, becomes a ','
-    or, after the last field, a newline, and then every NUL byte is dropped."""
+def _join(fields):
+    """CSV text, a bytearray, of ``fields``, a list of (n, width) uint8
+    matrices of text and NUL bytes: each field's last column, always NUL,
+    becomes a ',' or, after the last field, a newline, and then every NUL
+    byte is dropped.  The list is emptied once its bytes are copied, so
+    the caller's matrices are freed before the text is compacted."""
     ends = np.cumsum([f.shape[1] for f in fields]) - 1
     text = bytearray(len(fields[0]) * (ends[-1] + 1))
     rows = np.frombuffer(text, dtype=np.uint8).reshape(len(fields[0]), -1)
     np.concatenate(fields, axis=1, out=rows)
+    fields.clear()
     rows[:, ends] = ord(",")
     rows[:, ends[-1]] = ord("\n")
     return text.translate(None, b"\0")
@@ -247,7 +325,10 @@ class CsvWriter:
     ``CALL_NUMBERS // numbers per line`` lines (at least one), however long
     a grid's last axis is, so the lines of one time may span two calls.  A
     grid's times are formatted once per call, with Python's ``'%.17g'``,
-    into a time field only as wide as the call's longest time text.
+    into a time field only as wide as the call's longest time text.  A
+    call's lines are laid out from its text and fields in one buffer, and
+    the text is freed before that buffer is compacted: the call's working
+    set peaks near 90 to 130 bytes a number (see the module docstring).
     """
 
     def __init__(self, fh, header):
@@ -294,18 +375,22 @@ class CsvWriter:
 
     def _write(self, numbers):
         n, per_line = numbers.shape
+        text = format_floats(numbers).reshape(n, per_line, WIDTH)
         fields = []
         if self._index is not None:
             per_time = len(self._index)
-            first = self._written // per_time
-            t_index, i_index = np.divmod(np.arange(self._written, self._written + n),
-                                         per_time)
-            t_index -= first
+            skip = self._written % per_time  # lines of the first time already written
+            spanned = -(-(skip + n) // per_time)  # times the call's lines belong to
+            lines = np.full(spanned, per_time)  # lines of each of them
+            lines[0] -= skip
+            lines[-1] -= spanned * per_time - skip - n
             # a time repeats on many lines, so its text is formed once per call
-            t_text = [b"%.17g" % t for t in self._times[:t_index[-1] + 1]]
+            t_text = [b"%.17g" % t for t in self._times[:spanned]]
             t_text = _padded(t_text, 1 + max(map(len, t_text)))
-            fields = [t_text.take(t_index, axis=0), self._index.take(i_index, axis=0)]
-            del self._times[:(self._written + n) // per_time - first]
+            fields = [t_text.repeat(lines, axis=0),
+                      self._index.take(np.arange(skip, skip + n), axis=0, mode="wrap")]
+            del self._times[:(skip + n) // per_time]
         self._written += n
-        text = format_floats(numbers).reshape(n, per_line, WIDTH)
-        self._fh.write(_join(*fields, *text.swapaxes(0, 1)))
+        fields.extend(text.swapaxes(0, 1))
+        del text
+        self._fh.write(_join(fields))

@@ -313,8 +313,9 @@ class LineCount:
 ], ids=["columns", "complex grid", "long row"])
 def test_text_is_formed_one_block_at_a_time(add, inputs, count):
     # as text the whole input would be 1 MB or more; a formatter call takes
-    # at most CALL_NUMBERS numbers, whose text and temporaries peak near 300
-    # bytes a number, however long a grid's last axis is
+    # at most CALL_NUMBERS numbers, and the writer's buffers, that call's
+    # text and its temporaries peak near 90-130 bytes a number, however
+    # long a grid's last axis is
     inputs = inputs()
     fh = LineCount()
     tracemalloc.start()
@@ -326,7 +327,7 @@ def test_text_is_formed_one_block_at_a_time(add, inputs, count):
     finally:
         tracemalloc.stop()
     assert fh.lines == 1 + count
-    assert peak <= 512 * oscbath.floatfmt.CALL_NUMBERS, peak
+    assert peak <= 200 * oscbath.floatfmt.CALL_NUMBERS, peak
 
 
 def test_master_formats_full_calls(tmp_path, monkeypatch):

@@ -126,6 +126,27 @@ def test_last_column_is_free():
     assert rows.shape[1] == floatfmt.WIDTH and not rows[:, -1].any()
 
 
+def test_argument_is_never_written():
+    # the formatter reuses its own arrays in place, never its argument's
+    # memory: a contiguous and a strided array, with values for the fast
+    # path and for every reason to fall back, are bit for bit unchanged
+    rng = np.random.default_rng(4)
+    ties = eighteen_digit_ties()
+    values = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.225073858507201e-308,
+         1e-271, -1e-270, 1e270, -1e271, 1.7976931348623157e308],
+        ties, -ties,
+        rng.standard_normal(3_000) * 10.0 ** rng.integers(-320, 307, 3_000)])
+    rng.shuffle(values)
+    strided = np.empty((len(values), 3))
+    strided[:, 0] = values
+    strided[:, 1:] = rng.standard_normal((len(values), 2))
+    for owner, x in ((values, values), (strided, strided[:, 0])):
+        before = owner.tobytes()
+        assert formatted(x) == oracle(x)
+        assert owner.tobytes() == before
+
+
 @PROPERTY
 @given(st.lists(st.complex_numbers(), min_size=6, max_size=6),
        st.lists(st.floats(width=64), min_size=3, max_size=3))

@@ -35,6 +35,33 @@ class TestCoefficients:
         assert np.abs(series.omega_sq
                       - (1 + G ** 2 + 2 * G ** 2 * np.tan(G * times) ** 2)).max() <= 1e-8
 
+    def test_detuned_closed_forms(self):
+        # validate's detuned oracle model (omega_1 = 1.3) at its 40 times:
+        # A00 = exp(-i Sigma t)(cos Rt - i (delta/R) sin Rt), and Gamma and
+        # Omega2 are the Wronskian ratios of it and its exact derivatives;
+        # |q| >= 0.646 there, so no time is singular
+        sigma, delta = (1.0 + 1.3) / 2, (1.0 - 1.3) / 2
+        r = np.hypot(delta, G)
+        times = np.linspace(0.05, 2 * np.pi / r, 40)
+        spec = ob.ModelSpec(omega=1.0, bath_frequencies=np.array([1.3]),
+                            couplings=np.array([G]))
+        series = langevin_series(ob.eigendecompose(ob.build_hamiltonian(spec)), times)
+        cos, sin = np.cos(r * times), np.sin(r * times)
+        f = cos - 1j * (delta / r) * sin
+        fdot = -r * sin - 1j * delta * cos  # fddot = -R^2 f
+        phase = np.exp(-1j * sigma * times)
+        a, adot = phase * f, phase * (fdot - 1j * sigma * f)
+        addot = phase * (-(r ** 2 + sigma ** 2) * f - 2j * sigma * fdot)
+
+        def im_conj(x, y):
+            return (x * y.conj()).imag
+
+        q = im_conj(a, adot)
+        assert np.abs(q).min() >= 0.646 and not series.singular.any()
+        eps = np.finfo(np.float64).eps
+        assert np.abs(series.gamma + im_conj(a, addot) / q).max() <= 50 * eps
+        assert np.abs(series.omega_sq - im_conj(adot, addot) / q).max() <= 50 * eps
+
     def test_wronskian_singularity_flagged(self, two_osc_sd):
         # cos(gt) node: a and b both vanish, the Wronskian is zero there
         t_sing = np.pi / (2 * G)
